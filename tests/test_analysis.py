@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import linprog
 from scipy.stats import norm
 
 from permlearn import (
+    ComponentDensity,
     Gaussian,
+    GaussianMixture,
+    KernelDensity,
     MixingMeasure,
     Permutation,
     chernoff_exponent,
@@ -24,7 +26,7 @@ from permlearn import (
     tv_distance,
     wasserstein1,
 )
-from permlearn.analysis.transport import MAX_ATOMS, _transportation_simplex
+from permlearn.analysis.transport import MAX_ATOMS, _optimal_coupling
 
 
 def two_atom(mu, weights=(0.5, 0.5)):
@@ -36,6 +38,28 @@ def two_atom(mu, weights=(0.5, 0.5)):
 def gaussian_tv(m1, m2, sigma=1.0):
     """Closed-form total variation between equal-variance 1-d Gaussians."""
     return 2.0 * norm.cdf(abs(m1 - m2) / (2.0 * sigma)) - 1.0
+
+
+def trapezoid_tv(f, g, points=1_000_001, chunk=200_000):
+    """TV by the trapezoid rule on the atoms' own densities over both envelopes."""
+    lo = min(f.envelope_1d()[0], g.envelope_1d()[0])
+    hi = max(f.envelope_1d()[1], g.envelope_1d()[1])
+    x = np.linspace(lo, hi, points)
+    total = 0.0
+    for start in range(0, points - 1, chunk):
+        xs = x[start : start + chunk + 1, np.newaxis]
+        total += np.trapezoid(np.abs(f.density(xs) - g.density(xs)), xs[:, 0])
+    return 0.5 * total
+
+
+def jittered_kde_pair(seed):
+    """Two KDEs (h = 0.3) of 50 normal quantiles, each shifted and jittered."""
+    rng = np.random.default_rng(seed)
+    quantiles = norm.ppf((np.arange(50) + 0.5) / 50)
+    return [
+        KernelDensity(shift + quantiles + rng.normal(0.0, 0.05, 50), 0.3)
+        for shift in rng.uniform(-3.0, 3.0, 2)
+    ]
 
 
 class TestChernoffExponent:
@@ -252,9 +276,52 @@ class TestTvDistance:
         g = Gaussian([0.5], [[2.0]])
         assert tv_distance(g, g).value == pytest.approx(0.0, abs=1e-12)
 
+    def test_identical_mixture_and_kde_atoms_are_exactly_zero(self):
+        mix = GaussianMixture([0.3, 0.7], [Gaussian([-1.0], [[0.5]]), Gaussian([2.0], [[1.5]])])
+        kde = jittered_kde_pair(2)[0]
+        for atom in (mix, kde):
+            assert tv_distance(atom, atom).value == 0.0
+            measure = MixingMeasure([0.4, 0.6], [atom, Gaussian([0.0], [[1.0]])])
+            assert wasserstein1(measure, measure)[0] == 0.0
+
+    def test_unequal_variance_gaussians_match_trapezoid(self):
+        f = Gaussian([1.5472250586387055], [[1.9836064922952248]])
+        g = Gaussian([-0.7544585173559542], [[1.97944657187744]])
+        est = tv_distance(f, g)
+        assert est.value == pytest.approx(trapezoid_tv(f, g), abs=1e-9)
+        assert est.half_width == 0.0
+
+    def test_narrow_far_peak_is_not_missed(self):
+        f = GaussianMixture([0.5, 0.5], [Gaussian([0.0], [[1.0]]), Gaussian([7.3], [[1e-4]])])
+        g = Gaussian([0.0], [[1.0]])
+        assert tv_distance(f, g).value == pytest.approx(trapezoid_tv(f, g), abs=1e-9)
+        assert tv_distance(g, f).value == pytest.approx(0.5, abs=1e-9)
+
+    # Integrating |f - g| from the atoms' log densities without breakpoints
+    # errs by 5e-7 on seed 173. On seed 16, the breakpointed quad without the
+    # sign-change partition errs by 1e-8: a kink of |f - g| sits next to a
+    # subinterval end.
+    @pytest.mark.parametrize("seed", [16, 173])
+    def test_jittered_kde_pairs_match_trapezoid(self, seed):
+        f, g = jittered_kde_pair(seed)
+        assert tv_distance(f, g).value == pytest.approx(trapezoid_tv(f, g), abs=1e-9)
+
     def test_far_apart_saturates(self):
         est = tv_distance(Gaussian([0.0], [[1.0]]), Gaussian([100.0], [[1.0]]))
         assert est.value == pytest.approx(1.0, abs=1e-9)
+
+    def test_quadrature_needs_gaussian_parts(self):
+        class Laplace(ComponentDensity):
+            dim = 1
+
+            def log_density(self, x):
+                return -np.abs(np.asarray(x, dtype=float)).ravel() - math.log(2.0)
+
+            def envelope_1d(self):
+                return -40.0, 40.0
+
+        with pytest.raises(ValueError, match="method='mc'"):
+            tv_distance(Laplace(), Gaussian([0.0], [[1.0]]))
 
     def test_quadrature_refused_beyond_1d(self):
         f = Gaussian([0.0, 0.0], np.eye(2))
@@ -263,41 +330,53 @@ class TestTvDistance:
 
 
 class TestTransportationSimplex:
+    """``_optimal_coupling``: the transportation LP behind ``wasserstein1``.
+
+    The oracles need no LP solver. With uniform weights and m = n an optimal
+    plan is a permutation matrix / n (Birkhoff), so brute force over
+    permutations gives the optimum. With cost |x_i - y_j| the optimum is the
+    1-d Wasserstein distance, the integral of |F - G| between the two CDFs.
+    """
+
     @pytest.mark.parametrize("trial", range(20))
     def test_agrees_with_lp_oracle(self, trial):
         rng = np.random.default_rng(trial)
-        m, n = int(rng.integers(2, 8)), int(rng.integers(2, 8))
-        cost = rng.uniform(0.0, 1.0, (m, n))
-        supply = rng.uniform(0.1, 1.0, m)
-        supply /= supply.sum()
-        demand = rng.uniform(0.1, 1.0, n)
-        demand /= demand.sum()
-        plan, total = _transportation_simplex(cost, supply, demand)
-
-        a_eq = np.zeros((m + n, m * n))
-        for i in range(m):
-            a_eq[i, i * n : (i + 1) * n] = 1.0
-        for j in range(n):
-            a_eq[m + j, j::n] = 1.0
-        res = linprog(
-            cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([supply, demand]),
-            method="highs",
-        )
-        assert total == pytest.approx(res.fun, abs=1e-10)
+        if trial % 2 == 0:
+            m = n = int(rng.integers(2, 7))
+            cost = rng.uniform(0.0, 1.0, (m, n))
+            supply = demand = np.full(n, 1.0 / n)
+            best = min(
+                cost[np.arange(n), list(p)].sum() for p in itertools.permutations(range(n))
+            ) / n
+        else:
+            m, n = int(rng.integers(2, 8)), int(rng.integers(2, 8))
+            xs, ys = rng.uniform(-2.0, 2.0, m), rng.uniform(-2.0, 2.0, n)
+            cost = np.abs(xs[:, np.newaxis] - ys[np.newaxis, :])
+            supply = rng.uniform(0.1, 1.0, m)
+            supply /= supply.sum()
+            demand = rng.uniform(0.1, 1.0, n)
+            demand /= demand.sum()
+            grid = np.sort(np.concatenate([xs, ys]))
+            cdf_gap = [
+                supply[xs <= t].sum() - demand[ys <= t].sum() for t in grid[:-1]
+            ]
+            best = float(np.abs(cdf_gap) @ np.diff(grid))
+        plan, total = _optimal_coupling(cost, supply, demand)
+        assert total == pytest.approx(best, abs=1e-10)
         np.testing.assert_allclose(plan.sum(axis=1), supply, atol=1e-9)
         np.testing.assert_allclose(plan.sum(axis=0), demand, atol=1e-9)
         assert plan.min() >= -1e-12
 
     def test_degenerate_equal_masses(self):
-        # exact ties everywhere force degenerate pivots; Bland must not cycle
+        # exact ties everywhere: every feasible plan is optimal
         cost = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
         supply = demand = np.full(3, 1.0 / 3.0)
-        plan, total = _transportation_simplex(cost, supply, demand)
+        plan, total = _optimal_coupling(cost, supply, demand)
         assert total == pytest.approx(1.0)
 
     def test_rejects_mass_mismatch(self):
         with pytest.raises(ValueError, match="mass"):
-            _transportation_simplex(np.ones((2, 2)), [0.7, 0.31], [0.5, 0.5])
+            _optimal_coupling(np.ones((2, 2)), [0.7, 0.31], [0.5, 0.5])
 
 
 class TestWasserstein:
