@@ -251,7 +251,8 @@ def _optimal_coupling(cost: np.ndarray, supply, demand) -> tuple[np.ndarray, flo
 
     The m*n plan entries are the variables and the row and column sums are
     the equality constraints; HiGHS solves the LP exactly up to its
-    feasibility tolerance.
+    feasibility tolerance. With one supply or one demand atom the only
+    feasible plan ships every weight to or from it, and no LP is solved.
     """
     cost = np.asarray(cost, dtype=float)
     s = np.asarray(supply, dtype=float).ravel()
@@ -266,6 +267,9 @@ def _optimal_coupling(cost: np.ndarray, supply, demand) -> tuple[np.ndarray, flo
     if not np.all(np.isfinite(cost)):
         raise ValueError("costs must be finite")
 
+    if m == 1 or n == 1:
+        plan = (d.reshape(1, n) if m == 1 else s.reshape(m, 1)).copy()
+        return plan, float((plan * cost).sum())
     a_eq = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
     res = linprog(
         cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([s, d]), bounds=(0.0, None),

@@ -192,7 +192,8 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--trials", type=_positive_int, default=None)
     exp.add_argument("--rho", type=_unit_float, default=None, help="label-noise rate")
     exp.add_argument("--seed", type=_nonneg_int, default=None)
-    exp.add_argument("--threads", type=_positive_int, default=1)
+    exp.add_argument("--threads", type=_positive_int, default=1,
+                     help="accepted for compatibility; changes neither output nor speed")
     exp.add_argument("--out-dir", default=None)
     return parser
 

@@ -13,28 +13,43 @@ from typing import Iterable
 
 import numpy as np
 
-from .matching import max_weight_matching
+from .matching import max_weight_assignments, max_weight_matching
 from .mixtures import LabeledData, MixingMeasure, Permutation
 
 __all__ = [
     "FAIL_EMPTY_REGION",
     "FAIL_MAJORITY_TIE",
     "FAIL_NON_BIJECTIVE",
+    "FAILURES",
+    "CODE_OK",
+    "CODE_EMPTY_REGION",
+    "CODE_MAJORITY_TIE",
+    "CODE_NON_BIJECTIVE",
     "EstimateOutcome",
     "DataSummary",
+    "PrefixSummaries",
     "summarize",
     "summary_from_scores",
+    "prefix_summaries",
     "mle_estimate",
     "mv_estimate",
     "greedy_estimate",
     "mle_from_summary",
     "mv_from_summary",
     "greedy_from_summary",
+    "mle_prefixes",
+    "mv_prefixes",
+    "greedy_prefixes",
 ]
 
 FAIL_EMPTY_REGION = "empty_region"
 FAIL_MAJORITY_TIE = "majority_tie"
 FAIL_NON_BIJECTIVE = "non_bijective"
+
+# Integer outcome codes of the batched *_prefixes rules; FAILURES[code] is
+# the matching failure string (None for success).
+CODE_OK, CODE_EMPTY_REGION, CODE_MAJORITY_TIE, CODE_NON_BIJECTIVE = range(4)
+FAILURES = (None, FAIL_EMPTY_REGION, FAIL_MAJORITY_TIE, FAIL_NON_BIJECTIVE)
 
 
 @dataclass(frozen=True)
@@ -97,6 +112,27 @@ class DataSummary:
         return float(self.weights[np.arange(self.k), cols].sum() / self.n)
 
 
+@dataclass(frozen=True)
+class PrefixSummaries:
+    """DataSummary fields of the prefixes of one dataset, stacked over a grid.
+
+    Entry g of weights (G, K, K), votes (G, K, K), class_counts (G, K) and
+    region_counts (G, K) is the DataSummary field of the first ns[g] samples.
+    """
+
+    ns: np.ndarray
+    k: int
+    weights: np.ndarray
+    votes: np.ndarray
+    class_counts: np.ndarray
+    region_counts: np.ndarray
+
+    def loglik(self, cols: np.ndarray) -> np.ndarray:
+        """Mean per-sample log joint score of prefix g under columns cols[g]."""
+        picked = np.take_along_axis(self.weights, cols[:, :, np.newaxis], axis=2)
+        return picked[:, :, 0].sum(axis=1) / self.ns
+
+
 def _as_data(data) -> LabeledData:
     if isinstance(data, LabeledData):
         return data
@@ -145,95 +181,129 @@ def summarize(measure: MixingMeasure, data: LabeledData | Iterable) -> DataSumma
     return summary_from_scores(measure.log_scores(data.x), data.y, measure.n_atoms)
 
 
-def mle_from_summary(s: DataSummary) -> EstimateOutcome:
-    result = max_weight_matching(s.weights)
+def prefix_summaries(
+    scores: np.ndarray, labels: np.ndarray, k: int, ns
+) -> PrefixSummaries:
+    """Summaries of the prefixes scores[:n], labels[:n] for every n in ns.
+
+    One pass: each sample is counted once, in the segment between the grid
+    sizes that enclose it, and a cumulative sum over the segments gives the
+    prefixes. Beyond the scores, memory is O(len(ns) K^2), never O(n K^2).
+    """
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    ns = np.asarray(ns, dtype=np.int64)
+    if ns.ndim != 1 or ns.size == 0 or ns[0] < 1 or np.any(np.diff(ns) <= 0):
+        raise ValueError("ns must be strictly increasing positive sizes")
+    n = int(ns[-1])
+    if labels.ndim != 1 or labels.shape[0] < n:
+        raise ValueError(f"need at least {n} labels")
+    if scores.shape != (labels.shape[0], k):
+        raise ValueError(f"scores must have shape ({labels.shape[0]}, {k})")
+    scores, labels = scores[:n], labels[:n]
+    if int(labels.max()) > k or int(labels.min()) < 1:
+        raise ValueError(f"labels must lie in 1..{k}")
+    g = ns.size
+    # Bin (segment, row, column) of a flat (g, k, k) array is
+    # (segment * k + row) * k + column; seg_k holds segment * k per sample.
+    seg_k = np.repeat(np.arange(g) * k, np.diff(ns, prepend=0))
+    by_class = (seg_k + labels - 1)[:, np.newaxis] * k + np.arange(k)
+    weights = np.bincount(by_class.ravel(), weights=scores.ravel(), minlength=g * k * k)
+    regions0 = np.argmax(scores, axis=1)
+    votes = np.bincount((seg_k + regions0) * k + labels - 1, minlength=g * k * k)
+    votes = votes.reshape(g, k, k).cumsum(axis=0)
+    return PrefixSummaries(
+        ns=ns,
+        k=k,
+        weights=weights.reshape(g, k, k).cumsum(axis=0),
+        votes=votes,
+        class_counts=votes.sum(axis=1),
+        region_counts=votes.sum(axis=2),
+    )
+
+
+def _single(s: DataSummary) -> PrefixSummaries:
+    return PrefixSummaries(
+        ns=np.array([s.n]),
+        k=s.k,
+        weights=s.weights[np.newaxis],
+        votes=s.votes[np.newaxis],
+        class_counts=s.class_counts[np.newaxis],
+        region_counts=s.region_counts[np.newaxis],
+    )
+
+
+def _codes(empty: np.ndarray, tie: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Outcome code per prefix: empty, then tie, then non-bijective cols."""
+    ordered = np.sort(cols, axis=1)
+    collide = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
+    return np.select(
+        [empty, tie, collide], [CODE_EMPTY_REGION, CODE_MAJORITY_TIE, CODE_NON_BIJECTIVE],
+        CODE_OK,
+    )
+
+
+def mle_prefixes(p: PrefixSummaries) -> tuple[np.ndarray, np.ndarray]:
+    """Matching MLE of every prefix: outcome codes (all CODE_OK) and columns.
+
+    Unlike mle_from_summary it makes no runner-up solve, so it has no tie flag.
+    """
+    cols = max_weight_assignments(p.weights)
+    return np.full(p.ns.size, CODE_OK), cols
+
+
+def mv_prefixes(p: PrefixSummaries) -> tuple[np.ndarray, np.ndarray]:
+    """Majority vote of every prefix: outcome codes and columns (see mv_estimate)."""
+    elected = np.argmax(p.votes, axis=2)  # the class each region elects
+    top = np.take_along_axis(p.votes, elected[:, :, np.newaxis], axis=2)
+    tie = np.any(np.sum(p.votes == top, axis=2) > 1, axis=1)
+    codes = _codes(np.any(p.region_counts == 0, axis=1), tie, elected)
+    # where elected is a bijection region -> class, its argsort is class -> region
+    return codes, np.argsort(elected, axis=1)
+
+
+def greedy_prefixes(p: PrefixSummaries) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy row argmax of every prefix: outcome codes and columns.
+
+    A class with no samples is reported as CODE_EMPTY_REGION.
+    """
+    cols = np.argmax(p.weights, axis=2)  # ties resolve to the lowest index
+    empty = np.any(p.class_counts == 0, axis=1)
+    return _codes(empty, np.zeros_like(empty), cols), cols
+
+
+def _outcome(
+    method: str, s: DataSummary, codes, cols, unique: bool | None = None
+) -> EstimateOutcome:
+    """EstimateOutcome of a one-prefix rule result (codes[0], cols[0])."""
+    code = int(codes[0])
+    perm = Permutation(tuple(int(c) + 1 for c in cols[0])) if code == CODE_OK else None
     return EstimateOutcome(
-        method="mle",
-        permutation=result.permutation,
-        failure=None,
-        log_likelihood=float(result.total_weight / s.n),
+        method=method,
+        permutation=perm,
+        failure=FAILURES[code],
+        log_likelihood=None if perm is None else s.loglik(perm),
         class_counts=tuple(int(c) for c in s.class_counts),
         region_counts=tuple(int(c) for c in s.region_counts),
         unconstrained_classes=tuple(
             int(k + 1) for k in np.flatnonzero(s.class_counts == 0)
         ),
-        unique=result.is_unique,
+        unique=unique,
     )
+
+
+def mle_from_summary(s: DataSummary) -> EstimateOutcome:
+    result = max_weight_matching(s.weights)
+    cols = np.array([result.permutation.to_region]) - 1
+    return _outcome("mle", s, [CODE_OK], cols, unique=result.is_unique)
 
 
 def mv_from_summary(s: DataSummary) -> EstimateOutcome:
-    counts = tuple(int(c) for c in s.class_counts)
-    regions = tuple(int(c) for c in s.region_counts)
-
-    def fail(reason: str) -> EstimateOutcome:
-        return EstimateOutcome(
-            method="mv",
-            permutation=None,
-            failure=reason,
-            log_likelihood=None,
-            class_counts=counts,
-            region_counts=regions,
-            unconstrained_classes=tuple(
-                int(k + 1) for k in np.flatnonzero(s.class_counts == 0)
-            ),
-        )
-
-    if np.any(s.region_counts == 0):
-        return fail(FAIL_EMPTY_REGION)
-    winners = []
-    for b in range(s.k):
-        tally = s.votes[b]
-        top = int(np.argmax(tally))
-        if int((tally == tally[top]).sum()) > 1:
-            return fail(FAIL_MAJORITY_TIE)
-        winners.append(top + 1)
-    if len(set(winners)) != s.k:
-        return fail(FAIL_NON_BIJECTIVE)
-    # winners[b-1] is the class elected by region b, i.e. the inverse map
-    perm = Permutation(tuple(winners)).inverse()
-    return EstimateOutcome(
-        method="mv",
-        permutation=perm,
-        failure=None,
-        log_likelihood=s.loglik(perm),
-        class_counts=counts,
-        region_counts=regions,
-        unconstrained_classes=tuple(
-            int(k + 1) for k in np.flatnonzero(s.class_counts == 0)
-        ),
-    )
+    return _outcome("mv", s, *mv_prefixes(_single(s)))
 
 
 def greedy_from_summary(s: DataSummary) -> EstimateOutcome:
-    counts = tuple(int(c) for c in s.class_counts)
-    regions = tuple(int(c) for c in s.region_counts)
-    empty = tuple(int(k + 1) for k in np.flatnonzero(s.class_counts == 0))
-
-    def fail(reason: str) -> EstimateOutcome:
-        return EstimateOutcome(
-            method="greedy",
-            permutation=None,
-            failure=reason,
-            log_likelihood=None,
-            class_counts=counts,
-            region_counts=regions,
-            unconstrained_classes=empty,
-        )
-
-    if empty:
-        return fail(FAIL_EMPTY_REGION)
-    picks = np.argmax(s.weights, axis=1) + 1  # ties resolve to the lowest index
-    if len(set(picks.tolist())) != s.k:
-        return fail(FAIL_NON_BIJECTIVE)
-    perm = Permutation(tuple(int(b) for b in picks))
-    return EstimateOutcome(
-        method="greedy",
-        permutation=perm,
-        failure=None,
-        log_likelihood=s.loglik(perm),
-        class_counts=counts,
-        region_counts=regions,
-    )
+    return _outcome("greedy", s, *greedy_prefixes(_single(s)))
 
 
 def mle_estimate(measure: MixingMeasure, data) -> EstimateOutcome:
@@ -259,6 +329,8 @@ def greedy_estimate(measure: MixingMeasure, data) -> EstimateOutcome:
     """Independent per-class argmax of the score rows; no matching step.
 
     Fails when a class has no samples (its argmax is undefined) or when the
-    row argmaxes collide, which exact matching would have repaired.
+    row argmaxes collide, which exact matching would have repaired. The first
+    failure is reported as ``empty_region`` although it concerns a class, so
+    recovery curves count it in ``fail_empty``.
     """
     return greedy_from_summary(summarize(measure, data))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,14 +19,15 @@ import numpy as np
 
 from . import __version__
 from .estimators import (
-    FAIL_EMPTY_REGION,
-    FAIL_MAJORITY_TIE,
-    FAIL_NON_BIJECTIVE,
-    EstimateOutcome,
-    greedy_from_summary,
-    mle_from_summary,
-    mv_from_summary,
-    summary_from_scores,
+    CODE_EMPTY_REGION,
+    CODE_MAJORITY_TIE,
+    CODE_NON_BIJECTIVE,
+    CODE_OK,
+    FAILURES,
+    greedy_prefixes,
+    mle_prefixes,
+    mv_prefixes,
+    prefix_summaries,
 )
 from .mixtures import (
     Gaussian,
@@ -73,11 +73,16 @@ COV_FACTORS = (0.5, 2.0)
 WEIGHT_JITTER = (0.8, 1.25)
 
 _PERTURB_STREAM = 2**32 - 1
+# (name, rule) pairs, read at call time; each rule maps PrefixSummaries to
+# (codes, columns) for the whole grid.
 _ESTIMATORS: tuple[tuple[str, Callable], ...] = (
-    ("mle", mle_from_summary),
-    ("mv", mv_from_summary),
-    ("greedy", greedy_from_summary),
+    ("mle", mle_prefixes),
+    ("mv", mv_prefixes),
+    ("greedy", greedy_prefixes),
 )
+# Cell outcome codes: the rules' codes, with a successful permutation that
+# equals the true one recoded as _RECOVERED.
+_RECOVERED = len(FAILURES)
 
 CSV_COLUMNS = (
     "family,K,dim,eta,perturbed,estimator,n,trials,recovered,"
@@ -277,7 +282,14 @@ def perturb_mixture(
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """Aggregated outcomes of one (estimator, sample size) cell."""
+    """Aggregated outcomes of one (estimator, sample size) cell.
+
+    ``fail_empty`` counts trials whose estimator failed with
+    ``empty_region``. For greedy that failure means a *class* had no
+    samples (its row argmax is undefined), not that a region was empty.
+    ``mean_loglik`` averages the successful trials' log-likelihoods in trial
+    order and is None when every trial failed.
+    """
 
     estimator: str
     n: int
@@ -345,7 +357,11 @@ def _run_trial(
     true_perm: Permutation,
     model: MixingMeasure,
     trial: int,
-) -> list[tuple[str, int, EstimateOutcome]]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cell outcome codes and log-likelihoods (NaN on failure) of one trial.
+
+    Both arrays have shape (estimators, grid sizes).
+    """
     rng = np.random.default_rng([spec.seed, trial])
     n_max = spec.n_grid[-1]
     data = sample_labeled(truth, true_perm, n_max, rng)
@@ -358,13 +374,17 @@ def _run_trial(
         wrong = rng.integers(1, k, size=n_max)
         if spec.label_noise > 0.0:
             y = np.where(flip, (y - 1 + wrong) % k + 1, y)
-    scores = model.log_scores(data.x)
-    out = []
-    for n in spec.n_grid:
-        summary = summary_from_scores(scores[:n], y[:n], k)
-        for name, estimate in _ESTIMATORS:
-            out.append((name, n, estimate(summary)))
-    return out
+    prefixes = prefix_summaries(model.log_scores(data.x), y, k, spec.n_grid)
+    true_cols = np.asarray(true_perm.to_region) - 1
+    codes = np.empty((len(_ESTIMATORS), len(spec.n_grid)), dtype=np.int8)
+    logliks = np.full(codes.shape, np.nan)
+    for e, (_, rule) in enumerate(_ESTIMATORS):
+        rule_codes, cols = rule(prefixes)
+        ok = rule_codes == CODE_OK
+        recovered = ok & np.all(cols == true_cols, axis=1)
+        codes[e] = np.where(recovered, _RECOVERED, rule_codes)
+        logliks[e, ok] = prefixes.loglik(cols)[ok]
+    return codes, logliks
 
 
 def resolve_model(spec: ExperimentSpec) -> tuple[MixingMeasure, Permutation, MixingMeasure]:
@@ -382,63 +402,38 @@ def resolve_model(spec: ExperimentSpec) -> tuple[MixingMeasure, Permutation, Mix
 def run_recovery_experiment(spec: ExperimentSpec, threads: int = 1) -> RecoveryCurve:
     """Run every estimator over the sample-size grid for spec.trials draws.
 
-    Each trial draws once at the largest grid size and evaluates prefixes,
-    scoring the samples against the model a single time. ``threads`` only
-    parallelizes trials; results are identical at any thread count.
+    Each trial draws once at the largest grid size, scores the samples
+    against the model a single time and summarizes all grid prefixes in one
+    pass. ``threads`` must be >= 1 and is accepted for compatibility only:
+    trials run one after another, since a thread pool over the batched trials
+    was no faster on two cores. Results never depend on it.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     start = time.perf_counter()
     truth, true_perm, model = resolve_model(spec)
-
-    if threads == 1:
-        per_trial = [
-            _run_trial(spec, truth, true_perm, model, t) for t in range(spec.trials)
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(
-                pool.map(
-                    lambda t: _run_trial(spec, truth, true_perm, model, t),
-                    range(spec.trials),
-                )
-            )
-
-    tally: dict[tuple[str, int], dict] = {
-        (name, n): {"recovered": 0, "empty": 0, "tie": 0, "nonbij": 0, "logliks": []}
-        for name, _ in _ESTIMATORS
-        for n in spec.n_grid
-    }
-    for outcomes in per_trial:
-        for name, n, outcome in outcomes:
-            cell = tally[(name, n)]
-            if outcome.ok and outcome.permutation == true_perm:
-                cell["recovered"] += 1
-            if outcome.failure == FAIL_EMPTY_REGION:
-                cell["empty"] += 1
-            elif outcome.failure == FAIL_MAJORITY_TIE:
-                cell["tie"] += 1
-            elif outcome.failure == FAIL_NON_BIJECTIVE:
-                cell["nonbij"] += 1
-            if outcome.log_likelihood is not None:
-                cell["logliks"].append(outcome.log_likelihood)
+    per_trial = [_run_trial(spec, truth, true_perm, model, t) for t in range(spec.trials)]
+    codes = np.stack([c for c, _ in per_trial])
+    logliks = np.stack([ll for _, ll in per_trial])
+    # counts[e, g, code]: trials of cell (e, g) with that outcome code
+    counts = np.sum(codes[..., np.newaxis] == np.arange(_RECOVERED + 1), axis=0)
 
     points = []
-    for name, _ in _ESTIMATORS:
-        for n in spec.n_grid:
-            cell = tally[(name, n)]
+    for e, (name, _) in enumerate(_ESTIMATORS):
+        for g, n in enumerate(spec.n_grid):
+            cell = counts[e, g]
+            ll = logliks[:, e, g]
+            ll = ll[~np.isnan(ll)]
             points.append(
                 CurvePoint(
                     estimator=name,
                     n=n,
                     trials=spec.trials,
-                    recovered=cell["recovered"],
-                    fail_empty=cell["empty"],
-                    fail_tie=cell["tie"],
-                    fail_nonbij=cell["nonbij"],
-                    mean_loglik=(
-                        float(np.mean(cell["logliks"])) if cell["logliks"] else None
-                    ),
+                    recovered=int(cell[_RECOVERED]),
+                    fail_empty=int(cell[CODE_EMPTY_REGION]),
+                    fail_tie=int(cell[CODE_MAJORITY_TIE]),
+                    fail_nonbij=int(cell[CODE_NON_BIJECTIVE]),
+                    mean_loglik=float(np.mean(ll)) if ll.size else None,
                 )
             )
     return RecoveryCurve(spec, tuple(points), time.perf_counter() - start)

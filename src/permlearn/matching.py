@@ -20,13 +20,17 @@ from .mixtures import Permutation
 __all__ = [
     "MatchingResult",
     "max_weight_matching",
+    "max_weight_assignments",
     "second_best_matching",
     "brute_force_matching",
     "TIE_TOL",
     "BRUTE_FORCE_LIMIT",
 ]
 
-# Two permutations within this total-weight distance count as tied.
+# Two permutations count as tied when their totals differ by at most
+# TIE_TOL * max(1, sum_k |w[k, perm(k)]|) of the optimum perm. Weight
+# matrices are sums over samples, so an absolute tolerance would change
+# meaning with the sample size; this one is invariant to scaling by 2**j.
 TIE_TOL = 1e-9
 
 # brute_force_matching refuses anything above 10! evaluations.
@@ -38,8 +42,9 @@ class MatchingResult:
     """A permutation with its total weight.
 
     ``is_unique`` is False when some other permutation's total comes within
-    TIE_TOL of the best total (for second_best_matching it reports the same
-    fact: the optimum was tied).
+    the tie tolerance (TIE_TOL relative to the optimum's absolute weight) of
+    the best total; for second_best_matching it reports the same fact: the
+    optimum was tied.
     """
 
     permutation: Permutation
@@ -64,6 +69,11 @@ def _solve(w: np.ndarray) -> np.ndarray:
 
 def _total(w: np.ndarray, cols: np.ndarray) -> float:
     return float(w[np.arange(w.shape[0]), cols].sum())
+
+
+def _tie_tol(w: np.ndarray, cols: np.ndarray) -> float:
+    """Total-weight distance within which another permutation ties cols."""
+    return TIE_TOL * max(1.0, float(np.abs(w[np.arange(w.shape[0]), cols]).sum()))
 
 
 def _runner_up(w: np.ndarray, best_cols: np.ndarray) -> tuple[float, np.ndarray]:
@@ -99,8 +109,28 @@ def max_weight_matching(weights: ArrayLike) -> MatchingResult:
     return MatchingResult(
         Permutation(tuple(int(c) + 1 for c in cols)),
         total,
-        total - second_total > TIE_TOL,
+        total - second_total > _tie_tol(w, cols),
     )
+
+
+def max_weight_assignments(weights: ArrayLike) -> np.ndarray:
+    """Max-weight columns of a stack of G weight matrices, shape (G, K, K).
+
+    Row g of the result holds the 0-based region of each class for
+    weights[g], the permutation max_weight_matching(weights[g]) returns. It
+    makes one assignment solve per matrix and no runner-up solve, so it has
+    no tie flag.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 3 or w.shape[1] != w.shape[2] or w.shape[1] == 0:
+        raise ValueError("weights must be a stack of square nonempty matrices")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weight matrix entries must be finite")
+    cols = np.zeros(w.shape[:2], dtype=np.intp)
+    if w.shape[1] > 1:
+        for g in range(w.shape[0]):
+            cols[g] = _solve(w[g])
+    return cols
 
 
 def second_best_matching(weights: ArrayLike) -> MatchingResult:
@@ -117,7 +147,7 @@ def second_best_matching(weights: ArrayLike) -> MatchingResult:
     return MatchingResult(
         Permutation(tuple(int(c) + 1 for c in second_cols)),
         second_total,
-        best_total - second_total > TIE_TOL,
+        best_total - second_total > _tie_tol(w, cols),
     )
 
 
@@ -153,7 +183,7 @@ def brute_force_matching(weights: ArrayLike) -> MatchingResult:
         else:
             # a distinct permutation, even on an exact tie with the optimum
             runner_total = max(runner_total, chunk_best)
-    is_unique = k == 1 or best_total - runner_total > TIE_TOL
+    is_unique = k == 1 or best_total - runner_total > _tie_tol(w, np.array(best_perm))
     return MatchingResult(
         Permutation(tuple(c + 1 for c in best_perm)), best_total, is_unique
     )

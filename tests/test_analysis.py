@@ -367,6 +367,30 @@ class TestTransportationSimplex:
         np.testing.assert_allclose(plan.sum(axis=0), demand, atol=1e-9)
         assert plan.min() >= -1e-12
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 5), (4, 1)])
+    def test_single_row_or_column_has_one_plan(self, m, n):
+        # every unit of a lone atom's mass must go to (or come from) the others
+        rng = np.random.default_rng(10 * m + n)
+        cost = rng.uniform(0.0, 1.0, (m, n))
+        supply = rng.uniform(0.1, 1.0, m)
+        supply /= supply.sum()
+        demand = rng.uniform(0.1, 1.0, n)
+        demand /= demand.sum()
+        plan, total = _optimal_coupling(cost, supply, demand)
+        np.testing.assert_allclose(plan.sum(axis=1), supply, atol=1e-12)
+        np.testing.assert_allclose(plan.sum(axis=0), demand, atol=1e-12)
+        assert total == pytest.approx(float((plan * cost).sum()), abs=1e-15)
+        expected = cost @ demand if m == 1 else supply @ cost
+        assert total == pytest.approx(float(np.sum(expected)), abs=1e-12)
+
+    def test_single_atom_still_validates(self):
+        with pytest.raises(ValueError, match="mass"):
+            _optimal_coupling(np.ones((1, 2)), [1.0], [0.5, 0.6])
+        with pytest.raises(ValueError, match="finite"):
+            _optimal_coupling(np.array([[np.inf], [0.0]]), [0.5, 0.5], [1.0])
+        with pytest.raises(ValueError, match="shape"):
+            _optimal_coupling(np.ones((1, 2)), [1.0], [1.0])
+
     def test_degenerate_equal_masses(self):
         # exact ties everywhere: every feasible plan is optimal
         cost = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])

@@ -7,11 +7,16 @@ from permlearn import (
     ExperimentSpec,
     Gaussian,
     GaussianMixture,
+    LabeledData,
     MixingMeasure,
     Permutation,
     generate_true_mixture,
+    greedy_estimate,
+    mle_estimate,
+    mv_estimate,
     perturb_mixture,
     run_recovery_experiment,
+    sample_labeled,
     tv_distance,
 )
 from permlearn.harness import (
@@ -265,6 +270,129 @@ class TestRunExperiment:
         )
         curve = run_recovery_experiment(spec)
         assert curve.recovery_fraction("mle")[0] == 1.0
+
+
+def _trial_data(spec, truth, perm, trial):
+    """Trial's labelled draw as documented: stream default_rng([seed, trial])."""
+    rng = np.random.default_rng([spec.seed, trial])
+    n = spec.n_grid[-1]
+    data = sample_labeled(truth, perm, n, rng)
+    y = data.y
+    if spec.k > 1:
+        flip = rng.random(n) < spec.label_noise
+        wrong = rng.integers(1, spec.k, size=n)
+        y = np.where(flip, (y - 1 + wrong) % spec.k + 1, y)
+    return LabeledData(data.x, y)
+
+
+def _library_cells(spec):
+    """Every cell recomputed prefix by prefix through the public estimators."""
+    truth, perm, model = resolve_model(spec)
+    estimators = {"mle": mle_estimate, "mv": mv_estimate, "greedy": greedy_estimate}
+    slot = {"empty_region": 1, "majority_tie": 2, "non_bijective": 3}
+    tally = {(e, n): [0, 0, 0, 0, []] for e in estimators for n in spec.n_grid}
+    for t in range(spec.trials):
+        data = _trial_data(spec, truth, perm, t)
+        for n in spec.n_grid:
+            prefix = data.prefix(n)
+            for name, estimate in estimators.items():
+                out = estimate(model, prefix)
+                cell = tally[(name, n)]
+                if out.ok and out.permutation == perm:
+                    cell[0] += 1
+                if out.failure is not None:
+                    cell[slot[out.failure]] += 1
+                else:
+                    cell[4].append(out.log_likelihood)
+    return {
+        key: (tuple(c[:4]), float(np.mean(c[4])) if c[4] else None)
+        for key, c in tally.items()
+    }
+
+
+def _two_atoms(mu, weights=(0.5, 0.5)):
+    return MixingMeasure(
+        list(weights), [Gaussian([-mu], [[1.0]]), Gaussian([mu], [[1.0]])]
+    )
+
+
+_SINGLE = MixingMeasure([1.0], [Gaussian([0.0], [[1.0]])])
+
+
+class TestBatchedEngineMatchesLibrary:
+    """The one-pass prefix engine against per-prefix library estimates.
+
+    Grids start at n = 1, so empty regions, absent classes and vote ties
+    all occur. Counts must agree exactly; the engine sums scores in another
+    order, so mean log-likelihoods agree to 1e-12.
+    """
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ExperimentSpec(
+                "custom", true_mixture=_SINGLE, model_mixture=_SINGLE,
+                n_grid=(1, 2, 7), trials=4, seed=1,
+            ),
+            ExperimentSpec(
+                "custom", true_mixture=_two_atoms(0.25), model_mixture=_two_atoms(0.25),
+                n_grid=(1, 2, 3, 4, 8, 16, 64), trials=15, seed=2,
+            ),
+            ExperimentSpec(
+                "custom", true_mixture=_two_atoms(0.4), model_mixture=_two_atoms(0.3, (0.6, 0.4)),
+                n_grid=(1, 2, 5, 30), trials=15, label_noise=0.3, seed=3,
+            ),
+            small_spec(n_grid=(1, 2, 3, 5, 9, 17, 33), trials=10, label_noise=0.3),
+            small_spec(family="gaussian_grid_perturbed", n_grid=(1, 4, 6, 12, 40), trials=10),
+            small_spec(
+                family="mixture_of_mixtures_perturbed", n_grid=(1, 3, 8, 20), trials=6,
+                label_noise=0.2,
+            ),
+            small_spec(k=16, eta=0.5, n_grid=(1, 5, 16, 30, 60), trials=4),
+            small_spec(k=16, eta=0.5, n_grid=(2, 40, 99), trials=3, label_noise=0.3),
+        ],
+        ids=["k1", "k2", "k2-noise-misspecified", "k4-noise", "k4-perturbed",
+             "k4-nested-perturbed-noise", "k16", "k16-noise"],
+    )
+    def test_counts_equal_and_loglik_close(self, spec):
+        expected = _library_cells(spec)
+        curve = run_recovery_experiment(spec)
+        got = {
+            (p.estimator, p.n): (
+                (p.recovered, p.fail_empty, p.fail_tie, p.fail_nonbij), p.mean_loglik
+            )
+            for p in curve.points
+        }
+        assert got.keys() == expected.keys()
+        for key, (counts, loglik) in expected.items():
+            assert got[key][0] == counts, key
+            if loglik is None:
+                assert got[key][1] is None, key
+            else:
+                assert got[key][1] == pytest.approx(loglik, rel=0.0, abs=1e-12), key
+
+    def test_greedy_counts_an_absent_class_as_fail_empty(self):
+        # Labels are flipped at random, so with two samples one class is often
+        # missing while both regions hold a sample: greedy still reports
+        # fail_empty there, although no region is empty.
+        truth = _two_atoms(5.0)
+        spec = ExperimentSpec(
+            "custom", true_mixture=truth, model_mixture=truth, n_grid=(2, 30),
+            trials=40, label_noise=0.5, seed=4,
+        )
+        absent_class = regions_full = 0
+        for t in range(spec.trials):
+            prefix = _trial_data(spec, truth, Permutation.identity(2), t).prefix(2)
+            out = greedy_estimate(truth, prefix)
+            if 0 in out.class_counts:
+                absent_class += 1
+                regions_full += 0 not in out.region_counts
+        cell = next(
+            p for p in run_recovery_experiment(spec).points
+            if p.estimator == "greedy" and p.n == 2
+        )
+        assert regions_full > 0
+        assert cell.fail_empty == absent_class
 
 
 class TestCsvFormat:

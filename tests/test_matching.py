@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from permlearn import (
     max_weight_matching,
     second_best_matching,
 )
-from permlearn.matching import TIE_TOL
+from permlearn.matching import TIE_TOL, max_weight_assignments
 
 
 def test_worked_two_by_two():
@@ -132,6 +134,56 @@ def test_forbidden_edge_handles_infinite_cost():
     assert s.total_weight == pytest.approx(10.0)
 
 
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_assignments_match_single_solves(k):
+    rng = np.random.default_rng(k)
+    stack = rng.normal(size=(6, k, k))
+    stack[1] = 0.0  # all ties: the solver's deterministic choice must agree too
+    cols = max_weight_assignments(stack)
+    assert cols.shape == (6, k)
+    for w, row in zip(stack, cols):
+        assert tuple(row + 1) == max_weight_matching(w).permutation.to_region
+
+
+@pytest.mark.parametrize(
+    "bad", [np.zeros((2, 2)), np.zeros((2, 2, 3)), np.full((1, 2, 2), np.inf)]
+)
+def test_assignments_reject_bad_stacks(bad):
+    with pytest.raises(ValueError):
+        max_weight_assignments(bad)
+
+
 def test_brute_force_limit():
     with pytest.raises(ValueError, match="brute force"):
         brute_force_matching(np.zeros((11, 11)))
+
+
+@given(
+    st.integers(min_value=2, max_value=5).flatmap(
+        lambda k: st.tuples(
+            st.lists(
+                st.sampled_from([-2, -1, 1, 2]), min_size=k * k, max_size=k * k
+            ),
+            st.lists(st.sampled_from([-1, 0, 1]), min_size=k * k, max_size=k * k),
+        )
+    ),
+    st.floats(min_value=-14.0, max_value=-6.0).map(lambda e: 10.0**e),
+)
+@settings(max_examples=60, deadline=None)
+def test_tie_flag_is_invariant_to_scaling(parts, eps):
+    # Weight matrices are sums over n samples, so scaling them by n must not
+    # change whether the optimum counts as tied. Integer parts make exact ties,
+    # eps-sized parts make near-ties around the tolerance; |w| >= 1 keeps the
+    # tolerance on its relative branch at every scale, and powers of two scale
+    # every total exactly.
+    base, nudge = parts
+    k = math.isqrt(len(base))
+    w = (np.array(base, dtype=float) + eps * np.array(nudge)).reshape(k, k)
+    flags = set()
+    for j in range(18):
+        scaled = w * 2.0**j
+        fast = max_weight_matching(scaled)
+        flags.add(fast.is_unique)
+        assert second_best_matching(scaled).is_unique == fast.is_unique
+        assert brute_force_matching(scaled).is_unique == fast.is_unique
+    assert len(flags) == 1
