@@ -16,7 +16,6 @@ from .mixtures import (
     GaussianMixture,
     KernelDensity,
     LabeledData,
-    LabeledSample,
     MixingMeasure,
     Permutation,
     classify,
@@ -77,7 +76,6 @@ __all__ = [
     "GaussianMixture",
     "KernelDensity",
     "LabeledData",
-    "LabeledSample",
     "MixingMeasure",
     "Permutation",
     "classify",

@@ -1,7 +1,6 @@
 """Gap estimation, recovery bounds, risk, and distances between measures."""
 
 from .bounds import (
-    BoundReport,
     DualEstimate,
     chernoff_exponent,
     chernoff_exponent_from_scores,
@@ -15,7 +14,6 @@ from .risk import RiskEstimate, misclassification_rate
 from .transport import MAX_ATOMS, TransportPlan, TvEstimate, tv_distance, wasserstein1
 
 __all__ = [
-    "BoundReport",
     "DualEstimate",
     "GapReport",
     "MAX_ATOMS",

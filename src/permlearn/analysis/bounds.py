@@ -21,7 +21,6 @@ from ..mixtures import MixingMeasure, Permutation, sample_labeled
 
 __all__ = [
     "DualEstimate",
-    "BoundReport",
     "chernoff_exponent",
     "chernoff_exponent_from_scores",
     "mle_recovery_bound",
@@ -68,7 +67,6 @@ def _effective_sample_sizes(log_w: np.ndarray) -> np.ndarray:
 def chernoff_exponent_from_scores(
     scores: np.ndarray,
     t: float,
-    ess_floor: float = ESS_FLOOR,
     seed: int | None = None,
 ) -> DualEstimate:
     """Exponent of ``P(mean of n centered copies >= t)`` from raw samples."""
@@ -91,7 +89,7 @@ def chernoff_exponent_from_scores(
 
     grid = np.geomspace(1e-3, 1e3, _GRID_POINTS) / sd
     ess = _effective_sample_sizes(grid[:, np.newaxis] * v[np.newaxis, :])
-    stable = grid[ess >= min(ess_floor, n)]
+    stable = grid[ess >= min(ESS_FLOOR, n)]
     if stable.size == 0:
         return DualEstimate(0.0, 0.0, True, n, seed)
     s_hi = float(stable.max())
@@ -220,15 +218,3 @@ def min_count_probability(n: int, probs, m: int) -> float:
             expect > m, np.exp(-2.0 * (expect - m) ** 2 / expect), 1.0
         )
     return _clamp01(1.0 - float(terms.sum()))
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One bound evaluation, bundled for serialization."""
-
-    kind: str
-    value: float
-    inputs: dict
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "value": self.value, "inputs": dict(self.inputs)}

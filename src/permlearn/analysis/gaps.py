@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..estimators import DataSummary, summary_from_scores
 from ..matching import max_weight_matching, second_best_matching
 from ..mixtures import MixingMeasure, Permutation, sample_labeled
 
@@ -71,10 +72,13 @@ def _check_pair(model: MixingMeasure, truth: MixingMeasure, perm: Permutation):
         raise ValueError("permutation size does not match the measures")
 
 
-def _mle_part(scores, labels, k, n, true_perm):
-    onehot = (labels[:, np.newaxis] == np.arange(1, k + 1)).astype(float)
-    cell_mean = onehot.T @ scores / n
-    cell_sq = onehot.T @ scores**2 / n
+def _mle_part(s: DataSummary, scores, labels, true_perm):
+    k, n = s.k, s.n
+    cell_mean = s.weights / n
+    # per-class sums of squared scores, the second moment behind the half-width
+    cell_sq = np.zeros((k, k))
+    np.add.at(cell_sq, labels - 1, scores**2)
+    cell_sq /= n
     cell_se = np.sqrt(np.maximum(cell_sq - cell_mean**2, 0.0) / n)
 
     def value(perm: Permutation) -> float:
@@ -98,14 +102,10 @@ def _mle_part(scores, labels, k, n, true_perm):
     return gap, 3.0 * hw
 
 
-def _mv_part(regions0, labels, k, true_perm):
-    region_onehot = regions0[:, np.newaxis] == np.arange(k)
-    label_onehot = labels[:, np.newaxis] == np.arange(1, k + 1)
-    votes = region_onehot.T.astype(np.int64) @ label_onehot.astype(np.int64)
-    mass = votes.sum(axis=1)
-
+def _mv_part(s: DataSummary, true_perm):
+    votes, mass = s.votes, s.region_counts
     margins, hws, empty = [], [], []
-    for b in range(k):
+    for b in range(s.k):
         if mass[b] == 0:
             margins.append(math.nan)
             hws.append(math.nan)
@@ -140,7 +140,7 @@ def estimate_gaps(
     """Estimate the likelihood and/or vote margins of ``model`` in one draw.
 
     Samples (X, Y) from the true model, scores X under every atom of
-    ``model`` once, and reuses the scores for both margins.
+    ``model`` once, and reads both margins off one summary of the scores.
     """
     _check_pair(model, truth, true_perm)
     if samples < 1:
@@ -150,19 +150,16 @@ def estimate_gaps(
         raise ValueError(f"which must be a nonempty subset of {{'mle','mv'}}")
     data = sample_labeled(truth, true_perm, samples, seed)
     scores = model.log_scores(data.x)
-    k = model.n_atoms
+    summary = summary_from_scores(scores, data.y, model.n_atoms)
 
     mle_gap = mle_hw = None
     mv_gap = mv_hw = None
     margins = margin_hws = None
     empty: tuple[int, ...] = ()
     if "mle" in which:
-        mle_gap, mle_hw = _mle_part(scores, data.y, k, samples, true_perm)
+        mle_gap, mle_hw = _mle_part(summary, scores, data.y, true_perm)
     if "mv" in which:
-        regions0 = np.argmax(scores, axis=1)
-        mv_gap, mv_hw, margins, margin_hws, empty = _mv_part(
-            regions0, data.y, k, true_perm
-        )
+        mv_gap, mv_hw, margins, margin_hws, empty = _mv_part(summary, true_perm)
     return GapReport(
         mle_gap=mle_gap,
         mle_half_width=mle_hw,

@@ -58,58 +58,41 @@ OUT_DIR_ENV = "PERMLEARN_OUT_DIR"
 _DATA_STREAM = 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _number(kind, ok, rule: str):
+    """argparse type: text parsed by kind (int or float), then checked by ok."""
+    noun = "an integer" if kind is int else "a number"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {noun}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {rule}")
+        return value
+
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+def _list_of(kind):
+    """argparse type: comma-separated values parsed by kind (int or float)."""
+    noun = "integers" if kind is int else "numbers"
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(part) for part in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}") from None
+
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError("must be > 0")
-    return value
-
-
-def _unit_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError("must lie in [0, 1)")
-    return value
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected comma-separated integers") from None
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected comma-separated numbers") from None
+_positive_int = _number(int, lambda v: v >= 1, "be >= 1")
+_nonneg_int = _number(int, lambda v: v >= 0, "be >= 0")
+_positive_float = _number(float, lambda v: v > 0.0, "be > 0")
+_unit_float = _number(float, lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
+_int_list = _list_of(int)
+_float_list = _list_of(float)
 
 
 def _family(text: str) -> str:
@@ -271,11 +254,7 @@ def _cmd_gen(args, out_dir: Path, started: float) -> list[str]:
             truth, true_perm, args.samples,
             np.random.default_rng([args.seed, _DATA_STREAM]),
         )
-        tmp = out_dir / ".data.csv.tmp"
-        data.save_csv(tmp)
-        text = tmp.read_text()
-        tmp.unlink()
-        texts["data.csv"] = text
+        texts["data.csv"] = data.csv_text()
         seeds["data_stream"] = [args.seed, _DATA_STREAM]
     config = {
         "family": spec.family,

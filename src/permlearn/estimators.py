@@ -9,7 +9,6 @@ evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -133,47 +132,31 @@ class PrefixSummaries:
         return picked[:, :, 0].sum(axis=1) / self.ns
 
 
-def _as_data(data) -> LabeledData:
-    if isinstance(data, LabeledData):
-        return data
-    if isinstance(data, Iterable):
-        return LabeledData.from_samples(data)
-    raise ValueError("data must be a LabeledData or an iterable of samples")
-
-
 def summary_from_scores(scores: np.ndarray, labels: np.ndarray, k: int) -> DataSummary:
     """Aggregate precomputed per-atom log scores by class and region.
 
-    Useful when many prefixes of one dataset are summarized against the same
-    measure: score once, then slice ``scores`` and ``labels`` per prefix.
+    The one-prefix case of prefix_summaries, for callers that already hold
+    the scores of a whole dataset.
     """
-    scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     n = labels.shape[0]
     if n == 0:
         raise ValueError("data must be non-empty")
-    if scores.shape != (n, k):
-        raise ValueError(f"scores must have shape ({n}, {k})")
-    if int(labels.max()) > k or int(labels.min()) < 1:
-        raise ValueError(f"labels must lie in 1..{k}")
-    regions0 = np.argmax(scores, axis=1)
-    label_onehot = labels[:, np.newaxis] == np.arange(1, k + 1)
-    weights = label_onehot.T.astype(float) @ scores
-    region_onehot = regions0[:, np.newaxis] == np.arange(k)
-    votes = region_onehot.T.astype(np.int64) @ label_onehot.astype(np.int64)
+    p = prefix_summaries(scores, labels, k, [n])
     return DataSummary(
         n=n,
         k=k,
-        weights=weights,
-        votes=votes,
-        class_counts=label_onehot.sum(axis=0).astype(np.int64),
-        region_counts=region_onehot.sum(axis=0).astype(np.int64),
+        weights=p.weights[0],
+        votes=p.votes[0],
+        class_counts=p.class_counts[0],
+        region_counts=p.region_counts[0],
     )
 
 
-def summarize(measure: MixingMeasure, data: LabeledData | Iterable) -> DataSummary:
+def summarize(measure: MixingMeasure, data: LabeledData) -> DataSummary:
     """Score every sample under every atom and aggregate by class and region."""
-    data = _as_data(data)
+    if not isinstance(data, LabeledData):
+        raise ValueError("data must be a LabeledData")
     if data.n == 0:
         raise ValueError("data must be non-empty")
     if data.dim != measure.dim:

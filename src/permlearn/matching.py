@@ -52,9 +52,13 @@ class MatchingResult:
     is_unique: bool
 
 
-def _as_weight_matrix(weights: ArrayLike) -> np.ndarray:
+def _as_weight_matrix(weights: ArrayLike, ndim: int = 2) -> np.ndarray:
+    """Validated float weights: one matrix (ndim 2) or a stack of them (3).
+
+    Each matrix must be square, nonempty and finite.
+    """
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] == 0:
+    if w.ndim != ndim or w.shape[-1] != w.shape[-2] or w.shape[-1] == 0:
         raise ValueError("weight matrix must be square and nonempty")
     if not np.all(np.isfinite(w)):
         raise ValueError("weight matrix entries must be finite")
@@ -76,41 +80,42 @@ def _tie_tol(w: np.ndarray, cols: np.ndarray) -> float:
     return TIE_TOL * max(1.0, float(np.abs(w[np.arange(w.shape[0]), cols]).sum()))
 
 
-def _runner_up(w: np.ndarray, best_cols: np.ndarray) -> tuple[float, np.ndarray]:
-    """Best permutation differing from best_cols, via K forced exclusions.
+def _permutation(cols: np.ndarray) -> Permutation:
+    return Permutation(tuple(int(c) + 1 for c in cols))
+
+
+def _best_two(w: np.ndarray) -> tuple[MatchingResult, MatchingResult]:
+    """Optimum and runner-up of w (K >= 2), both flagged with the optimum's tie.
 
     Any permutation other than the optimum disagrees with it on at least one
     row, so forbidding each optimal edge in turn and re-solving covers all of
     them exactly.
     """
-    k = w.shape[0]
+    best = _solve(w)
     cost = -w.copy()
-    best_total, best = -np.inf, None
-    for row in range(k):
-        saved = cost[row, best_cols[row]]
-        cost[row, best_cols[row]] = np.inf
+    second_total, second = -np.inf, None
+    for row in range(w.shape[0]):
+        saved = cost[row, best[row]]
+        cost[row, best[row]] = np.inf
         _, cols = linear_sum_assignment(cost)
-        cost[row, best_cols[row]] = saved
+        cost[row, best[row]] = saved
         total = _total(w, cols)
-        if total > best_total:
-            best_total, best = total, cols
-    return best_total, best
+        if total > second_total:
+            second_total, second = total, cols
+    best_total = _total(w, best)
+    unique = best_total - second_total > _tie_tol(w, best)
+    return (
+        MatchingResult(_permutation(best), best_total, unique),
+        MatchingResult(_permutation(second), second_total, unique),
+    )
 
 
 def max_weight_matching(weights: ArrayLike) -> MatchingResult:
     """Permutation maximizing the total weight sum_k w[k, perm(k)]."""
     w = _as_weight_matrix(weights)
-    k = w.shape[0]
-    if k == 1:
+    if w.shape[0] == 1:
         return MatchingResult(Permutation.identity(1), float(w[0, 0]), True)
-    cols = _solve(w)
-    total = _total(w, cols)
-    second_total, _ = _runner_up(w, cols)
-    return MatchingResult(
-        Permutation(tuple(int(c) + 1 for c in cols)),
-        total,
-        total - second_total > _tie_tol(w, cols),
-    )
+    return _best_two(w)[0]
 
 
 def max_weight_assignments(weights: ArrayLike) -> np.ndarray:
@@ -121,11 +126,7 @@ def max_weight_assignments(weights: ArrayLike) -> np.ndarray:
     makes one assignment solve per matrix and no runner-up solve, so it has
     no tie flag.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 3 or w.shape[1] != w.shape[2] or w.shape[1] == 0:
-        raise ValueError("weights must be a stack of square nonempty matrices")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weight matrix entries must be finite")
+    w = _as_weight_matrix(weights, ndim=3)
     cols = np.zeros(w.shape[:2], dtype=np.intp)
     if w.shape[1] > 1:
         for g in range(w.shape[0]):
@@ -141,14 +142,7 @@ def second_best_matching(weights: ArrayLike) -> MatchingResult:
     w = _as_weight_matrix(weights)
     if w.shape[0] < 2:
         raise ValueError("second-best matching needs K >= 2")
-    cols = _solve(w)
-    best_total = _total(w, cols)
-    second_total, second_cols = _runner_up(w, cols)
-    return MatchingResult(
-        Permutation(tuple(int(c) + 1 for c in second_cols)),
-        second_total,
-        best_total - second_total > _tie_tol(w, cols),
-    )
+    return _best_two(w)[1]
 
 
 def brute_force_matching(weights: ArrayLike) -> MatchingResult:
@@ -184,6 +178,4 @@ def brute_force_matching(weights: ArrayLike) -> MatchingResult:
             # a distinct permutation, even on an exact tie with the optimum
             runner_total = max(runner_total, chunk_best)
     is_unique = k == 1 or best_total - runner_total > _tie_tol(w, np.array(best_perm))
-    return MatchingResult(
-        Permutation(tuple(c + 1 for c in best_perm)), best_total, is_unique
-    )
+    return MatchingResult(_permutation(best_perm), best_total, is_unique)

@@ -13,12 +13,13 @@ in the log domain with log-sum-exp to survive high dimensions.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -33,7 +34,6 @@ __all__ = [
     "KernelDensity",
     "MixingMeasure",
     "Permutation",
-    "LabeledSample",
     "LabeledData",
     "mixture_density",
     "mixture_log_density",
@@ -450,24 +450,6 @@ class Permutation:
         return Permutation(self._from_region)
 
 
-@dataclass(frozen=True)
-class LabeledSample:
-    """One observation: a point x in R^d with its class label in 1..K."""
-
-    x: tuple[float, ...]
-    y: int
-
-    def __post_init__(self):
-        x = tuple(float(v) for v in np.atleast_1d(np.asarray(self.x, dtype=float)))
-        if not all(math.isfinite(v) for v in x):
-            raise ValueError("sample point must be finite")
-        y = int(self.y)
-        if y < 1:
-            raise ValueError("class label must be a positive integer")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-
 class LabeledData:
     """A column-store dataset of labeled samples: x (n, d), y (n,) in 1..K."""
 
@@ -489,23 +471,6 @@ class LabeledData:
             raise ValueError("sample points must be finite")
         self._x = _frozen(x.copy())
         self._y = _frozen(y.copy())
-
-    @classmethod
-    def from_samples(
-        cls, samples: Iterable[LabeledSample | tuple[ArrayLike, int]]
-    ) -> "LabeledData":
-        xs, ys = [], []
-        for s in samples:
-            if isinstance(s, LabeledSample):
-                xs.append(s.x)
-                ys.append(s.y)
-            else:
-                point, label = s
-                xs.append(np.atleast_1d(np.asarray(point, dtype=float)))
-                ys.append(int(label))
-        if not xs:
-            raise ValueError("empty dataset")
-        return cls(np.vstack([np.reshape(p, (1, -1)) for p in xs]), np.array(ys))
 
     @property
     def x(self) -> NDArray[np.float64]:
@@ -532,17 +497,19 @@ class LabeledData:
     def __len__(self) -> int:
         return self.n
 
-    def __iter__(self):
+    def csv_text(self) -> str:
+        """CSV text with header x_1,...,x_d,y (labels 1-based)."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([f"x_{j + 1}" for j in range(self.dim)] + ["y"])
         for i in range(self.n):
-            yield LabeledSample(tuple(self._x[i]), int(self._y[i]))
+            writer.writerow([repr(float(v)) for v in self._x[i]] + [int(self._y[i])])
+        return buf.getvalue()
 
     def save_csv(self, path: str | os.PathLike) -> None:
-        """Write as CSV with header x_1,...,x_d,y (labels 1-based)."""
+        """Write csv_text() to path."""
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([f"x_{j + 1}" for j in range(self.dim)] + ["y"])
-            for i in range(self.n):
-                writer.writerow([repr(float(v)) for v in self._x[i]] + [int(self._y[i])])
+            fh.write(self.csv_text())
 
     @classmethod
     def load_csv(cls, path: str | os.PathLike) -> "LabeledData":

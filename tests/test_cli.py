@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from permlearn import __version__, load_mixture
+from permlearn import ExperimentSpec, __version__, load_mixture, sample_labeled
 from permlearn.cli import main
+from permlearn.harness import resolve_model
 
 
 def run(argv):
@@ -42,6 +43,17 @@ class TestGen:
         assert lines[0] == "x_1,x_2,y"
         assert len(lines) == 26
 
+    def test_data_csv_is_save_csv_of_the_same_draw(self, out, tmp_path):
+        run(["gen", "--family", "gaussian-grid", "--k", "3", "--seed", "4",
+             "--samples", "40", "--out-dir", out])
+        truth, true_perm, _ = resolve_model(
+            ExperimentSpec(family="gaussian_grid", k=3, seed=4)
+        )
+        stream = read_json(out / "manifest.json")["seeds"]["data_stream"]
+        data = sample_labeled(truth, true_perm, 40, np.random.default_rng(stream))
+        data.save_csv(tmp_path / "ref.csv")
+        assert (out / "data.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_perturbed_family_also_writes_model(self, out):
         run(["gen", "--family", "gaussian-grid-perturbed", "--k", "4", "--out-dir", out])
         truth = load_mixture(out / "mixture.json")
@@ -60,6 +72,30 @@ class TestGen:
         with pytest.raises(SystemExit) as exc:
             run(["gen", "--family", "gaussian-grid", "--eta", "0", "--out-dir", out])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--k", "two"], "argument --k: 'two' is not an integer"),
+        (["gen", "--k", "0"], "argument --k: must be >= 1"),
+        (["gen", "--seed", "1.5"], "argument --seed: '1.5' is not an integer"),
+        (["gen", "--seed=-1"], "argument --seed: must be >= 0"),
+        (["gen", "--eta", "wide"], "argument --eta: 'wide' is not a number"),
+        (["gen", "--eta", "0"], "argument --eta: must be > 0"),
+        (["experiment", "--rho", "half"], "argument --rho: 'half' is not a number"),
+        (["experiment", "--rho", "1"], "argument --rho: must lie in [0, 1)"),
+        (["analyze", "--true-perm", "1,b"],
+         "argument --true-perm: expected comma-separated integers"),
+        (["analyze", "--probs", "0.5,x"],
+         "argument --probs: expected comma-separated numbers"),
+    ],
+)
+def test_bad_flag_values_exit_2_with_message(argv, message, out, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out-dir", out])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith(message)
 
 
 class TestEstimate:
