@@ -6,6 +6,14 @@ exponent from samples by maximizing ``s*t - log E[exp(s*(U - E U))]`` over
 ``s >= 0``, with the expectation replaced by an empirical average. The
 vote-route bound only needs the worst-region margin. Both bounds degrade
 gracefully: they clamp into [0, 1] and accept degenerate inputs.
+
+The tilt ``s`` is searched up to the largest point of a geometric grid whose
+tilted weights ``exp(s * V)`` keep an effective sample size of at least
+``ESS_FLOOR`` (or n, if smaller); beyond it the empirical average is mostly
+one sample. That point is found by a downward scan: ESS is computed for
+``_SCAN_BLOCK`` grid rows at a time, from the top, and the scan stops at the
+first block holding a stable tilt. Its largest stable row is the largest
+stable tilt of the whole grid, whatever the shape of the ESS curve.
 """
 
 from __future__ import annotations
@@ -15,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import logsumexp
 
-from ..mixtures import MixingMeasure, Permutation, sample_labeled
+from ..mixtures import MixingMeasure, Permutation, _logsumexp, sample_labeled
 
 __all__ = [
     "DualEstimate",
@@ -31,6 +38,8 @@ __all__ = [
 
 ESS_FLOOR = 50.0
 _GRID_POINTS = 61
+# tilt-grid rows whose effective sample sizes are computed at once
+_SCAN_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -61,7 +70,24 @@ class DualEstimate:
 
 def _effective_sample_sizes(log_w: np.ndarray) -> np.ndarray:
     # (sum w)^2 / sum w^2, rows = grid points
-    return np.exp(2.0 * logsumexp(log_w, axis=1) - logsumexp(2.0 * log_w, axis=1))
+    return np.exp(2.0 * _logsumexp(log_w, axis=1) - _logsumexp(2.0 * log_w, axis=1))
+
+
+def _largest_stable_tilt(grid: np.ndarray, v: np.ndarray, floor: float) -> float | None:
+    """The largest tilt of the ascending ``grid`` whose ESS is at least ``floor``.
+
+    Blocks of rows are scanned from the top and the scan stops at the first
+    block holding a stable tilt, so the answer equals the full grid's without
+    its (grid, n) temporaries. None when no tilt is stable.
+    """
+    for stop in range(grid.size, 0, -_SCAN_BLOCK):
+        block = grid[max(stop - _SCAN_BLOCK, 0) : stop]
+        stable = np.flatnonzero(
+            _effective_sample_sizes(block[:, np.newaxis] * v[np.newaxis, :]) >= floor
+        )
+        if stable.size:
+            return float(block[stable[-1]])
+    return None
 
 
 def chernoff_exponent_from_scores(
@@ -88,16 +114,14 @@ def chernoff_exponent_from_scores(
         return DualEstimate(math.inf, math.inf, True, n, seed)
 
     grid = np.geomspace(1e-3, 1e3, _GRID_POINTS) / sd
-    ess = _effective_sample_sizes(grid[:, np.newaxis] * v[np.newaxis, :])
-    stable = grid[ess >= min(ESS_FLOOR, n)]
-    if stable.size == 0:
+    s_hi = _largest_stable_tilt(grid, v, min(ESS_FLOOR, n))
+    if s_hi is None:
         return DualEstimate(0.0, 0.0, True, n, seed)
-    s_hi = float(stable.max())
 
     log_n = math.log(n)
 
     def objective(s: float) -> float:
-        return -(s * t - (float(logsumexp(s * v)) - log_n))
+        return -(s * t - (float(_logsumexp(s * v)) - log_n))
 
     res = minimize_scalar(objective, bounds=(0.0, s_hi), method="bounded")
     value = max(-float(res.fun), 0.0)
@@ -115,7 +139,8 @@ def chernoff_exponent(
 
     Draws X from ``measure``'s mixture density and feeds the samples of
     ``log(weight_atom * density_atom(X))`` to the score-based estimator.
-    ``atom`` is 1-based.
+    ``atom`` is 1-based. Only that atom is scored; the scores equal column
+    ``atom`` of ``measure.log_scores(X)`` bit for bit.
     """
     if not 1 <= atom <= measure.n_atoms:
         raise ValueError(f"atom must be in 1..{measure.n_atoms}")
@@ -123,7 +148,7 @@ def chernoff_exponent(
         raise ValueError("samples must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     data = sample_labeled(measure, Permutation.identity(measure.n_atoms), samples, rng)
-    u = measure.log_scores(data.x)[:, atom - 1]
+    u = measure.components[atom - 1].log_density(data.x) + measure.log_weights[atom - 1]
     return chernoff_exponent_from_scores(
         u, t, seed=seed if isinstance(seed, int) else None
     )

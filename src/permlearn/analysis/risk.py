@@ -61,7 +61,8 @@ def misclassification_rate(
 
     Draws from the true pair, classifies once with the candidate and once
     with the truth itself, and differences the two error indicators sample
-    by sample for the excess.
+    by sample for the excess. When the candidate pair equals the true pair,
+    its errors are the Bayes errors and the draw is classified once.
     """
     if model.n_atoms != truth.n_atoms or model.dim != truth.dim:
         raise ValueError("model and truth must share atom count and dimension")
@@ -72,7 +73,10 @@ def misclassification_rate(
 
     data = sample_labeled(truth, true_perm, samples, seed)
     errs = (classify(model, perm, data.x) != data.y).astype(float)
-    bayes_errs = (classify(truth, true_perm, data.x) != data.y).astype(float)
+    if model == truth and perm == true_perm:
+        bayes_errs = errs
+    else:
+        bayes_errs = (classify(truth, true_perm, data.x) != data.y).astype(float)
 
     rate, hw = _rate_hw(errs)
     bayes_rate, bayes_hw = _rate_hw(bayes_errs)

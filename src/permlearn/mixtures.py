@@ -7,7 +7,14 @@ an assignment of class labels to regions, a classifier.
 
 Class labels and region indices are 1-based everywhere in the public API;
 0-based indices appear only in private numpy internals. All density math runs
-in the log domain with log-sum-exp to survive high dimensions.
+in the log domain to survive high dimensions, and every log-sum-exp in the
+package goes through the one private kernel ``_logsumexp`` here: the real-input
+arithmetic of ``scipy.special.logsumexp`` in plain numpy, bit for bit, without
+its array-API dispatch and copies.
+
+Query points must be finite. Every atom's ``log_density``, ``log_scores`` and
+everything built on them refuse NaN or infinite coordinates with the same
+``ValueError``, raised where points are coerced, before any density math.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
 
 __all__ = [
     "ComponentDensity",
@@ -61,19 +67,57 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _as_points(x: ArrayLike, dim: int) -> tuple[NDArray[np.float64], bool]:
-    """Coerce a single point or a batch to (n, dim); flag whether to squeeze."""
+    """Coerce a finite point or batch to (n, dim); flag whether to squeeze."""
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 0 and dim == 1:
-        return pts.reshape(1, 1), True
-    if pts.ndim == 1:
+        pts, squeeze = pts.reshape(1, 1), True
+    elif pts.ndim == 1:
         if pts.shape[0] != dim:
             raise ValueError(f"point has dimension {pts.shape[0]}, expected {dim}")
-        return pts.reshape(1, dim), True
-    if pts.ndim == 2:
+        pts, squeeze = pts.reshape(1, dim), True
+    elif pts.ndim == 2:
         if pts.shape[1] != dim:
             raise ValueError(f"points have dimension {pts.shape[1]}, expected {dim}")
-        return pts, False
-    raise ValueError("expected a point (d,) or a batch of points (n, d)")
+        squeeze = False
+    else:
+        raise ValueError("expected a point (d,) or a batch of points (n, d)")
+    if not np.isfinite(pts).all():
+        raise ValueError("query points must be finite")
+    return pts, squeeze
+
+
+def _logsumexp(a: ArrayLike, axis: int | None = None, b: ArrayLike | None = None):
+    """``log(sum(b * exp(a)))`` over ``axis`` for real ``a`` and weights ``b >= 0``.
+
+    Bit for bit the arithmetic of ``scipy.special.logsumexp`` (1.15 and later)
+    on real input: a zero weight drops its term even where ``a`` is infinite,
+    the terms equal to the maximum are summed apart into ``m``, and the result
+    is ``log1p(s / m) + log(m) + max`` with ``s`` the shifted sum of the rest.
+    Where that is not finite (all terms -inf, an inf or a NaN), the direct
+    ``log(sum(b * exp(a)))`` is returned instead, as scipy does. A result
+    with no axes left is a numpy scalar.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = None if b is None else np.asarray(b, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kept = a if b is None else np.where(b == 0.0, -np.inf, a)
+        top = np.max(kept, axis=axis, keepdims=True)
+        at_top = kept == top
+        m = np.sum(
+            at_top if b is None else b * at_top, axis=axis, keepdims=True, dtype=float
+        )
+        terms = np.exp(kept - top)
+        np.copyto(terms, 0.0, where=at_top)
+        if b is not None:
+            terms *= b
+        s = np.sum(terms, axis=axis, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + top
+        bad = ~np.isfinite(out)
+        if bad.any():
+            direct = np.exp(a) if b is None else b * np.exp(a)
+            np.copyto(out, np.log(np.sum(direct, axis=axis, keepdims=True)), where=bad)
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
 
 
 class ComponentDensity:
@@ -151,7 +195,9 @@ class Gaussian(ComponentDensity):
 
     def log_density(self, x: ArrayLike):
         pts, squeeze = _as_points(x, self.dim)
-        z = solve_triangular(self._chol, (pts - self._mean).T, lower=True)
+        z = solve_triangular(
+            self._chol, (pts - self._mean).T, lower=True, check_finite=False
+        )
         out = self._log_norm - 0.5 * np.einsum("dn,dn->n", z, z)
         return float(out[0]) if squeeze else out
 
@@ -216,7 +262,7 @@ class GaussianMixture(ComponentDensity):
     def log_density(self, x: ArrayLike):
         pts, squeeze = _as_points(x, self.dim)
         per_part = np.stack([p.log_density(pts) for p in self._parts], axis=1)
-        out = logsumexp(per_part, axis=1, b=self._weights[np.newaxis, :])
+        out = _logsumexp(per_part, axis=1, b=self._weights[np.newaxis, :])
         return float(out[0]) if squeeze else out
 
     def sample(self, rng: np.random.Generator, n: int) -> NDArray[np.float64]:
@@ -283,7 +329,7 @@ class KernelDensity(ComponentDensity):
         pts, squeeze = _as_points(x, self.dim)
         sq = cdist(pts, self._points, "sqeuclidean")
         h = self._bandwidth
-        out = logsumexp(-0.5 * sq / (h * h), axis=1)
+        out = _logsumexp(-0.5 * sq / (h * h), axis=1)
         out += -math.log(self._points.shape[0]) - self.dim * (
             math.log(h) + 0.5 * _LOG_2PI
         )
@@ -362,6 +408,11 @@ class MixingMeasure:
     @property
     def weights(self) -> NDArray[np.float64]:
         return self._weights
+
+    @property
+    def log_weights(self) -> NDArray[np.float64]:
+        """``log(weights)``, the entries ``log_scores`` adds to the atom scores."""
+        return self._log_weights
 
     @property
     def components(self) -> tuple[ComponentDensity, ...]:
@@ -550,7 +601,7 @@ class LabeledData:
 def mixture_log_density(measure: MixingMeasure, x: ArrayLike):
     """log m(x) where m = sum_b weight_b f_b, via log-sum-exp."""
     scores = measure.log_scores(x)
-    return logsumexp(scores, axis=-1)
+    return _logsumexp(scores, axis=-1)
 
 
 def mixture_density(measure: MixingMeasure, x: ArrayLike):

@@ -20,11 +20,20 @@ from permlearn import (
     estimate_mv_gap,
     min_count_probability,
     misclassification_rate,
+    mixture_from_dict,
+    mixture_to_dict,
     mle_recovery_bound,
     mv_recovery_bound,
     required_sample_size,
+    sample_labeled,
     tv_distance,
     wasserstein1,
+)
+from permlearn.analysis import bounds, risk
+from permlearn.analysis.bounds import (
+    ESS_FLOOR,
+    _effective_sample_sizes,
+    _largest_stable_tilt,
 )
 from permlearn.analysis.transport import MAX_ATOMS, _optimal_coupling
 
@@ -108,6 +117,123 @@ class TestChernoffExponent:
         assert est.samples_used == 50_000
         with pytest.raises(ValueError, match="atom"):
             chernoff_exponent(m, atom=3, t=0.5)
+
+
+def nested_measure():
+    """Three 2-d atoms, each an unequal mixture of three Gaussian parts."""
+    atoms = []
+    for j, centre in enumerate(([0.0, 0.0], [3.0, 0.5], [1.0, 3.0])):
+        parts = [
+            Gaussian(np.add(centre, off), (0.3 + 0.1 * j) * np.eye(2))
+            for off in ([0.0, 0.0], [0.8, -0.4], [-0.5, 0.6])
+        ]
+        atoms.append(GaussianMixture([0.5, 0.3, 0.2], parts))
+    return MixingMeasure([0.3, 0.3, 0.4], atoms)
+
+
+CHERNOFF_MEASURES = {
+    "gaussian": lambda: MixingMeasure(
+        [0.3, 0.7],
+        [Gaussian([0.0, 0.0], np.eye(2)), Gaussian([1.5, -1.0], [[1.0, 0.3], [0.3, 0.5]])],
+    ),
+    "nested_mixture": nested_measure,
+    "kde": lambda: MixingMeasure([0.45, 0.55], jittered_kde_pair(4)),
+}
+
+
+def full_grid_tilt(grid, v, floor):
+    """The largest stable tilt from ESS on every grid row at once."""
+    stable = grid[_effective_sample_sizes(grid[:, np.newaxis] * v[np.newaxis, :]) >= floor]
+    return float(stable.max()) if stable.size else None
+
+
+def centred_grid(u):
+    v = u - u.mean()
+    return np.geomspace(1e-3, 1e3, bounds._GRID_POINTS) / float(v.std()), v
+
+
+class TestChernoffScan:
+    @pytest.mark.parametrize("kind", sorted(CHERNOFF_MEASURES))
+    def test_equals_the_estimate_from_the_log_scores_column(self, kind):
+        m = CHERNOFF_MEASURES[kind]()
+        for atom in range(1, m.n_atoms + 1):
+            seed = 40 + atom
+            est = chernoff_exponent(m, atom, 0.05, samples=20_000, seed=seed)
+            x = sample_labeled(
+                m, Permutation.identity(m.n_atoms), 20_000, np.random.default_rng(seed)
+            ).x
+            ref = chernoff_exponent_from_scores(m.log_scores(x)[:, atom - 1], 0.05, seed=seed)
+            assert est.value == ref.value and est.s_star == ref.s_star
+            assert est == ref
+            assert est.value > 0.0 and not est.diverged
+
+    def test_scores_only_the_requested_atom(self, monkeypatch):
+        m = nested_measure()
+        called = []
+        for cls in (Gaussian, GaussianMixture, KernelDensity):
+            original = cls.log_density
+
+            def recorder(self, x, _original=original):
+                called.append(self)
+                return _original(self, x)
+
+            monkeypatch.setattr(cls, "log_density", recorder)
+
+        def no_log_scores(self, x):
+            raise AssertionError("chernoff_exponent scored every atom")
+
+        monkeypatch.setattr(MixingMeasure, "log_scores", no_log_scores)
+        atom = m.components[1]
+        chernoff_exponent(m, 2, 0.05, samples=5_000, seed=3)
+        assert called[0] is atom
+        assert len(called) == 1 + len(atom.parts)
+        assert all(c is p for c, p in zip(called[1:], atom.parts))
+
+    @pytest.mark.parametrize("n", [2, 7, 49])
+    def test_fewer_samples_than_the_floor_diverge_like_the_full_grid(self, n):
+        u = np.random.default_rng(n).standard_t(2.0, n)
+        grid, v = centred_grid(u)
+        floor = min(ESS_FLOOR, n)
+        assert full_grid_tilt(grid, v, floor) is None
+        assert _largest_stable_tilt(grid, v, floor) is None
+        est = chernoff_exponent_from_scores(u, 0.5)
+        assert est.diverged and est.value == 0.0
+
+    def test_all_unstable_grid_matches_the_full_grid(self):
+        grid, v = centred_grid(np.random.default_rng(1).pareto(1.2, 5_000))
+        assert full_grid_tilt(grid, v, 5_000.0) is None
+        assert _largest_stable_tilt(grid, v, 5_000.0) is None
+
+    def test_crossings_on_block_edges_match_the_full_grid(self):
+        # heavy tails spread the ESS fall over many rows; a floor equal to one
+        # row's ESS puts the crossing exactly there when later rows fall below
+        grid, v = centred_grid(np.random.default_rng(2).pareto(1.5, 20_000))
+        ess = _effective_sample_sizes(grid[:, np.newaxis] * v[np.newaxis, :])
+        block = bounds._SCAN_BLOCK
+        bottoms = range(grid.size - block, -1, -block)
+        edges = [r for b in bottoms for r in (b, b - 1) if r >= 0]
+        crossing = [r for r in edges if r + 1 < grid.size and ess[r] > ess[r + 1 :].max()]
+        assert any(r in bottoms for r in crossing)
+        assert any(r + 1 in bottoms for r in crossing)
+        for r in crossing:
+            for floor in (ess[r], np.nextafter(ess[r], np.inf)):
+                want = full_grid_tilt(grid, v, floor)
+                assert _largest_stable_tilt(grid, v, floor) == want
+            assert full_grid_tilt(grid, v, ess[r]) == grid[r]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.8, 1.5, 3.0, 30.0]),
+        st.integers(2, 400),
+        st.floats(1.0, 400.0),
+    )
+    def test_scan_equals_the_full_grid(self, seed, tail, n, floor):
+        u = np.random.default_rng(seed).pareto(tail, n)
+        if u.std() == 0.0:
+            return
+        grid, v = centred_grid(u)
+        assert _largest_stable_tilt(grid, v, floor) == full_grid_tilt(grid, v, floor)
 
 
 class TestRecoveryBounds:
@@ -510,6 +636,44 @@ class TestRisk:
         )
         assert est.excess > 0.0
         assert est.rate > est.bayes_rate
+
+    def _count_classify(self, monkeypatch):
+        calls, original = [], risk.classify
+
+        def counted(measure, perm, x):
+            calls.append((measure, perm))
+            return original(measure, perm, x)
+
+        monkeypatch.setattr(risk, "classify", counted)
+        return calls
+
+    def test_true_pair_classifies_once_with_the_same_estimate(self, monkeypatch):
+        truth, true_perm = nested_measure(), Permutation.identity(3)
+        copy = mixture_from_dict(mixture_to_dict(truth))
+        # labels never change a classification but make the measures unequal,
+        # so this model takes the two-classification path on the same classifier
+        renamed = MixingMeasure(truth.weights, truth.components, labels=("a", "b", "c"))
+        assert copy is not truth and copy == truth and renamed != truth
+        calls = self._count_classify(monkeypatch)
+        once = misclassification_rate(copy, true_perm, truth, true_perm, 30_000, seed=5)
+        assert calls == [(copy, true_perm)]
+        twice = misclassification_rate(renamed, true_perm, truth, true_perm, 30_000, seed=5)
+        assert calls[1:] == [(renamed, true_perm), (truth, true_perm)]
+        assert once == twice
+        assert once.excess == 0.0 and once.excess_half_width == 0.0
+        assert once.rate == once.bayes_rate > 0.0
+
+    def test_other_pairs_still_classify_under_the_truth(self, monkeypatch):
+        truth, true_perm = two_atom(1.0), Permutation.identity(2)
+        model = two_atom(1.2)
+        swap = Permutation((2, 1))
+        calls = self._count_classify(monkeypatch)
+        swapped = misclassification_rate(truth, swap, truth, true_perm, 5_000, seed=1)
+        assert calls == [(truth, swap), (truth, true_perm)]
+        other = misclassification_rate(model, true_perm, truth, true_perm, 5_000, seed=1)
+        assert calls[2:] == [(model, true_perm), (truth, true_perm)]
+        assert swapped.excess > 0.5
+        assert other.bayes_rate == swapped.bayes_rate
 
     def test_shape_validation(self):
         m = two_atom(1.0)

@@ -1,6 +1,8 @@
 """Contract of the public names that other code looks up by name."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import permlearn
 from permlearn import estimators, harness
@@ -39,3 +41,17 @@ def test_exports_resolve_and_estimator_table_is_public():
     for name, places in gone.items():
         for place in places:
             assert not hasattr(importlib.import_module(place), name), f"{place}.{name}"
+
+
+def test_no_module_uses_scipy_logsumexp():
+    # every log-sum-exp goes through mixtures._logsumexp, the one kernel
+    package = Path(permlearn.__file__).parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                if any(alias.name == "logsumexp" for alias in node.names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Attribute) and node.attr == "logsumexp":
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

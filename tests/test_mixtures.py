@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import multivariate_normal, norm
 
 from permlearn import (
@@ -22,6 +24,7 @@ from permlearn import (
     sample_labeled,
     save_mixture,
 )
+from permlearn.mixtures import _logsumexp
 
 
 def two_atom(mu=1.0):
@@ -182,6 +185,152 @@ class TestRegionsAndClassify:
         x = np.array([[-1.2], [1.2]])
         np.testing.assert_array_equal(classify(m, Permutation((1, 2)), x), [1, 2])
         np.testing.assert_array_equal(classify(m, swap, x), [2, 1])
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+ATOMS_2D = {
+    "gaussian": Gaussian([0.0, 0.0], np.eye(2)),
+    "mixture": GaussianMixture(
+        [0.4, 0.6],
+        [Gaussian([0.0, 0.0], np.eye(2)), Gaussian([1.0, -1.0], 0.5 * np.eye(2))],
+    ),
+    "kde": KernelDensity([[0.0, 0.0], [1.0, 0.5], [-0.5, 2.0]], 0.7),
+}
+REFUSAL = "^query points must be finite$"
+
+
+class TestNonFinitePoints:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("kind", sorted(ATOMS_2D))
+    def test_every_atom_refuses_with_one_message(self, kind, bad):
+        atom = ATOMS_2D[kind]
+        for x in ([[0.0, 0.0], [bad, 1.0]], [0.0, bad]):
+            with pytest.raises(ValueError, match=REFUSAL):
+                atom.log_density(x)
+            with pytest.raises(ValueError, match=REFUSAL):
+                atom.density(x)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_one_dimensional_atoms_refuse_scalars_and_batches(self, bad):
+        # a KDE used to return nan for the bad row and a density for the rest
+        for atom in (
+            Gaussian([0.0], [[1.0]]),
+            GaussianMixture([0.5, 0.5], [Gaussian([-1.0], [[1.0]]), Gaussian([1.0], [[1.0]])]),
+            KernelDensity([0.0, 1.0], 0.5),
+        ):
+            for x in (bad, [[bad], [0.0]]):
+                with pytest.raises(ValueError, match=REFUSAL):
+                    atom.log_density(x)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_measure_level_calls_refuse(self, bad):
+        m = MixingMeasure([0.2, 0.3, 0.5], [ATOMS_2D[k] for k in sorted(ATOMS_2D)])
+        perm = Permutation.identity(3)
+        calls = (
+            m.log_scores,
+            lambda x: region_of(m, x),
+            lambda x: mixture_log_density(m, x),
+            lambda x: mixture_density(m, x),
+            lambda x: classify(m, perm, x),
+        )
+        for call in calls:
+            for x in (np.array([[0.0, 0.0], [1.0, bad]]), np.array([bad, bad])):
+                with pytest.raises(ValueError, match=REFUSAL):
+                    call(x)
+
+    def test_finite_points_are_still_scored(self):
+        m = MixingMeasure([0.2, 0.3, 0.5], [ATOMS_2D[k] for k in sorted(ATOMS_2D)])
+        x = np.array([[0.0, 0.0], [1e300, -1e300]])
+        scores = m.log_scores(x)
+        assert np.all(np.isfinite(scores[0]))
+        assert np.all(scores[1] == -np.inf)
+        assert region_of(m, x).tolist() == [region_of(m, x[0]), 1]
+
+
+# scipy 1.15 rewrote logsumexp around log1p; the kernel copies that algorithm
+SCIPY_LOG1P = tuple(int(v) for v in scipy.__version__.split(".")[:2]) >= (1, 15)
+
+
+def assert_matches_scipy(a, axis, b=None):
+    want = scipy_logsumexp(a, axis=axis, b=b)
+    got = _logsumexp(a, axis=axis, b=b)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    if SCIPY_LOG1P:
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+
+
+# a few exact values make ties at the maximum common
+LSE_ENTRIES = st.one_of(
+    st.floats(-60.0, 60.0),
+    st.sampled_from([-2.5, 0.0, 1.0, 3.75]),
+    st.just(-np.inf),
+)
+LSE_WEIGHTS = st.one_of(st.just(0.0), st.floats(1e-6, 10.0), st.sampled_from([0.25, 1.0]))
+
+
+@st.composite
+def lse_cases(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    size = rows * cols
+    a = np.array(draw(st.lists(LSE_ENTRIES, min_size=size, max_size=size)))
+    a = a.reshape(rows, cols) + draw(st.sampled_from([0.0, 700.0, -700.0]))
+    shape = draw(st.sampled_from(["none", "full", "row"]))
+    b = None
+    if shape != "none":
+        n_b = size if shape == "full" else cols
+        b = np.array(draw(st.lists(LSE_WEIGHTS, min_size=n_b, max_size=n_b)))
+        b = b.reshape(a.shape if shape == "full" else (1, cols))
+    return a, b, draw(st.sampled_from([0, 1, -1]))
+
+
+class TestLogSumExpKernel:
+    @given(lse_cases())
+    def test_matches_scipy_on_matrices(self, case):
+        a, b, axis = case
+        assert_matches_scipy(a, axis, b)
+
+    @given(
+        st.lists(LSE_ENTRIES, min_size=1, max_size=40),
+        st.sampled_from([None, 0, -1]),
+        st.sampled_from([0.0, 700.0, -700.0]),
+    )
+    def test_matches_scipy_on_vectors(self, entries, axis, shift):
+        assert_matches_scipy(np.array(entries) + shift, axis)
+
+    @pytest.mark.parametrize(
+        "a, b, axis",
+        [
+            # a zero weight on the max
+            ([[3.0, 1.0, 2.0], [0.5, 4.0, 4.0]], [[0.0, 0.5, 0.5]], 1),
+            ([[3.0, 1.0], [3.0, 2.0]], [[0.0, 1.0], [0.0, 1.0]], 0),
+            ([[2.0, 2.0, 1.0], [0.0, 0.0, 0.0]], None, 1),  # ties at the max
+            ([[2.0, 2.0, 2.0]], [[0.1, 0.2, 0.7]], 1),
+            ([[-np.inf, 0.0, 1.0], [-np.inf, -np.inf, -np.inf]], None, 1),  # -inf entries
+            ([[1.0, 2.0]], [[0.0, 0.0]], -1),  # every weight zero
+            ([4.2], None, None),  # a single element
+            ([[4.2]], None, 0),
+            ([[4.2]], [[0.5]], -1),
+            ([[700.0, 699.0, 710.0]], None, 1),  # shifts that overflow exp unshifted
+            ([[-700.0, -745.0, -710.0]], [[0.3, 0.3, 0.4]], 1),
+        ],
+    )
+    def test_edge_cases_match_scipy(self, a, b, axis):
+        assert_matches_scipy(np.array(a), axis, None if b is None else np.array(b))
+
+    # rows long enough for numpy's blocked pairwise summation
+    @pytest.mark.parametrize(
+        "shape, axis",
+        [((1000,), None), ((1000, 3), 1), ((61, 1000), 1), ((1000, 50), 1), ((300, 4), 0)],
+    )
+    def test_matches_scipy_at_working_shapes(self, shape, axis):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.normal(0.0, 30.0, shape)
+        assert_matches_scipy(a, axis)
+        if len(shape) == 2:
+            assert_matches_scipy(a, axis, rng.dirichlet(np.ones(shape[1]))[np.newaxis, :])
 
 
 class TestPermutation:
