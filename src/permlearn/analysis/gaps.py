@@ -129,6 +129,51 @@ def _mv_part(s: DataSummary, true_perm):
     return gap, gap_hw, tuple(margins), tuple(hws), tuple(empty)
 
 
+def _check_gaps(
+    model: MixingMeasure,
+    truth: MixingMeasure,
+    true_perm: Permutation,
+    samples: int,
+    which: frozenset[str] | set[str],
+) -> None:
+    _check_pair(model, truth, true_perm)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    unknown = set(which) - {"mle", "mv"}
+    if unknown or not which:
+        raise ValueError(f"which must be a nonempty subset of {{'mle','mv'}}")
+
+
+def _gaps_from_scores(
+    scores: np.ndarray,
+    labels: np.ndarray,
+    true_perm: Permutation,
+    which: frozenset[str] | set[str],
+    seed: int | np.random.Generator,
+) -> GapReport:
+    """The requested margins of a draw's (n, K) model scores and true labels."""
+    summary = summary_from_scores(scores, labels, scores.shape[1])
+    mle_gap = mle_hw = None
+    mv_gap = mv_hw = None
+    margins = margin_hws = None
+    empty: tuple[int, ...] = ()
+    if "mle" in which:
+        mle_gap, mle_hw = _mle_part(summary, scores, labels, true_perm)
+    if "mv" in which:
+        mv_gap, mv_hw, margins, margin_hws, empty = _mv_part(summary, true_perm)
+    return GapReport(
+        mle_gap=mle_gap,
+        mle_half_width=mle_hw,
+        mv_gap=mv_gap,
+        mv_half_width=mv_hw,
+        region_margins=margins,
+        margin_half_widths=margin_hws,
+        empty_regions=empty,
+        samples_used=scores.shape[0],
+        seed=seed if isinstance(seed, int) else None,
+    )
+
+
 def estimate_gaps(
     model: MixingMeasure,
     truth: MixingMeasure,
@@ -141,36 +186,13 @@ def estimate_gaps(
 
     Samples (X, Y) from the true model, scores X under every atom of
     ``model`` once, and reads both margins off one summary of the scores.
+    The draw is ``sample_labeled(truth, true_perm, samples, seed)``, the same
+    one ``misclassification_rate`` makes, so ``analyze`` draws and scores once
+    for both and reports the values the two functions return.
     """
-    _check_pair(model, truth, true_perm)
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    unknown = set(which) - {"mle", "mv"}
-    if unknown or not which:
-        raise ValueError(f"which must be a nonempty subset of {{'mle','mv'}}")
+    _check_gaps(model, truth, true_perm, samples, which)
     data = sample_labeled(truth, true_perm, samples, seed)
-    scores = model.log_scores(data.x)
-    summary = summary_from_scores(scores, data.y, model.n_atoms)
-
-    mle_gap = mle_hw = None
-    mv_gap = mv_hw = None
-    margins = margin_hws = None
-    empty: tuple[int, ...] = ()
-    if "mle" in which:
-        mle_gap, mle_hw = _mle_part(summary, scores, data.y, true_perm)
-    if "mv" in which:
-        mv_gap, mv_hw, margins, margin_hws, empty = _mv_part(summary, true_perm)
-    return GapReport(
-        mle_gap=mle_gap,
-        mle_half_width=mle_hw,
-        mv_gap=mv_gap,
-        mv_half_width=mv_hw,
-        region_margins=margins,
-        margin_half_widths=margin_hws,
-        empty_regions=empty,
-        samples_used=samples,
-        seed=seed if isinstance(seed, int) else None,
-    )
+    return _gaps_from_scores(model.log_scores(data.x), data.y, true_perm, which, seed)
 
 
 def estimate_mle_gap(

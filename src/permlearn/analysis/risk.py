@@ -8,11 +8,19 @@ a model identical to the truth reports an excess of exactly zero.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..mixtures import MixingMeasure, Permutation, classify, sample_labeled
+from ..mixtures import (
+    LabeledData,
+    MixingMeasure,
+    Permutation,
+    _label_from_scores,
+    classify,
+    sample_labeled,
+)
 
 __all__ = ["RiskEstimate", "misclassification_rate"]
 
@@ -49,6 +57,73 @@ def _rate_hw(errors: np.ndarray) -> tuple[float, float]:
     return p, 3.0 * math.sqrt(p * (1.0 - p) / n)
 
 
+def _check_risk(
+    model: MixingMeasure,
+    perm: Permutation,
+    truth: MixingMeasure,
+    true_perm: Permutation,
+    samples: int,
+) -> None:
+    if model.n_atoms != truth.n_atoms or model.dim != truth.dim:
+        raise ValueError("model and truth must share atom count and dimension")
+    if perm.size != model.n_atoms or true_perm.size != truth.n_atoms:
+        raise ValueError("permutation size does not match the measures")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+
+
+def _paired_risk(
+    errors: Callable[[MixingMeasure, Permutation], np.ndarray],
+    model: MixingMeasure,
+    perm: Permutation,
+    truth: MixingMeasure,
+    true_perm: Permutation,
+    seed: int | np.random.Generator,
+) -> RiskEstimate:
+    """Rates of the candidate's and the truth's errors on one draw, and their
+    paired difference as the excess. ``errors(measure, perm)`` is the 0/1
+    error vector of that classifier on the draw; when the candidate pair is
+    the true pair, its errors are the Bayes errors and it is called once."""
+    errs = errors(model, perm).astype(float)
+    if model == truth and perm == true_perm:
+        bayes_errs = errs
+    else:
+        bayes_errs = errors(truth, true_perm).astype(float)
+    rate, hw = _rate_hw(errs)
+    bayes_rate, bayes_hw = _rate_hw(bayes_errs)
+    diff = errs - bayes_errs
+    return RiskEstimate(
+        rate=rate,
+        half_width=hw,
+        bayes_rate=bayes_rate,
+        bayes_half_width=bayes_hw,
+        excess=float(diff.mean()),
+        excess_half_width=3.0 * float(diff.std(ddof=0)) / math.sqrt(errs.size),
+        samples_used=errs.size,
+        seed=seed if isinstance(seed, int) else None,
+    )
+
+
+def _risk_from_scores(
+    scores: np.ndarray,
+    data: LabeledData,
+    model: MixingMeasure,
+    perm: Permutation,
+    truth: MixingMeasure,
+    true_perm: Permutation,
+    seed: int | np.random.Generator,
+) -> RiskEstimate:
+    """``misclassification_rate`` on the draw ``data``, given the model's
+    (n, K) scores of it. The truth scores the draw again only when it is not
+    the model."""
+
+    def errors(measure: MixingMeasure, p: Permutation) -> np.ndarray:
+        s = scores if measure == model else measure.log_scores(data.x)
+        return _label_from_scores(s, p) != data.y
+
+    return _paired_risk(errors, model, perm, truth, true_perm, seed)
+
+
 def misclassification_rate(
     model: MixingMeasure,
     perm: Permutation,
@@ -62,34 +137,14 @@ def misclassification_rate(
     Draws from the true pair, classifies once with the candidate and once
     with the truth itself, and differences the two error indicators sample
     by sample for the excess. When the candidate pair equals the true pair,
-    its errors are the Bayes errors and the draw is classified once.
+    its errors are the Bayes errors and the draw is classified once. The
+    draw is ``sample_labeled(truth, true_perm, samples, seed)``, the same one
+    ``estimate_gaps`` makes, so ``analyze`` draws and scores once for both
+    and reports the values the two functions return.
     """
-    if model.n_atoms != truth.n_atoms or model.dim != truth.dim:
-        raise ValueError("model and truth must share atom count and dimension")
-    if perm.size != model.n_atoms or true_perm.size != truth.n_atoms:
-        raise ValueError("permutation size does not match the measures")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-
+    _check_risk(model, perm, truth, true_perm, samples)
     data = sample_labeled(truth, true_perm, samples, seed)
-    errs = (classify(model, perm, data.x) != data.y).astype(float)
-    if model == truth and perm == true_perm:
-        bayes_errs = errs
-    else:
-        bayes_errs = (classify(truth, true_perm, data.x) != data.y).astype(float)
-
-    rate, hw = _rate_hw(errs)
-    bayes_rate, bayes_hw = _rate_hw(bayes_errs)
-    diff = errs - bayes_errs
-    excess = float(diff.mean())
-    excess_hw = 3.0 * float(diff.std(ddof=0)) / math.sqrt(samples)
-    return RiskEstimate(
-        rate=rate,
-        half_width=hw,
-        bayes_rate=bayes_rate,
-        bayes_half_width=bayes_hw,
-        excess=excess,
-        excess_half_width=excess_hw,
-        samples_used=samples,
-        seed=seed if isinstance(seed, int) else None,
+    return _paired_risk(
+        lambda measure, p: classify(measure, p, data.x) != data.y,
+        model, perm, truth, true_perm, seed,
     )

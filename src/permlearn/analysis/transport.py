@@ -13,9 +13,13 @@ densities (whose integrand is bounded by 2). In one dimension:
   against a Gaussian) is written as one signed Gaussian mixture f - g, whose
   absolute value ``quad`` integrates over the atoms' envelope with
   breakpoints at the part centres, thinned to at least the smallest part
-  standard deviation apart. The CDF differences between the sign changes of
-  f - g at quad's nodes give a second, partition-based value; the larger of
-  the two is reported, and their disagreement widens the half-width.
+  standard deviation apart. A part far narrower than the subintervals next
+  to the breakpoint it was thinned onto gets a window around that
+  breakpoint, graded at 1, 4 and 8 of its standard deviations from its own
+  centre and integrated in the offset from the breakpoint. The CDF
+  differences between the sign changes of f - g at quad's nodes give a
+  second, partition-based value; the larger of the two is reported, and
+  their disagreement widens the half-width.
 
 The transport distance couples two measures' weight vectors under the
 pairwise TV cost; the coupling is the optimum of the transportation linear
@@ -151,6 +155,43 @@ def _breakpoints(centres: np.ndarray, spacing: float) -> list[float]:
     return kept
 
 
+# A part narrower than _NARROW_RATIO times the longer subinterval next to the
+# breakpoint it was thinned onto is a spike that quad's first rule there steps
+# over. It is integrated on a window of its own with breakpoints at these
+# offsets from its centre, in its standard deviations.
+_NARROW_RATIO = 1e-3
+_NARROW_OFFSETS = np.array([-8.0, -4.0, -1.0, 0.0, 1.0, 4.0, 8.0])
+
+
+def _narrow_windows(
+    kept: list[float], lo: float, hi: float, mu: np.ndarray, sds: np.ndarray
+) -> dict[float, list[float]]:
+    """Kept breakpoint -> sorted offsets from it of its narrow parts' window.
+
+    ``_breakpoints`` thins each part onto the kept breakpoint at or below its
+    centre, less than the smallest standard deviation away. Each narrow part
+    thinned onto a breakpoint adds its own offset plus ``_NARROW_OFFSETS`` of
+    its standard deviations, and the breakpoint itself stays at offset 0. The
+    first and last offsets are the window's ends. A window reaches at most
+    half way to the neighbouring breakpoints or envelope ends, so the windows
+    are disjoint and hold no other breakpoint.
+    """
+    edges = np.array([lo, *kept, hi])
+    gaps = np.diff(edges)
+    # lo < kept[0] = min(mu) and mu < hi, so 1 <= k <= len(kept)
+    k = np.searchsorted(edges, mu, side="right") - 1
+    narrow = sds < _NARROW_RATIO * np.maximum(gaps[k - 1], gaps[k])
+    windows = {}
+    for kk in np.unique(k[narrow]):
+        at = narrow & (k == kk)
+        c = edges[kk]
+        spread = (mu[at] - c)[:, np.newaxis] + sds[at, np.newaxis] * _NARROW_OFFSETS
+        offsets = np.unique(np.append(spread, 0.0))
+        a, b = max(-0.5 * gaps[kk - 1], offsets[0]), min(0.5 * gaps[kk], offsets[-1])
+        windows[float(c)] = [a, *offsets[(offsets > a) & (offsets < b)].tolist(), b]
+    return windows
+
+
 def _tv_quadrature(f: ComponentDensity, g: ComponentDensity) -> TvEstimate:
     if type(f) is type(g) and f == g:
         return TvEstimate(0.0, 0.0, "quadrature")
@@ -168,23 +209,40 @@ def _tv_quadrature(f: ComponentDensity, g: ComponentDensity) -> TvEstimate:
     scale = 1.0 / (sds * math.sqrt(2.0))
     nodes: list[tuple[float, float]] = []
 
-    def signed(x: float) -> float:
-        z = (x - mu) * scale
+    def signed(u: float, shift: np.ndarray = -mu) -> float:
+        # f - g at x = u + centre, given shift = centre - mu
+        z = (u + shift) * scale
         return float(coef @ np.exp(-z * z))
 
-    def integrand(x: float) -> float:
-        h = signed(x)
-        nodes.append((x, h))
-        return abs(h)
+    def integral_over(a: float, b: float, points: list[float], centre: float = 0.0):
+        # |f - g| at centre + u, integrated over u in [a, b]. Offsets from a
+        # narrow window's breakpoint stay exact where x = centre + u would
+        # round by a sizeable share of a part's standard deviation.
+        shift = centre - mu
+
+        def integrand(u: float) -> float:
+            h = signed(u, shift)
+            nodes.append((centre + u, h))
+            return abs(h)
+
+        return quad(
+            integrand, a, b, points=points or None, limit=200 + len(points),
+            epsabs=1e-10, epsrel=1e-10,
+        )
 
     lo_f, hi_f = f.envelope_1d()
     lo_g, hi_g = g.envelope_1d()
     lo, hi = min(lo_f, lo_g), max(hi_f, hi_g)
-    points = _breakpoints(mu, float(sds.min()))
-    integral, err = quad(
-        integrand, lo, hi, points=points, limit=200 + len(points),
-        epsabs=1e-10, epsrel=1e-10,
-    )
+    kept = _breakpoints(mu, float(sds.min()))
+    pieces, start = [], lo
+    for c, offsets in _narrow_windows(kept, lo, hi, mu, sds).items():
+        # window ends rounded onto the x axis, so windows and pieces meet exactly
+        a, b = c + offsets[0], c + offsets[-1]
+        pieces.append(integral_over(start, a, [p for p in kept if start < p < a]))
+        pieces.append(integral_over(a - c, b - c, offsets[1:-1], centre=c))
+        start = b
+    pieces.append(integral_over(start, hi, [p for p in kept if start < p < hi]))
+    integral, err = map(sum, zip(*pieces))
 
     # quad's error estimate misses a kink of |f - g| just inside a subinterval
     # end, and there it reads low. Summing |F - G| differences over any

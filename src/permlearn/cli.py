@@ -23,15 +23,15 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    estimate_gaps,
     min_count_probability,
-    misclassification_rate,
     mle_recovery_bound,
     mv_recovery_bound,
     required_sample_size,
     tv_distance,
     wasserstein1,
 )
+from .analysis.gaps import _check_gaps, _gaps_from_scores
+from .analysis.risk import _check_risk, _risk_from_scores
 from .estimators import (
     greedy_from_summary,
     mle_from_summary,
@@ -309,19 +309,23 @@ def _cmd_analyze(args, out_dir: Path, started: float) -> list[str]:
         )
         which = {name for name, on in (("mle", args.gap_mle), ("mv", args.gap_mv)) if on}
         if which:
-            report = estimate_gaps(
-                model, truth, true_perm, samples=args.mc, seed=args.seed, which=which
-            )
-            results["gaps"] = report.to_dict()
+            _check_gaps(model, truth, true_perm, args.mc, which)
         if args.risk:
             perm = (
                 Permutation(args.perm)
                 if args.perm
                 else Permutation.identity(model.n_atoms)
             )
-            est = misclassification_rate(
-                model, perm, truth, true_perm, samples=args.mc, seed=args.seed
-            )
+            _check_risk(model, perm, truth, true_perm, args.mc)
+        # estimate_gaps and misclassification_rate make this same draw; share
+        # it and the model's scores between them.
+        data = sample_labeled(truth, true_perm, args.mc, args.seed)
+        scores = model.log_scores(data.x)
+        if which:
+            report = _gaps_from_scores(scores, data.y, true_perm, which, args.seed)
+            results["gaps"] = report.to_dict()
+        if args.risk:
+            est = _risk_from_scores(scores, data, model, perm, truth, true_perm, args.seed)
             results["risk"] = est.to_dict()
 
     if args.tv is not None:

@@ -261,8 +261,11 @@ class GaussianMixture(ComponentDensity):
 
     def log_density(self, x: ArrayLike):
         pts, squeeze = _as_points(x, self.dim)
-        per_part = np.stack([p.log_density(pts) for p in self._parts], axis=1)
-        out = _logsumexp(per_part, axis=1, b=self._weights[np.newaxis, :])
+        # numpy reduces a part-major (P, n) stack over axis 0 much faster than
+        # the short rows of an (n, P) stack over axis 1. Both add the parts in
+        # order below 8 parts, so the two layouts agree bit for bit there.
+        per_part = np.stack([p.log_density(pts) for p in self._parts])
+        out = _logsumexp(per_part, axis=0, b=self._weights[:, np.newaxis])
         return float(out[0]) if squeeze else out
 
     def sample(self, rng: np.random.Generator, n: int) -> NDArray[np.float64]:
@@ -609,27 +612,37 @@ def mixture_density(measure: MixingMeasure, x: ArrayLike):
     return np.exp(mixture_log_density(measure, x))
 
 
-def region_of(measure: MixingMeasure, x: ArrayLike):
-    """Index of the decision region containing x (1-based).
-
-    Region b is where weight_b f_b dominates every other atom; exact ties go
-    to the lowest index so the map is total.
-    """
-    scores = measure.log_scores(x)
+def _region_from_scores(scores: np.ndarray):
+    """The 1-based index of the largest log score, per row; exact ties go to
+    the lowest index so the map is total."""
     idx = np.argmax(scores, axis=-1) + 1
     if np.ndim(idx) == 0:
         return int(idx)
     return idx.astype(np.int64)
 
 
+def _label_from_scores(scores: np.ndarray, perm: Permutation):
+    """The class label of each row of log scores under ``perm``."""
+    region = _region_from_scores(scores)
+    if np.ndim(region) == 0:
+        return perm.label_of_region(region)
+    return perm.map_regions(region)
+
+
+def region_of(measure: MixingMeasure, x: ArrayLike):
+    """Index of the decision region containing x (1-based).
+
+    Region b is where weight_b f_b dominates every other atom; exact ties go
+    to the lowest index so the map is total.
+    """
+    return _region_from_scores(measure.log_scores(x))
+
+
 def classify(measure: MixingMeasure, perm: Permutation, x: ArrayLike):
     """Class label assigned to x: the inverse permutation of its region."""
     if perm.size != measure.n_atoms:
         raise ValueError("permutation size does not match the measure")
-    region = region_of(measure, x)
-    if np.ndim(region) == 0:
-        return perm.label_of_region(int(region))
-    return perm.map_regions(region)
+    return _label_from_scores(measure.log_scores(x), perm)
 
 
 def sample_labeled(

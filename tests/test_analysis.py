@@ -29,7 +29,7 @@ from permlearn import (
     tv_distance,
     wasserstein1,
 )
-from permlearn.analysis import bounds, risk
+from permlearn.analysis import bounds, risk, transport
 from permlearn.analysis.bounds import (
     ESS_FLOOR,
     _effective_sample_sizes,
@@ -422,6 +422,61 @@ class TestTvDistance:
         g = Gaussian([0.0], [[1.0]])
         assert tv_distance(f, g).value == pytest.approx(trapezoid_tv(f, g), abs=1e-9)
         assert tv_distance(g, f).value == pytest.approx(0.5, abs=1e-9)
+
+    # quad's first rule on a subinterval ~1e3 times longer than a spike at its
+    # end never sees it; a window of its own, integrated in the offset from
+    # its centre, gets it right to rounding. At 50 the spike is the outermost
+    # centre, ten of its standard deviations from the envelope's end.
+    @pytest.mark.parametrize("centre", [7.3, 50.0])
+    @pytest.mark.parametrize("sd", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+    def test_narrow_far_peak_of_any_width(self, sd, centre):
+        f = GaussianMixture([0.5, 0.5], [Gaussian([0.0], [[1.0]]), Gaussian([centre], [[sd * sd]])])
+        g = Gaussian([0.0], [[1.0]])
+        for est in (tv_distance(f, g), tv_distance(g, f)):
+            assert est.value == pytest.approx(0.5, abs=1e-9)
+            assert est.half_width < 1e-8
+
+    def test_narrow_peaks_sharing_or_splitting_centres(self):
+        g = Gaussian([0.0], [[1.0]])
+        spikes = [
+            [Gaussian([7.3], [[1e-12]]), Gaussian([7.3], [[1e-6]])],
+            [Gaussian([7.3], [[1e-12]]), Gaussian([-6.1], [[1e-10]])],
+            [Gaussian([50.0], [[1e-12]]), Gaussian([50.0 + 3e-6], [[1e-12]])],
+            # thinned onto the narrower spike's centre, 5e-9 below or above
+            [Gaussian([7.3], [[1e-16]]), Gaussian([7.3 + 5e-9], [[1e-12]])],
+            [Gaussian([7.3], [[1e-16]]), Gaussian([7.3 - 5e-9], [[1e-12]])],
+            [Gaussian([50.0], [[1e-16]]), Gaussian([50.0 + 5e-9], [[1e-6]])],
+        ]
+        for pair in spikes:
+            est = tv_distance(GaussianMixture([0.5, 0.25, 0.25], [g, *pair]), g)
+            assert est.value == pytest.approx(0.5, abs=1e-9)
+            assert est.half_width < 1e-8
+        # the same spike on both sides at two widths: half the Gaussian TV
+        f = GaussianMixture([0.5, 0.5], [g, Gaussian([7.3], [[1e-12]])])
+        h = GaussianMixture([0.5, 0.5], [g, Gaussian([7.3], [[4e-12]])])
+        est = tv_distance(f, h)
+        unit = tv_distance(g, Gaussian([0.0], [[4.0]])).value
+        assert est.value == pytest.approx(0.5 * unit, abs=max(est.half_width, 1e-9))
+
+    def test_pairs_without_a_narrow_part_keep_one_centre_partition(self, monkeypatch):
+        calls, original = [], transport.quad
+
+        def counted(func, a, b, **kw):
+            calls.append((a, b, kw["points"]))
+            return original(func, a, b, **kw)
+
+        monkeypatch.setattr(transport, "quad", counted)
+        mix = GaussianMixture([0.3, 0.7], [Gaussian([-1.0], [[0.5]]), Gaussian([2.0], [[1.5]])])
+        for f, g in [jittered_kde_pair(16), (mix, Gaussian([0.4], [[0.8]]))]:
+            calls.clear()
+            tv_distance(f, g)
+            w_f, mu_f, sd_f = transport._gaussian_parts(f)
+            w_g, mu_g, sd_g = transport._gaussian_parts(g)
+            sds = np.concatenate([sd_f, sd_g])
+            points = transport._breakpoints(np.concatenate([mu_f, mu_g]), float(sds.min()))
+            lo = min(f.envelope_1d()[0], g.envelope_1d()[0])
+            hi = max(f.envelope_1d()[1], g.envelope_1d()[1])
+            assert calls == [(lo, hi, points)]
 
     # Integrating |f - g| from the atoms' log densities without breakpoints
     # errs by 5e-7 on seed 173. On seed 16, the breakpointed quad without the

@@ -4,7 +4,18 @@ import os
 import numpy as np
 import pytest
 
-from permlearn import ExperimentSpec, __version__, load_mixture, sample_labeled
+from permlearn import (
+    ExperimentSpec,
+    MixingMeasure,
+    Permutation,
+    __version__,
+    estimate_gaps,
+    load_mixture,
+    misclassification_rate,
+    sample_labeled,
+)
+from permlearn import cli
+from permlearn.analysis import gaps as gaps_module, risk as risk_module
 from permlearn.cli import main
 from permlearn.harness import resolve_model
 
@@ -177,6 +188,69 @@ class TestAnalyze:
     def test_missing_dependency_flag(self, out, capsys):
         assert run(["analyze", "--required-n", "mv", "--k", "4", "--out-dir", out]) == 1
         assert "--delta" in capsys.readouterr().err
+
+
+class TestAnalyzeOneDraw:
+    """``analyze --gap-mle --gap-mv --risk`` draws and scores one sample for
+    both analyses, with the values of the public functions that each make
+    that draw on their own."""
+
+    MC, SEED = 4000, 9
+
+    @pytest.fixture()
+    def files(self, out):
+        run(["gen", "--family", "mixture-of-mixtures-perturbed", "--k", "3",
+             "--seed", "4", "--out-dir", out])
+        return out / "mixture.json", out / "model.json"
+
+    def _analyze(self, out, truth_path, extra):
+        dest = out / "analysis"
+        assert run(["analyze", "--truth", truth_path, "--gap-mle", "--gap-mv",
+                    "--risk", "--mc", self.MC, "--seed", self.SEED, *extra,
+                    "--out-dir", dest]) == 0
+        return read_json(dest / "analysis.json")
+
+    @pytest.mark.parametrize("distinct_model", [False, True])
+    @pytest.mark.parametrize(
+        "perm, true_perm", [(None, None), ((2, 3, 1), (3, 1, 2)), ((2, 3, 1), (2, 3, 1))]
+    )
+    def test_equals_the_public_functions(self, out, files, distinct_model, perm, true_perm):
+        truth_path, model_path = files
+        truth = load_mixture(truth_path)
+        model = load_mixture(model_path) if distinct_model else truth
+        assert (model == truth) != distinct_model
+        extra = ["--model", model_path] if distinct_model else []
+        for flag, value in (("--perm", perm), ("--true-perm", true_perm)):
+            if value is not None:
+                extra += [flag, ",".join(map(str, value))]
+        result = self._analyze(out, truth_path, extra)
+        tp = Permutation(true_perm) if true_perm else Permutation.identity(3)
+        p = Permutation(perm) if perm else Permutation.identity(3)
+        gaps = estimate_gaps(model, truth, tp, samples=self.MC, seed=self.SEED)
+        risk = misclassification_rate(model, p, truth, tp, samples=self.MC, seed=self.SEED)
+        assert result["gaps"] == gaps.to_dict()
+        assert result["risk"] == risk.to_dict()
+
+    def test_model_equal_to_truth_draws_and_scores_once(self, out, files, monkeypatch):
+        draws, scorings = [], []
+        original_draw, original_scores = sample_labeled, MixingMeasure.log_scores
+
+        def counted_draw(*args, **kw):
+            draws.append(args)
+            return original_draw(*args, **kw)
+
+        def counted_scores(measure, x):
+            scorings.append(len(x))
+            return original_scores(measure, x)
+
+        for module in (cli, gaps_module, risk_module):
+            monkeypatch.setattr(module, "sample_labeled", counted_draw)
+        monkeypatch.setattr(MixingMeasure, "log_scores", counted_scores)
+        self._analyze(out, files[0], [])
+        assert len(draws) == 1 and scorings == [self.MC]
+        draws.clear(), scorings.clear()
+        self._analyze(out, files[0], ["--model", files[1]])
+        assert len(draws) == 1 and scorings == [self.MC, self.MC]
 
 
 class TestExperiment:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 import scipy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import multivariate_normal, norm
 
@@ -105,6 +105,65 @@ class TestGaussianMixtureDensity:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             GaussianMixture([0.5, 0.6], [Gaussian([0.0], [[1.0]])] * 2)
+
+
+def row_major_log_density(mix, pts):
+    """GaussianMixture.log_density as an (n, P) stack reduced over axis 1."""
+    per_part = np.stack([p.log_density(pts) for p in mix.parts], axis=1)
+    return _logsumexp(per_part, axis=1, b=mix.weights[np.newaxis, :])
+
+
+@st.composite
+def nested_mixtures_and_points(draw):
+    """P = 1..12 parts with some zero weights, in 1 or 2 dimensions, and
+    points that include far ones where some or all part scores are -inf."""
+    p = draw(st.integers(1, 12))
+    dim = draw(st.sampled_from([1, 2]))
+    raw = draw(st.lists(st.integers(0, 4), min_size=p, max_size=p).filter(any))
+    weights = np.array(raw, dtype=float) / sum(raw)
+    coord = st.floats(-5.0, 5.0, allow_nan=False)
+    # a 1e20 variance keeps a part finite at 1e155, where unit parts are -inf
+    var = st.sampled_from([1e-4, 0.3, 1.0, 10.0, 1e20])
+    parts = [
+        Gaussian(draw(st.lists(coord, min_size=dim, max_size=dim)),
+                 np.diag(draw(st.lists(var, min_size=dim, max_size=dim))))
+        for _ in range(p)
+    ]
+    n = draw(st.integers(1, 20))
+    near = draw(st.lists(st.floats(-30.0, 30.0, allow_nan=False),
+                         min_size=n * dim, max_size=n * dim))
+    far = [1e155, -1e155, 1e200, 40.0]
+    pts = np.vstack([np.reshape(near, (n, dim)), np.repeat(far, dim).reshape(-1, dim)])
+    return GaussianMixture(weights, parts), pts
+
+
+class TestGaussianMixtureKernel:
+    """The part-major (P, n) layout equals the row layout bit for bit below 8
+    parts, where numpy adds a row in order, and to rounding from 8 on."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(nested_mixtures_and_points())
+    def test_equals_the_row_major_formula(self, case):
+        mix, pts = case
+        old = row_major_log_density(mix, pts)
+        new = mix.log_density(pts)
+        one, one_old = mix.log_density(pts[0]), row_major_log_density(mix, pts[:1])[0]
+        if len(mix.parts) < 8:
+            assert np.array_equal(new, old)
+            assert one == one_old
+        else:
+            np.testing.assert_allclose(new, old, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(one, one_old, rtol=1e-14, atol=0.0)
+
+    def test_far_points_underflow_like_the_row_formula(self):
+        parts = [Gaussian([0.0], [[1.0]]), Gaussian([3.0], [[1e20]]), Gaussian([1.0], [[2.0]])]
+        mix = GaussianMixture([0.5, 0.0, 0.5], parts)
+        pts = np.array([[1e155], [1e200], [0.5]])
+        out = mix.log_density(pts)
+        assert np.array_equal(out, row_major_log_density(mix, pts))
+        assert out[0] == out[1] == -np.inf and np.isfinite(out[2])
+        wide = GaussianMixture([0.5, 0.5, 0.0], parts)
+        assert np.isfinite(wide.log_density(pts[:1])).all()
 
 
 class TestKernelDensity:
