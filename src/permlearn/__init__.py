@@ -40,7 +40,6 @@ from .estimators import (
     mle_estimate,
     mv_estimate,
     summarize,
-    summary_from_scores,
 )
 from .analysis import (
     DualEstimate,
@@ -96,7 +95,6 @@ __all__ = [
     "mle_estimate",
     "mv_estimate",
     "summarize",
-    "summary_from_scores",
     "DualEstimate",
     "GapReport",
     "RiskEstimate",

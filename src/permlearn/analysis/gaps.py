@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..estimators import DataSummary, summary_from_scores
+from ..estimators import prefix_summaries
 from ..matching import max_weight_matching, second_best_matching
 from ..mixtures import MixingMeasure, Permutation, sample_labeled
 
@@ -72,9 +72,9 @@ def _check_pair(model: MixingMeasure, truth: MixingMeasure, perm: Permutation):
         raise ValueError("permutation size does not match the measures")
 
 
-def _mle_part(s: DataSummary, scores, labels, true_perm):
-    k, n = s.k, s.n
-    cell_mean = s.weights / n
+def _mle_part(weights: np.ndarray, scores, labels, true_perm):
+    n, k = scores.shape
+    cell_mean = weights / n
     # per-class sums of squared scores, the second moment behind the half-width
     cell_sq = np.zeros((k, k))
     np.add.at(cell_sq, labels - 1, scores**2)
@@ -102,10 +102,9 @@ def _mle_part(s: DataSummary, scores, labels, true_perm):
     return gap, 3.0 * hw
 
 
-def _mv_part(s: DataSummary, true_perm):
-    votes, mass = s.votes, s.region_counts
+def _mv_part(votes: np.ndarray, mass: np.ndarray, true_perm):
     margins, hws, empty = [], [], []
-    for b in range(s.k):
+    for b in range(mass.size):
         if mass[b] == 0:
             margins.append(math.nan)
             hws.append(math.nan)
@@ -137,6 +136,8 @@ def _check_gaps(
     which: frozenset[str] | set[str],
 ) -> None:
     _check_pair(model, truth, true_perm)
+    if truth.n_atoms < 2:
+        raise ValueError("gaps need K >= 2 atoms: with one atom no wrong assignment exists")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     unknown = set(which) - {"mle", "mv"}
@@ -152,15 +153,18 @@ def _gaps_from_scores(
     seed: int | np.random.Generator,
 ) -> GapReport:
     """The requested margins of a draw's (n, K) model scores and true labels."""
-    summary = summary_from_scores(scores, labels, scores.shape[1])
+    n, k = scores.shape
+    summary = prefix_summaries(scores, labels, k, [n])
     mle_gap = mle_hw = None
     mv_gap = mv_hw = None
     margins = margin_hws = None
     empty: tuple[int, ...] = ()
     if "mle" in which:
-        mle_gap, mle_hw = _mle_part(summary, scores, labels, true_perm)
+        mle_gap, mle_hw = _mle_part(summary.weights[0], scores, labels, true_perm)
     if "mv" in which:
-        mv_gap, mv_hw, margins, margin_hws, empty = _mv_part(summary, true_perm)
+        mv_gap, mv_hw, margins, margin_hws, empty = _mv_part(
+            summary.votes[0], summary.region_counts[0], true_perm
+        )
     return GapReport(
         mle_gap=mle_gap,
         mle_half_width=mle_hw,
@@ -169,7 +173,7 @@ def _gaps_from_scores(
         region_margins=margins,
         margin_half_widths=margin_hws,
         empty_regions=empty,
-        samples_used=scores.shape[0],
+        samples_used=n,
         seed=seed if isinstance(seed, int) else None,
     )
 

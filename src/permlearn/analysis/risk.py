@@ -8,7 +8,6 @@ a model identical to the truth reports an excess of exactly zero.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,6 @@ from ..mixtures import (
     MixingMeasure,
     Permutation,
     _label_from_scores,
-    classify,
     sample_labeled,
 )
 
@@ -72,23 +70,26 @@ def _check_risk(
         raise ValueError("samples must be >= 1")
 
 
-def _paired_risk(
-    errors: Callable[[MixingMeasure, Permutation], np.ndarray],
+def _risk_from_scores(
+    scores: np.ndarray,
+    data: LabeledData,
     model: MixingMeasure,
     perm: Permutation,
     truth: MixingMeasure,
     true_perm: Permutation,
     seed: int | np.random.Generator,
 ) -> RiskEstimate:
-    """Rates of the candidate's and the truth's errors on one draw, and their
-    paired difference as the excess. ``errors(measure, perm)`` is the 0/1
-    error vector of that classifier on the draw; when the candidate pair is
-    the true pair, its errors are the Bayes errors and it is called once."""
-    errs = errors(model, perm).astype(float)
+    """``misclassification_rate`` on the draw ``data``, given the model's
+    (n, K) scores of it: the rates of the candidate's and the truth's errors,
+    and their paired difference as the excess. When the candidate pair is the
+    true pair, its errors are the Bayes errors; the truth scores the draw
+    again only when it is not the model."""
+    errs = (_label_from_scores(scores, perm) != data.y).astype(float)
     if model == truth and perm == true_perm:
         bayes_errs = errs
     else:
-        bayes_errs = errors(truth, true_perm).astype(float)
+        truth_scores = scores if truth == model else truth.log_scores(data.x)
+        bayes_errs = (_label_from_scores(truth_scores, true_perm) != data.y).astype(float)
     rate, hw = _rate_hw(errs)
     bayes_rate, bayes_hw = _rate_hw(bayes_errs)
     diff = errs - bayes_errs
@@ -104,26 +105,6 @@ def _paired_risk(
     )
 
 
-def _risk_from_scores(
-    scores: np.ndarray,
-    data: LabeledData,
-    model: MixingMeasure,
-    perm: Permutation,
-    truth: MixingMeasure,
-    true_perm: Permutation,
-    seed: int | np.random.Generator,
-) -> RiskEstimate:
-    """``misclassification_rate`` on the draw ``data``, given the model's
-    (n, K) scores of it. The truth scores the draw again only when it is not
-    the model."""
-
-    def errors(measure: MixingMeasure, p: Permutation) -> np.ndarray:
-        s = scores if measure == model else measure.log_scores(data.x)
-        return _label_from_scores(s, p) != data.y
-
-    return _paired_risk(errors, model, perm, truth, true_perm, seed)
-
-
 def misclassification_rate(
     model: MixingMeasure,
     perm: Permutation,
@@ -137,14 +118,14 @@ def misclassification_rate(
     Draws from the true pair, classifies once with the candidate and once
     with the truth itself, and differences the two error indicators sample
     by sample for the excess. When the candidate pair equals the true pair,
-    its errors are the Bayes errors and the draw is classified once. The
+    its errors are the Bayes errors and the draw is classified once; the
+    draw is scored twice only when the model is not the truth. The
     draw is ``sample_labeled(truth, true_perm, samples, seed)``, the same one
     ``estimate_gaps`` makes, so ``analyze`` draws and scores once for both
     and reports the values the two functions return.
     """
     _check_risk(model, perm, truth, true_perm, samples)
     data = sample_labeled(truth, true_perm, samples, seed)
-    return _paired_risk(
-        lambda measure, p: classify(measure, p, data.x) != data.y,
-        model, perm, truth, true_perm, seed,
+    return _risk_from_scores(
+        model.log_scores(data.x), data, model, perm, truth, true_perm, seed
     )

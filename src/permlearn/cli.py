@@ -11,8 +11,6 @@ field is the single value that varies between reruns).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -420,11 +418,8 @@ def _cmd_experiment(args, out_dir: Path, started: float) -> list[str]:
         raise ValueError("experiment needs --family or a spec file with one")
     spec = ExperimentSpec.from_dict(merged)
     curve = run_recovery_experiment(spec, threads=args.threads)
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(curve.csv_rows())
-    csv_text = buf.getvalue()
     texts = {
-        "curves.csv": csv_text,
+        "curves.csv": curve.csv_text(),
         "experiment.json": _json_text(curve.sidecar_dict()),
     }
     # threads deliberately left out of the config echo: it cannot change results.

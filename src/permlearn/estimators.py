@@ -25,10 +25,8 @@ __all__ = [
     "CODE_MAJORITY_TIE",
     "CODE_NON_BIJECTIVE",
     "EstimateOutcome",
-    "DataSummary",
     "PrefixSummaries",
     "summarize",
-    "summary_from_scores",
     "prefix_summaries",
     "mle_estimate",
     "mv_estimate",
@@ -91,32 +89,16 @@ class EstimateOutcome:
 
 
 @dataclass(frozen=True)
-class DataSummary:
-    """One-pass sufficient statistics of (measure, data) for all estimators.
-
-    weights[k-1, b-1] sums log(weight_b f_b(x_i)) over samples with label k;
-    votes[b-1, k-1] counts samples with label k falling in region b.
-    """
-
-    n: int
-    k: int
-    weights: np.ndarray
-    votes: np.ndarray
-    class_counts: np.ndarray
-    region_counts: np.ndarray
-
-    def loglik(self, perm: Permutation) -> float:
-        """Mean per-sample log joint score under the permutation."""
-        cols = np.asarray(perm.to_region) - 1
-        return float(self.weights[np.arange(self.k), cols].sum() / self.n)
-
-
-@dataclass(frozen=True)
 class PrefixSummaries:
-    """DataSummary fields of the prefixes of one dataset, stacked over a grid.
+    """One-pass sufficient statistics of the prefixes of one dataset.
 
     Entry g of weights (G, K, K), votes (G, K, K), class_counts (G, K) and
-    region_counts (G, K) is the DataSummary field of the first ns[g] samples.
+    region_counts (G, K) describes the first ns[g] samples under a K-atom
+    measure: weights[g, k-1, b-1] sums log(weight_b f_b(x_i)) over samples
+    with label k; votes[g, b-1, k-1] counts samples with label k falling in
+    region b; class_counts[g, k-1] counts label k and region_counts[g, b-1]
+    the samples in region b. A whole dataset is the one-prefix case
+    (summarize).
     """
 
     ns: np.ndarray
@@ -132,36 +114,19 @@ class PrefixSummaries:
         return picked[:, :, 0].sum(axis=1) / self.ns
 
 
-def summary_from_scores(scores: np.ndarray, labels: np.ndarray, k: int) -> DataSummary:
-    """Aggregate precomputed per-atom log scores by class and region.
+def summarize(measure: MixingMeasure, data: LabeledData) -> PrefixSummaries:
+    """Score every sample under every atom and aggregate by class and region.
 
-    The one-prefix case of prefix_summaries, for callers that already hold
-    the scores of a whole dataset.
+    The result is the one-prefix summary of the whole dataset, which the
+    *_from_summary rules read.
     """
-    labels = np.asarray(labels)
-    n = labels.shape[0]
-    if n == 0:
-        raise ValueError("data must be non-empty")
-    p = prefix_summaries(scores, labels, k, [n])
-    return DataSummary(
-        n=n,
-        k=k,
-        weights=p.weights[0],
-        votes=p.votes[0],
-        class_counts=p.class_counts[0],
-        region_counts=p.region_counts[0],
-    )
-
-
-def summarize(measure: MixingMeasure, data: LabeledData) -> DataSummary:
-    """Score every sample under every atom and aggregate by class and region."""
     if not isinstance(data, LabeledData):
         raise ValueError("data must be a LabeledData")
     if data.n == 0:
         raise ValueError("data must be non-empty")
     if data.dim != measure.dim:
         raise ValueError(f"data dim {data.dim} does not match measure dim {measure.dim}")
-    return summary_from_scores(measure.log_scores(data.x), data.y, measure.n_atoms)
+    return prefix_summaries(measure.log_scores(data.x), data.y, measure.n_atoms, [data.n])
 
 
 def prefix_summaries(
@@ -205,17 +170,6 @@ def prefix_summaries(
     )
 
 
-def _single(s: DataSummary) -> PrefixSummaries:
-    return PrefixSummaries(
-        ns=np.array([s.n]),
-        k=s.k,
-        weights=s.weights[np.newaxis],
-        votes=s.votes[np.newaxis],
-        class_counts=s.class_counts[np.newaxis],
-        region_counts=s.region_counts[np.newaxis],
-    )
-
-
 def _codes(empty: np.ndarray, tie: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Outcome code per prefix: empty, then tie, then non-bijective cols."""
     ordered = np.sort(cols, axis=1)
@@ -256,37 +210,40 @@ def greedy_prefixes(p: PrefixSummaries) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _outcome(
-    method: str, s: DataSummary, codes, cols, unique: bool | None = None
+    method: str, p: PrefixSummaries, codes, cols, unique: bool | None = None
 ) -> EstimateOutcome:
     """EstimateOutcome of a one-prefix rule result (codes[0], cols[0])."""
+    if p.ns.size != 1:
+        raise ValueError("an estimate needs a one-prefix summary (see summarize)")
     code = int(codes[0])
     perm = Permutation(tuple(int(c) + 1 for c in cols[0])) if code == CODE_OK else None
+    class_counts = p.class_counts[0]
     return EstimateOutcome(
         method=method,
         permutation=perm,
         failure=FAILURES[code],
-        log_likelihood=None if perm is None else s.loglik(perm),
-        class_counts=tuple(int(c) for c in s.class_counts),
-        region_counts=tuple(int(c) for c in s.region_counts),
+        log_likelihood=None if perm is None else float(p.loglik(cols)[0]),
+        class_counts=tuple(int(c) for c in class_counts),
+        region_counts=tuple(int(c) for c in p.region_counts[0]),
         unconstrained_classes=tuple(
-            int(k + 1) for k in np.flatnonzero(s.class_counts == 0)
+            int(k + 1) for k in np.flatnonzero(class_counts == 0)
         ),
         unique=unique,
     )
 
 
-def mle_from_summary(s: DataSummary) -> EstimateOutcome:
-    result = max_weight_matching(s.weights)
+def mle_from_summary(p: PrefixSummaries) -> EstimateOutcome:
+    result = max_weight_matching(p.weights[0])
     cols = np.array([result.permutation.to_region]) - 1
-    return _outcome("mle", s, [CODE_OK], cols, unique=result.is_unique)
+    return _outcome("mle", p, [CODE_OK], cols, unique=result.is_unique)
 
 
-def mv_from_summary(s: DataSummary) -> EstimateOutcome:
-    return _outcome("mv", s, *mv_prefixes(_single(s)))
+def mv_from_summary(p: PrefixSummaries) -> EstimateOutcome:
+    return _outcome("mv", p, *mv_prefixes(p))
 
 
-def greedy_from_summary(s: DataSummary) -> EstimateOutcome:
-    return _outcome("greedy", s, *greedy_prefixes(_single(s)))
+def greedy_from_summary(p: PrefixSummaries) -> EstimateOutcome:
+    return _outcome("greedy", p, *greedy_prefixes(p))
 
 
 def mle_estimate(measure: MixingMeasure, data) -> EstimateOutcome:

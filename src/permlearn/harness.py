@@ -10,6 +10,7 @@ so single results can be reproduced without rerunning the whole grid.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import time
 from dataclasses import dataclass
@@ -342,9 +343,16 @@ class RecoveryCurve:
             )
         return rows
 
+    def csv_text(self) -> str:
+        """CSV text of csv_rows(), one line per row ending in a newline."""
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(self.csv_rows())
+        return buf.getvalue()
+
     def to_csv(self, path) -> None:
+        """Write csv_text() to path."""
         with open(path, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(self.csv_rows())
+            fh.write(self.csv_text())
 
     def sidecar_dict(self) -> dict:
         """Spec echo written next to the CSV; excludes timing by design."""

@@ -29,7 +29,7 @@ from permlearn import (
     tv_distance,
     wasserstein1,
 )
-from permlearn.analysis import bounds, risk, transport
+from permlearn.analysis import bounds, transport
 from permlearn.analysis.bounds import (
     ESS_FLOOR,
     _effective_sample_sizes,
@@ -383,6 +383,12 @@ class TestGapEstimates:
         with pytest.raises(ValueError):
             estimate_gaps(m2, m2, Permutation.identity(2), which=set())
 
+    @pytest.mark.parametrize("estimate", [estimate_gaps, estimate_mle_gap, estimate_mv_gap])
+    def test_one_atom_has_no_wrong_assignment(self, estimate):
+        one = MixingMeasure([1.0], [Gaussian([0.0], [[1.0]])])
+        with pytest.raises(ValueError, match="gaps need K >= 2 atoms"):
+            estimate(one, one, Permutation.identity(1), samples=100, seed=0)
+
 
 class TestTvDistance:
     @pytest.mark.parametrize("delta", [0.25, 1.0, 3.0])
@@ -692,14 +698,14 @@ class TestRisk:
         assert est.excess > 0.0
         assert est.rate > est.bayes_rate
 
-    def _count_classify(self, monkeypatch):
-        calls, original = [], risk.classify
+    def _count_scorings(self, monkeypatch):
+        calls, original = [], MixingMeasure.log_scores
 
-        def counted(measure, perm, x):
-            calls.append((measure, perm))
-            return original(measure, perm, x)
+        def counted(measure, x):
+            calls.append(measure)
+            return original(measure, x)
 
-        monkeypatch.setattr(risk, "classify", counted)
+        monkeypatch.setattr(MixingMeasure, "log_scores", counted)
         return calls
 
     def test_true_pair_classifies_once_with_the_same_estimate(self, monkeypatch):
@@ -709,11 +715,11 @@ class TestRisk:
         # so this model takes the two-classification path on the same classifier
         renamed = MixingMeasure(truth.weights, truth.components, labels=("a", "b", "c"))
         assert copy is not truth and copy == truth and renamed != truth
-        calls = self._count_classify(monkeypatch)
+        calls = self._count_scorings(monkeypatch)
         once = misclassification_rate(copy, true_perm, truth, true_perm, 30_000, seed=5)
-        assert calls == [(copy, true_perm)]
+        assert len(calls) == 1 and calls[0] is copy
         twice = misclassification_rate(renamed, true_perm, truth, true_perm, 30_000, seed=5)
-        assert calls[1:] == [(renamed, true_perm), (truth, true_perm)]
+        assert len(calls) == 3 and calls[1] is renamed and calls[2] is truth
         assert once == twice
         assert once.excess == 0.0 and once.excess_half_width == 0.0
         assert once.rate == once.bayes_rate > 0.0
@@ -722,11 +728,12 @@ class TestRisk:
         truth, true_perm = two_atom(1.0), Permutation.identity(2)
         model = two_atom(1.2)
         swap = Permutation((2, 1))
-        calls = self._count_classify(monkeypatch)
+        calls = self._count_scorings(monkeypatch)
+        # a swap of the truth's own labels reuses its one scoring of the draw
         swapped = misclassification_rate(truth, swap, truth, true_perm, 5_000, seed=1)
-        assert calls == [(truth, swap), (truth, true_perm)]
+        assert len(calls) == 1 and calls[0] is truth
         other = misclassification_rate(model, true_perm, truth, true_perm, 5_000, seed=1)
-        assert calls[2:] == [(model, true_perm), (truth, true_perm)]
+        assert len(calls) == 3 and calls[1] is model and calls[2] is truth
         assert swapped.excess > 0.5
         assert other.bayes_rate == swapped.bayes_rate
 

@@ -37,6 +37,9 @@ def test_exports_resolve_and_estimator_table_is_public():
     gone = {
         "LabeledSample": ("permlearn", "permlearn.mixtures"),
         "BoundReport": ("permlearn", "permlearn.analysis", "permlearn.analysis.bounds"),
+        # a whole dataset is the one-prefix PrefixSummaries
+        "DataSummary": ("permlearn", "permlearn.estimators"),
+        "summary_from_scores": ("permlearn", "permlearn.estimators"),
     }
     for name, places in gone.items():
         for place in places:

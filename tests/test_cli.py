@@ -6,12 +6,14 @@ import pytest
 
 from permlearn import (
     ExperimentSpec,
+    Gaussian,
     MixingMeasure,
     Permutation,
     __version__,
     estimate_gaps,
     load_mixture,
     misclassification_rate,
+    mixture_to_dict,
     sample_labeled,
 )
 from permlearn import cli
@@ -188,6 +190,16 @@ class TestAnalyze:
     def test_missing_dependency_flag(self, out, capsys):
         assert run(["analyze", "--required-n", "mv", "--k", "4", "--out-dir", out]) == 1
         assert "--delta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--gap-mle", "--gap-mv"])
+    def test_gaps_of_one_atom_exit_1_with_message(self, out, tmp_path, capsys, flag):
+        one = MixingMeasure([1.0], [Gaussian([0.0], [[1.0]])])
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(mixture_to_dict(one)))
+        assert run(["analyze", "--truth", path, flag, "--mc", "100", "--out-dir", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gaps need K >= 2 atoms") and "Traceback" not in err
+        assert not (out / "analysis.json").exists()
 
 
 class TestAnalyzeOneDraw:

@@ -11,7 +11,6 @@ from permlearn import (
     mv_estimate,
     sample_labeled,
     summarize,
-    summary_from_scores,
 )
 from permlearn.estimators import (
     FAIL_EMPTY_REGION,
@@ -20,6 +19,7 @@ from permlearn.estimators import (
     greedy_from_summary,
     mle_from_summary,
     mv_from_summary,
+    prefix_summaries,
 )
 
 
@@ -32,31 +32,36 @@ def data_from(xs, ys):
     return LabeledData(np.asarray(xs, dtype=float).reshape(len(ys), -1), np.asarray(ys))
 
 
+def loglik(s, perm):
+    """The one-prefix summary's mean log joint score under perm."""
+    return s.loglik(np.array([perm.to_region]) - 1)[0]
+
+
 class TestSummarize:
     def test_counts_and_votes(self):
         m = separated(2)
         data = data_from([0.0, 30.0, 30.1, -0.2], [1, 2, 2, 1])
         s = summarize(m, data)
-        np.testing.assert_array_equal(s.class_counts, [2, 2])
-        np.testing.assert_array_equal(s.region_counts, [2, 2])
-        np.testing.assert_array_equal(s.votes, [[2, 0], [0, 2]])
-        assert s.n == 4 and s.k == 2
+        np.testing.assert_array_equal(s.class_counts[0], [2, 2])
+        np.testing.assert_array_equal(s.region_counts[0], [2, 2])
+        np.testing.assert_array_equal(s.votes[0], [[2, 0], [0, 2]])
+        assert s.ns.tolist() == [4] and s.ns[0] == 4 and s.k == 2
 
     def test_weights_are_summed_log_scores(self):
         m = separated(2)
         data = data_from([0.0, 30.0], [1, 2])
         s = summarize(m, data)
         scores = m.log_scores(data.x)
-        np.testing.assert_allclose(s.weights[0], scores[0])
-        np.testing.assert_allclose(s.weights[1], scores[1])
+        np.testing.assert_allclose(s.weights[0][0], scores[0])
+        np.testing.assert_allclose(s.weights[0][1], scores[1])
 
-    def test_matches_summary_from_scores(self):
+    def test_matches_the_whole_data_prefix_of_a_grid(self):
         m = separated(3)
         data = sample_labeled(m, Permutation.identity(3), 200, seed=0)
         a = summarize(m, data)
-        b = summary_from_scores(m.log_scores(data.x), data.y, 3)
-        np.testing.assert_array_equal(a.votes, b.votes)
-        np.testing.assert_allclose(a.weights, b.weights)
+        b = prefix_summaries(m.log_scores(data.x), data.y, 3, [50, 120, 200])
+        np.testing.assert_array_equal(a.votes[0], b.votes[-1])
+        np.testing.assert_allclose(a.weights[0], b.weights[-1])
 
     def test_rejects_label_above_k(self):
         m = separated(2)
@@ -66,7 +71,15 @@ class TestSummarize:
     def test_rejects_empty(self):
         m = separated(2)
         with pytest.raises(ValueError, match="non-empty"):
-            summary_from_scores(np.zeros((0, 2)), np.zeros(0, dtype=int), 2)
+            summarize(m, LabeledData(np.zeros((0, 1)), np.zeros(0, dtype=int)))
+
+    def test_rules_refuse_a_summary_of_several_prefixes(self):
+        m = separated(2)
+        data = sample_labeled(m, Permutation.identity(2), 20, seed=0)
+        p = prefix_summaries(m.log_scores(data.x), data.y, 2, [10, 20])
+        for rule in (mle_from_summary, mv_from_summary, greedy_from_summary):
+            with pytest.raises(ValueError, match="one-prefix"):
+                rule(p)
 
 
 class TestMLE:
@@ -99,7 +112,7 @@ class TestMLE:
         data = sample_labeled(m, Permutation.identity(2), 50, seed=3)
         out = mle_estimate(m, data)
         s = summarize(m, data)
-        assert out.log_likelihood == pytest.approx(s.loglik(out.permutation))
+        assert out.log_likelihood == pytest.approx(loglik(s, out.permutation))
 
     def test_duplicating_data_changes_nothing(self):
         m = separated(3)
@@ -151,7 +164,7 @@ class TestMajorityVote:
         data = sample_labeled(m, Permutation.identity(2), 40, seed=6)
         out = mv_estimate(m, data)
         s = summarize(m, data)
-        assert out.log_likelihood == pytest.approx(s.loglik(out.permutation))
+        assert out.log_likelihood == pytest.approx(loglik(s, out.permutation))
 
 
 class TestGreedy:
@@ -163,10 +176,11 @@ class TestGreedy:
 
     def test_collision_is_non_bijective(self):
         # both rows prefer column 1: greedy collides where matching succeeds
-        s = summary_from_scores(
+        s = prefix_summaries(
             np.log(np.array([[4.0, 1.0], [5.0, 3.0]]) / 10.0),
             np.array([1, 2]),
             2,
+            [2],
         )
         greedy = greedy_from_summary(s)
         assert greedy.failure == FAIL_NON_BIJECTIVE
