@@ -10,10 +10,10 @@ gracefully: they clamp into [0, 1] and accept degenerate inputs.
 The tilt ``s`` is searched up to the largest point of a geometric grid whose
 tilted weights ``exp(s * V)`` keep an effective sample size of at least
 ``ESS_FLOOR`` (or n, if smaller); beyond it the empirical average is mostly
-one sample. That point is found by a downward scan: ESS is computed for
-``_SCAN_BLOCK`` grid rows at a time, from the top, and the scan stops at the
-first block holding a stable tilt. Its largest stable row is the largest
-stable tilt of the whole grid, whatever the shape of the ESS curve.
+one sample. That point is found by a downward scan: ESS is computed for one
+grid row at a time, from the top, and the scan stops at the first stable row.
+That row is the largest stable tilt of the whole grid, whatever the shape of
+the ESS curve, and on typical scores it is the top row itself.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ __all__ = [
 
 ESS_FLOOR = 50.0
 _GRID_POINTS = 61
-# tilt-grid rows whose effective sample sizes are computed at once
-_SCAN_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -76,17 +74,14 @@ def _effective_sample_sizes(log_w: np.ndarray) -> np.ndarray:
 def _largest_stable_tilt(grid: np.ndarray, v: np.ndarray, floor: float) -> float | None:
     """The largest tilt of the ascending ``grid`` whose ESS is at least ``floor``.
 
-    Blocks of rows are scanned from the top and the scan stops at the first
-    block holding a stable tilt, so the answer equals the full grid's without
-    its (grid, n) temporaries. None when no tilt is stable.
+    Rows are scanned one at a time from the top, each reduced as a (1, n)
+    stack exactly as it would be inside the full (grid, n) stack, so the
+    answer equals the full grid's without its temporaries. None when no tilt
+    is stable.
     """
-    for stop in range(grid.size, 0, -_SCAN_BLOCK):
-        block = grid[max(stop - _SCAN_BLOCK, 0) : stop]
-        stable = np.flatnonzero(
-            _effective_sample_sizes(block[:, np.newaxis] * v[np.newaxis, :]) >= floor
-        )
-        if stable.size:
-            return float(block[stable[-1]])
+    for s in grid[::-1]:
+        if _effective_sample_sizes(s * v[np.newaxis, :])[0] >= floor:
+            return float(s)
     return None
 
 

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.spatial.distance import cdist
 
 __all__ = [
@@ -95,23 +95,31 @@ def _logsumexp(a: ArrayLike, axis: int | None = None, b: ArrayLike | None = None
     is ``log1p(s / m) + log(m) + max`` with ``s`` the shifted sum of the rest.
     Where that is not finite (all terms -inf, an inf or a NaN), the direct
     ``log(sum(b * exp(a)))`` is returned instead, as scipy does. A result
-    with no axes left is a numpy scalar.
+    with no axes left is a numpy scalar. ``b`` must broadcast to the shape of
+    ``a``; the ``b == 0`` pass is skipped when no weight is zero.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = None if b is None else np.asarray(b, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        kept = a if b is None else np.where(b == 0.0, -np.inf, a)
+        kept = a if b is None or b.all() else np.where(b == 0.0, -np.inf, a)
         top = np.max(kept, axis=axis, keepdims=True)
         at_top = kept == top
         m = np.sum(
             at_top if b is None else b * at_top, axis=axis, keepdims=True, dtype=float
         )
-        terms = np.exp(kept - top)
-        np.copyto(terms, 0.0, where=at_top)
+        terms = np.subtract(kept, top)
+        np.exp(terms, out=terms)
         if b is not None:
             terms *= b
-        s = np.sum(terms, axis=axis, keepdims=True)
-        out = np.log1p(s / m) + np.log(m) + top
+        # zero the top terms, which m holds; a product with 0 differs from
+        # scipy's exact zero only where a top term is not finite, and there
+        # out is not finite either and is replaced below
+        terms *= ~at_top
+        out = np.sum(terms, axis=axis, keepdims=True)
+        out /= m
+        np.log1p(out, out=out)
+        out += np.log(m)
+        out += top
         bad = ~np.isfinite(out)
         if bad.any():
             direct = np.exp(a) if b is None else b * np.exp(a)
@@ -177,6 +185,14 @@ class Gaussian(ComponentDensity):
         self._mean = _frozen(mean.copy())
         self._cov = _frozen(cov.copy())
         self._chol = _frozen(chol)
+        # dtrtrs operands for the whitening solve chol z = x - mean, chosen as
+        # scipy's triangular-solve wrapper chooses them: LAPACK reads Fortran
+        # order, so a C-ordered factor (d > 1) is passed as its transpose and
+        # solved as the transposed upper-triangular system
+        if chol.flags.f_contiguous:
+            self._trtrs = (self._chol, 1, 0)
+        else:
+            self._trtrs = (self._chol.T, 0, 1)
         self._log_norm = float(
             -0.5 * mean.size * _LOG_2PI - np.log(np.diag(chol)).sum()
         )
@@ -194,11 +210,27 @@ class Gaussian(ComponentDensity):
         return self._cov
 
     def log_density(self, x: ArrayLike):
+        """Log density at a point (d,) or batch (n, d); returns float or (n,).
+
+        The residuals are whitened by one direct LAPACK ``dtrtrs`` call on the
+        operands scipy's triangular-solve wrapper would pass, so the values
+        equal that wrapper's whitening bit for bit. LAPACK may round a point
+        differently alone than inside a batch, so a single-point score and
+        the same point's score in a batch need not agree bit for bit and must
+        not be compared that way.
+        """
         pts, squeeze = _as_points(x, self.dim)
-        z = solve_triangular(
-            self._chol, (pts - self._mean).T, lower=True, check_finite=False
+        chol, lower, trans = self._trtrs
+        # the residuals are a fresh array, so LAPACK may solve in place
+        z, info = dtrtrs(
+            chol, (pts - self._mean).T, lower=lower, trans=trans, overwrite_b=1
         )
-        out = self._log_norm - 0.5 * np.einsum("dn,dn->n", z, z)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"triangular solve failed: LAPACK info {info}")
+        # in place, and equal bit for bit to log_norm - 0.5 * |z|^2
+        out = np.einsum("dn,dn->n", z, z)
+        out *= -0.5
+        out += self._log_norm
         return float(out[0]) if squeeze else out
 
     def sample(self, rng: np.random.Generator, n: int) -> NDArray[np.float64]:

@@ -141,9 +141,14 @@ CHERNOFF_MEASURES = {
 }
 
 
-def full_grid_tilt(grid, v, floor):
-    """The largest stable tilt from ESS on every grid row at once."""
-    stable = grid[_effective_sample_sizes(grid[:, np.newaxis] * v[np.newaxis, :]) >= floor]
+def full_grid_tilt(grid, v, floor, ess=None):
+    """The largest stable tilt from ESS on every grid row at once.
+
+    ``ess`` passes in that full-grid ESS when it is already computed.
+    """
+    if ess is None:
+        ess = _effective_sample_sizes(grid[:, np.newaxis] * v[np.newaxis, :])
+    stable = grid[ess >= floor]
     return float(stable.max()) if stable.size else None
 
 
@@ -205,21 +210,39 @@ class TestChernoffScan:
         assert _largest_stable_tilt(grid, v, 5_000.0) is None
 
     def test_crossings_on_block_edges_match_the_full_grid(self):
-        # heavy tails spread the ESS fall over many rows; a floor equal to one
-        # row's ESS puts the crossing exactly there when later rows fall below
+        # every row is a scan step; heavy tails spread the ESS fall over many
+        # rows, and a floor equal to one row's ESS puts the crossing exactly
+        # there when later rows fall below
         grid, v = centred_grid(np.random.default_rng(2).pareto(1.5, 20_000))
         ess = _effective_sample_sizes(grid[:, np.newaxis] * v[np.newaxis, :])
-        block = bounds._SCAN_BLOCK
-        bottoms = range(grid.size - block, -1, -block)
-        edges = [r for b in bottoms for r in (b, b - 1) if r >= 0]
-        crossing = [r for r in edges if r + 1 < grid.size and ess[r] > ess[r + 1 :].max()]
-        assert any(r in bottoms for r in crossing)
-        assert any(r + 1 in bottoms for r in crossing)
-        for r in crossing:
+        crossing = [r for r in range(grid.size - 1) if ess[r] > ess[r + 1 :].max()]
+        assert len(crossing) >= 8
+        for r in range(grid.size):
             for floor in (ess[r], np.nextafter(ess[r], np.inf)):
-                want = full_grid_tilt(grid, v, floor)
+                want = full_grid_tilt(grid, v, floor, ess)
                 assert _largest_stable_tilt(grid, v, floor) == want
-            assert full_grid_tilt(grid, v, ess[r]) == grid[r]
+        for r in crossing:
+            assert full_grid_tilt(grid, v, ess[r], ess) == grid[r]
+
+    def test_a_stable_top_tilt_costs_one_ess_row(self, monkeypatch):
+        # a Gaussian log score has a bounded upper tail, so its top tilt keeps
+        # enough effective samples and the scan stops there
+        u = -np.random.default_rng(6).exponential(1.0, 100_000)
+        shapes = []
+        original = bounds._effective_sample_sizes
+
+        def recorder(log_w):
+            shapes.append(log_w.shape)
+            return original(log_w)
+
+        monkeypatch.setattr(bounds, "_effective_sample_sizes", recorder)
+        grid, v = centred_grid(u)
+        assert _largest_stable_tilt(grid, v, ESS_FLOOR) == grid[-1]
+        assert shapes == [(1, u.size)]
+        shapes.clear()
+        est = chernoff_exponent_from_scores(u, 0.5)
+        assert not est.diverged
+        assert shapes == [(1, u.size)]
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -46,15 +46,26 @@ def test_exports_resolve_and_estimator_table_is_public():
             assert not hasattr(importlib.import_module(place), name), f"{place}.{name}"
 
 
-def test_no_module_uses_scipy_logsumexp():
-    # every log-sum-exp goes through mixtures._logsumexp, the one kernel
+def scipy_uses(name):
+    """Where a module of the package imports ``name`` from scipy or reads it."""
     package = Path(permlearn.__file__).parent
     offenders = []
     for path in sorted(package.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
-                if any(alias.name == "logsumexp" for alias in node.names):
+                if any(alias.name == name for alias in node.names):
                     offenders.append(f"{path.name}:{node.lineno}")
-            elif isinstance(node, ast.Attribute) and node.attr == "logsumexp":
+            elif isinstance(node, ast.Attribute) and node.attr == name:
                 offenders.append(f"{path.name}:{node.lineno}")
-    assert offenders == []
+    return offenders
+
+
+def test_no_module_uses_scipy_logsumexp():
+    # every log-sum-exp goes through mixtures._logsumexp, the one kernel
+    assert scipy_uses("logsumexp") == []
+
+
+def test_no_module_imports_solve_triangular():
+    # Gaussian whitening calls LAPACK's dtrtrs directly: scipy's wrapper
+    # re-validates and copies its operands on every call
+    assert scipy_uses("solve_triangular") == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_triangular
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import multivariate_normal, norm
 
@@ -31,6 +32,24 @@ def two_atom(mu=1.0):
     return MixingMeasure(
         [0.5, 0.5], [Gaussian([-mu], [[1.0]]), Gaussian([mu], [[1.0]])]
     )
+
+
+def solve_triangular_log_density(g, x):
+    """Gaussian log density whitened by ``scipy.linalg.solve_triangular``."""
+    pts = np.asarray(x, dtype=float).reshape(-1, g.dim)
+    chol = np.linalg.cholesky(g.cov)
+    z = solve_triangular(chol, (pts - g.mean).T, lower=True, check_finite=False)
+    log_norm = float(-0.5 * g.dim * np.log(2.0 * np.pi) - np.log(np.diag(chol)).sum())
+    return log_norm - 0.5 * np.einsum("dn,dn->n", z, z)
+
+
+def random_gaussian(rng, d, diagonal):
+    if diagonal:
+        cov = np.diag(rng.uniform(0.2, 3.0, d))
+    else:
+        a = rng.normal(size=(d, d))
+        cov = a @ a.T + 0.3 * np.eye(d)
+    return Gaussian(rng.normal(0.0, 2.0, d), cov)
 
 
 class TestGaussian:
@@ -70,6 +89,33 @@ class TestGaussian:
         dim = len(cov)
         with pytest.raises(ValueError, match=message):
             Gaussian(np.zeros(dim), cov)
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_whitening_equals_solve_triangular_bit_for_bit(self, d, diagonal):
+        rng = np.random.default_rng(10 * d + diagonal)
+        g = random_gaussian(rng, d, diagonal)
+        for n in (0, 1, 2, 63, 64, 4096):
+            x = rng.normal(0.0, 3.0, (n, d))
+            got = g.log_density(x)
+            assert got.shape == (n,)
+            assert np.array_equal(got, solve_triangular_log_density(g, x))
+        for point in rng.normal(0.0, 3.0, (5, d)):
+            got = g.log_density(point)
+            assert type(got) is float
+            assert got == float(solve_triangular_log_density(g, point)[0])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_log_density_leaves_the_callers_points_alone(self, d):
+        rng = np.random.default_rng(d)
+        g = random_gaussian(rng, d, diagonal=False)
+        x = rng.normal(size=(50, d))
+        transposed = np.ascontiguousarray(x.T).T  # an F-ordered view of the same values
+        for pts in (x, transposed, x[0]):
+            before = pts.copy()
+            g.log_density(pts)
+            assert np.array_equal(pts, before)
+        assert np.array_equal(g.log_density(x), g.log_density(transposed))
 
     def test_sampling_moments(self):
         g = Gaussian([1.0, -2.0], [[2.0, 0.6], [0.6, 1.0]])
@@ -378,6 +424,21 @@ class TestLogSumExpKernel:
     )
     def test_edge_cases_match_scipy(self, a, b, axis):
         assert_matches_scipy(np.array(a), axis, None if b is None else np.array(b))
+
+    # the part-major stacks of GaussianMixture.log_density: one weight per row
+    @pytest.mark.parametrize("zero_weight", [False, True])
+    @pytest.mark.parametrize("parts, n", [(1, 5), (2, 1), (3, 1000), (5, 64), (9, 300)])
+    def test_matches_scipy_on_part_major_stacks(self, parts, n, zero_weight):
+        rng = np.random.default_rng(parts * n)
+        a = rng.normal(-20.0, 15.0, (parts, n))
+        a[:, : n // 4] = a[0, : n // 4]  # ties at the maximum
+        if n > 1:
+            a[rng.integers(parts), 1] = -np.inf
+        b = rng.dirichlet(np.ones(parts))[:, np.newaxis]
+        if zero_weight:
+            b[parts // 2] = 0.0
+            a[parts // 2, 0] = np.inf  # a dropped term even where a is infinite
+        assert_matches_scipy(a, 0, b)
 
     # rows long enough for numpy's blocked pairwise summation
     @pytest.mark.parametrize(
