@@ -75,10 +75,11 @@ def _check_pair(model: MixingMeasure, truth: MixingMeasure, perm: Permutation):
 def _mle_part(weights: np.ndarray, scores, labels, true_perm):
     n, k = scores.shape
     cell_mean = weights / n
-    # per-class sums of squared scores, the second moment behind the half-width
-    cell_sq = np.zeros((k, k))
-    np.add.at(cell_sq, labels - 1, scores**2)
-    cell_sq /= n
+    # per-class sums of squared scores, the second moment behind the
+    # half-width: one flat bin per (class, region) cell, added in sample order
+    cells = (labels - 1)[:, np.newaxis] * k + np.arange(k)
+    cell_sq = np.bincount(cells.ravel(), weights=(scores**2).ravel(), minlength=k * k)
+    cell_sq = cell_sq.reshape(k, k) / n
     cell_se = np.sqrt(np.maximum(cell_sq - cell_mean**2, 0.0) / n)
 
     def value(perm: Permutation) -> float:

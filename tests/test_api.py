@@ -69,3 +69,20 @@ def test_no_module_imports_solve_triangular():
     # Gaussian whitening calls LAPACK's dtrtrs directly: scipy's wrapper
     # re-validates and copies its operands on every call
     assert scipy_uses("solve_triangular") == []
+
+
+def test_no_module_draws_a_weighted_choice():
+    # every weighted draw goes through mixtures._categorical, which makes the
+    # draw Generator.choice(k, n, p=p) makes with counting passes, not a search
+    package = Path(permlearn.__file__).parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "choice"
+                and (len(node.args) >= 4 or any(kw.arg == "p" for kw in node.keywords))
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

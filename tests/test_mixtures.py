@@ -25,7 +25,7 @@ from permlearn import (
     sample_labeled,
     save_mixture,
 )
-from permlearn.mixtures import _logsumexp
+from permlearn.mixtures import _categorical, _logsumexp
 
 
 def two_atom(mu=1.0):
@@ -41,6 +41,37 @@ def solve_triangular_log_density(g, x):
     z = solve_triangular(chol, (pts - g.mean).T, lower=True, check_finite=False)
     log_norm = float(-0.5 * g.dim * np.log(2.0 * np.pi) - np.log(np.diag(chol)).sum())
     return log_norm - 0.5 * np.einsum("dn,dn->n", z, z)
+
+
+def mask_loop_sample(density, rng, n):
+    """A density's draw as a boolean mask and scatter per nested part."""
+    if isinstance(density, Gaussian):
+        z = rng.standard_normal((n, density.dim))
+        return density.mean + z @ np.linalg.cholesky(density.cov).T
+    if isinstance(density, GaussianMixture):
+        out = np.empty((n, density.dim))
+        which = rng.choice(len(density.parts), size=n, p=density.weights)
+        for j, part in enumerate(density.parts):
+            mask = which == j
+            cnt = int(mask.sum())
+            if cnt:
+                out[mask] = mask_loop_sample(part, rng, cnt)
+        return out
+    return density.sample(rng, n)
+
+
+def mask_loop_sample_labeled(measure, perm, n, seed):
+    """Labeled draws as a boolean mask and scatter per class label."""
+    rng = np.random.default_rng(seed)
+    y0 = rng.choice(measure.n_atoms, size=n, p=measure.weights)
+    x = np.empty((n, measure.dim))
+    for k0 in range(measure.n_atoms):
+        mask = y0 == k0
+        cnt = int(mask.sum())
+        if cnt:
+            comp = measure.components[perm.region_of_label(k0 + 1) - 1]
+            x[mask] = mask_loop_sample(comp, rng, cnt)
+    return x, y0 + 1
 
 
 def random_gaussian(rng, d, diagonal):
@@ -116,6 +147,17 @@ class TestGaussian:
             g.log_density(pts)
             assert np.array_equal(pts, before)
         assert np.array_equal(g.log_density(x), g.log_density(transposed))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sample_equals_mean_plus_chol_z_bit_for_bit(self, d):
+        rng = np.random.default_rng(d)
+        g = random_gaussian(rng, d, diagonal=False)
+        for n in (0, 1, 2, 11_000):
+            a, b = np.random.default_rng(n), np.random.default_rng(n)
+            got = g.sample(a, n)
+            assert got.shape == (n, d) and got.flags.c_contiguous
+            assert np.array_equal(got, mask_loop_sample(g, b, n))
+            assert a.random() == b.random()
 
     def test_sampling_moments(self):
         g = Gaussian([1.0, -2.0], [[2.0, 0.6], [0.6, 1.0]])
@@ -533,6 +575,113 @@ class TestSampling:
         np.testing.assert_array_equal(prefix.x, big.x[:40])
         np.testing.assert_array_equal(prefix.y, big.y[:40])
         assert small.n == 40
+
+
+class TestCategorical:
+    def test_equals_generator_choice(self):
+        for k in range(1, 71):
+            weights = np.random.default_rng(k).random(k)
+            weights[1::3] = 0.0  # zero weights, also on the last entry
+            weights[0] += 0.1
+            weights /= weights.sum()
+            for seed in range(8):
+                for n in (0, 1, 3000):
+                    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = _categorical(a, weights, n)
+                    assert got.dtype == np.min_scalar_type(k - 1)
+                    assert np.array_equal(got, b.choice(k, size=n, p=weights))
+                    assert a.random() == b.random()  # one draw of n uniforms
+
+    @pytest.mark.parametrize("k", [255, 256, 257, 300])
+    def test_wide_index_equals_generator_choice(self, k):
+        weights = np.full(k, 1.0 / k)
+        for seed in range(4):
+            got = _categorical(np.random.default_rng(seed), weights, 50_000)
+            expected = np.random.default_rng(seed).choice(k, size=50_000, p=weights)
+            assert np.array_equal(got, expected)
+            assert got.max() == k - 1
+
+
+def nested_measure(rng, k, d, with_zero_parts):
+    """K atoms of dimension d, every other one a 3-part Gaussian mixture."""
+    comps = []
+    for b in range(k):
+        if b % 2:
+            w = np.array([0.0, 0.4, 0.6]) if with_zero_parts else np.array([0.2, 0.3, 0.5])
+            parts = [random_gaussian(rng, d, diagonal=False) for _ in range(3)]
+            comps.append(GaussianMixture(rng.permutation(w), parts))
+        else:
+            comps.append(random_gaussian(rng, d, diagonal=b % 4 == 0))
+    weights = rng.uniform(0.5, 1.5, k)
+    return MixingMeasure(weights / weights.sum(), comps)
+
+
+class TestSamplingIsPinned:
+    """Every draw equals the per-group boolean mask and scatter loop bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("with_zero_parts", [False, True])
+    def test_sample_labeled_equals_the_mask_loop(self, d, with_zero_parts):
+        rng = np.random.default_rng(10 * d + with_zero_parts)
+        m = nested_measure(rng, 9, d, with_zero_parts)
+        perms = [Permutation.identity(9), Permutation(tuple(rng.permutation(9) + 1))]
+        for perm in perms:
+            for n in (0, 1, 2, 5000):
+                data = sample_labeled(m, perm, n, seed=n + d)
+                x, y = mask_loop_sample_labeled(m, perm, n, seed=n + d)
+                assert np.array_equal(data.x, x)
+                assert data.y.dtype == np.int64 and np.array_equal(data.y, y)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_mixture_sample_equals_the_mask_loop(self, d):
+        rng = np.random.default_rng(d)
+        parts = [random_gaussian(rng, d, diagonal=False) for _ in range(5)]
+        for weights in ([0.1, 0.2, 0.3, 0.15, 0.25], [0.0, 0.5, 0.0, 0.5, 0.0]):
+            mix = GaussianMixture(weights, parts)
+            for n in (0, 1, 2, 20_000):
+                a, b = np.random.default_rng(n), np.random.default_rng(n)
+                assert np.array_equal(mix.sample(a, n), mask_loop_sample(mix, b, n))
+                assert a.random() == b.random()
+
+    def test_more_than_256_atoms(self):
+        # a 16-bit index, and labels past 256 that an 8-bit sum would wrap
+        rng = np.random.default_rng(0)
+        k = 300
+        comps = [Gaussian(rng.normal(size=2), np.eye(2)) for _ in range(k)]
+        comps[7] = GaussianMixture([0.5, 0.0, 0.5], [comps[0], comps[1], comps[2]])
+        m = MixingMeasure(np.full(k, 1.0 / k), comps)
+        perm = Permutation(tuple(rng.permutation(k) + 1))
+        data = sample_labeled(m, perm, 30_000, seed=1)
+        x, y = mask_loop_sample_labeled(m, perm, 30_000, seed=1)
+        assert data.y.max() == k and data.y.min() == 1
+        assert np.array_equal(data.x, x) and np.array_equal(data.y, y)
+
+
+class TestLabeledDataLabels:
+    @pytest.mark.parametrize(
+        "y, message",
+        [
+            ([1.5, 2.0], "labels must be integers"),
+            ([1.0, np.nan], "labels must be integers"),
+            ([1.0, np.inf], "labels must be integers"),
+            ([True, False], "labels must be integers"),
+            (["1", "2"], "labels must be integers"),
+            ([0, 1], r"labels must be in 1\.\.K"),
+            ([2.0, -1.0], r"labels must be in 1\.\.K"),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_bad_labels_keep_their_messages(self, y, message):
+        with pytest.raises(ValueError, match=message):
+            LabeledData(np.zeros((2, 1)), np.array(y))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.float64])
+    def test_integral_labels_become_a_private_int64_copy(self, dtype):
+        y = np.array([3, 1, 2], dtype=dtype)
+        data = LabeledData(np.zeros((3, 1)), y)
+        y[0] = 2
+        assert data.y.dtype == np.int64 and data.y.tolist() == [3, 1, 2]
+        assert not data.y.flags.writeable
 
 
 class TestLabeledDataIO:
