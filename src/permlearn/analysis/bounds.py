@@ -56,15 +56,6 @@ class DualEstimate:
     samples_used: int
     seed: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "value": None if math.isinf(self.value) else self.value,
-            "s_star": None if math.isinf(self.s_star) else self.s_star,
-            "diverged": self.diverged,
-            "samples_used": self.samples_used,
-            "seed": self.seed,
-        }
-
 
 def _effective_sample_sizes(log_w: np.ndarray) -> np.ndarray:
     # (sum w)^2 / sum w^2, rows = grid points
@@ -141,7 +132,7 @@ def chernoff_exponent(
         raise ValueError(f"atom must be in 1..{measure.n_atoms}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     data = sample_labeled(measure, Permutation.identity(measure.n_atoms), samples, rng)
     u = measure.components[atom - 1].log_density(data.x) + measure.log_weights[atom - 1]
     return chernoff_exponent_from_scores(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..estimators import prefix_summaries
-from ..matching import max_weight_matching, second_best_matching
+from ..matching import _as_weight_matrix, _best_two
 from ..mixtures import MixingMeasure, Permutation, sample_labeled
 
 __all__ = ["GapReport", "estimate_mle_gap", "estimate_mv_gap", "estimate_gaps"]
@@ -42,26 +42,6 @@ class GapReport:
     samples_used: int
     seed: int | None
 
-    def to_dict(self) -> dict:
-        def scrub(v):
-            if v is None:
-                return None
-            if isinstance(v, tuple):
-                return [scrub(x) for x in v]
-            return None if (isinstance(v, float) and math.isnan(v)) else v
-
-        return {
-            "mle_gap": scrub(self.mle_gap),
-            "mle_half_width": scrub(self.mle_half_width),
-            "mv_gap": scrub(self.mv_gap),
-            "mv_half_width": scrub(self.mv_half_width),
-            "region_margins": scrub(self.region_margins),
-            "margin_half_widths": scrub(self.margin_half_widths),
-            "empty_regions": list(self.empty_regions),
-            "samples_used": self.samples_used,
-            "seed": self.seed,
-        }
-
 
 def _check_pair(model: MixingMeasure, truth: MixingMeasure, perm: Permutation):
     if model.n_atoms != truth.n_atoms:
@@ -86,11 +66,9 @@ def _mle_part(weights: np.ndarray, scores, labels, true_perm):
         cols = np.asarray(perm.to_region) - 1
         return float(cell_mean[np.arange(k), cols].sum())
 
-    best = max_weight_matching(cell_mean)
-    if best.permutation == true_perm:
-        rival = second_best_matching(cell_mean).permutation
-    else:
-        rival = best.permutation
+    # K >= 2 (_check_gaps), so one search yields the optimum and the runner-up
+    best, second = _best_two(_as_weight_matrix(cell_mean))
+    rival = (second if best.permutation == true_perm else best).permutation
     gap = value(true_perm) - value(rival)
     # Cells in one row share samples, so their errors correlate; the triangle
     # inequality on standard deviations is the safe way to combine them.

@@ -36,18 +36,6 @@ class RiskEstimate:
     samples_used: int
     seed: int | None
 
-    def to_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "half_width": self.half_width,
-            "bayes_rate": self.bayes_rate,
-            "bayes_half_width": self.bayes_half_width,
-            "excess": self.excess,
-            "excess_half_width": self.excess_half_width,
-            "samples_used": self.samples_used,
-            "seed": self.seed,
-        }
-
 
 def _rate_hw(errors: np.ndarray) -> tuple[float, float]:
     n = errors.size

@@ -72,15 +72,6 @@ class TvEstimate:
     samples_used: int | None = None
     seed: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "half_width": self.half_width,
-            "method": self.method,
-            "samples_used": self.samples_used,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class TransportPlan:
@@ -92,16 +83,6 @@ class TransportPlan:
     total_cost: float
     total_half_width: float
     method: str
-
-    def to_dict(self) -> dict:
-        return {
-            "matrix": self.matrix.tolist(),
-            "cost_matrix": self.cost_matrix.tolist(),
-            "cost_half_widths": self.cost_half_widths.tolist(),
-            "total_cost": self.total_cost,
-            "total_half_width": self.total_half_width,
-            "method": self.method,
-        }
 
 
 def _tv_gaussians(f: Gaussian, g: Gaussian) -> float:
@@ -297,9 +278,7 @@ def tv_distance(
     if method == "mc":
         if mc_samples < 2:
             raise ValueError("mc_samples must be >= 2")
-        rng = (
-            seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        )
+        rng = np.random.default_rng(seed)
         return _tv_monte_carlo(f, g, mc_samples, rng, seed if isinstance(seed, int) else None)
     raise ValueError("method must be 'auto', 'quadrature', or 'mc'")
 
@@ -356,7 +335,7 @@ def wasserstein1(
         raise ValueError("measures must share one dimension")
     if a.n_atoms > MAX_ATOMS or b.n_atoms > MAX_ATOMS:
         raise ValueError(f"transport solver supports at most {MAX_ATOMS} atoms")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     seed_int = seed if isinstance(seed, int) else None
 
     ka, kb = a.n_atoms, b.n_atoms

@@ -11,7 +11,6 @@ field is the single value that varies between reruns).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -45,6 +44,8 @@ from .harness import (
 from .mixtures import (
     LabeledData,
     Permutation,
+    _json_text,
+    _read_json,
     load_mixture,
     mixture_to_dict,
     sample_labeled,
@@ -179,21 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scrub(obj):
-    """Replace non-finite floats with None so artifacts are strict JSON."""
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return None
-    if isinstance(obj, dict):
-        return {key: _scrub(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_scrub(val) for val in obj]
-    return obj
-
-
-def _json_text(obj) -> str:
-    return json.dumps(_scrub(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
 def _resolve_out_dir(arg: str | None) -> Path:
     out = arg or os.environ.get(OUT_DIR_ENV) or "."
     path = Path(out)
@@ -275,7 +261,7 @@ def _cmd_estimate(args, out_dir: Path, started: float) -> list[str]:
         "greedy": greedy_from_summary,
     }
     wanted = list(runners) if args.method == "all" else [args.method]
-    result = {name: runners[name](summary).to_dict() for name in wanted}
+    result = {name: runners[name](summary) for name in wanted}
     config = {
         "mixture": str(args.mixture),
         "data": str(args.data),
@@ -321,10 +307,10 @@ def _cmd_analyze(args, out_dir: Path, started: float) -> list[str]:
         scores = model.log_scores(data.x)
         if which:
             report = _gaps_from_scores(scores, data.y, true_perm, which, args.seed)
-            results["gaps"] = report.to_dict()
+            results["gaps"] = report
         if args.risk:
             est = _risk_from_scores(scores, data, model, perm, truth, true_perm, args.seed)
-            results["risk"] = est.to_dict()
+            results["risk"] = est
 
     if args.tv is not None:
         a, b = (load_mixture(p) for p in args.tv)
@@ -333,12 +319,12 @@ def _cmd_analyze(args, out_dir: Path, started: float) -> list[str]:
         est = tv_distance(
             a.components[0], b.components[0], mc_samples=args.mc, seed=args.seed
         )
-        results["tv"] = est.to_dict()
+        results["tv"] = est
 
     if args.w1 is not None:
         a, b = (load_mixture(p) for p in args.w1)
         value, plan = wasserstein1(a, b, mc_samples=args.mc, seed=args.seed)
-        results["w1"] = {"value": value, "plan": plan.to_dict()}
+        results["w1"] = {"value": value, "plan": plan}
 
     if args.required_n is not None:
         k = _require("--k", args.k, "--required-n")
@@ -401,8 +387,10 @@ def _cmd_analyze(args, out_dir: Path, started: float) -> list[str]:
 def _cmd_experiment(args, out_dir: Path, started: float) -> list[str]:
     merged: dict = {}
     if args.spec is not None:
-        with open(args.spec) as fh:
-            merged.update(json.load(fh))
+        spec_file = _read_json(args.spec)
+        if not isinstance(spec_file, dict):
+            raise ValueError(f"{args.spec}: an experiment spec must be a JSON object")
+        merged.update(spec_file)
     overrides = {
         "family": args.family,
         "k": args.k,
@@ -442,7 +430,7 @@ def main(argv=None) -> int:
     try:
         out_dir = _resolve_out_dir(args.out_dir)
         written = _HANDLERS[args.command](args, out_dir, started)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for name in written:

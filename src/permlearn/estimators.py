@@ -75,18 +75,6 @@ class EstimateOutcome:
     def ok(self) -> bool:
         return self.permutation is not None
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "permutation": list(self.permutation.to_region) if self.ok else None,
-            "failure": self.failure,
-            "log_likelihood": self.log_likelihood,
-            "class_counts": list(self.class_counts),
-            "region_counts": list(self.region_counts),
-            "unconstrained_classes": list(self.unconstrained_classes),
-            "unique": self.unique,
-        }
-
 
 @dataclass(frozen=True)
 class PrefixSummaries:

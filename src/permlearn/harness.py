@@ -35,6 +35,7 @@ from .mixtures import (
     GaussianMixture,
     MixingMeasure,
     Permutation,
+    _json_field,
     mixture_from_dict,
     mixture_to_dict,
     sample_labeled,
@@ -60,6 +61,17 @@ FAMILIES = (
     "custom",
 )
 DEFAULT_N_GRID = tuple(range(3, 100, 3))
+
+# the scalar and grid fields of an experiment spec, by JSON kind
+_SPEC_FIELDS = {
+    "k": "an integer",
+    "dim": "an integer",
+    "eta": "a number",
+    "n_grid": "a list of integers",
+    "trials": "an integer",
+    "label_noise": "a number",
+    "seed": "an integer",
+}
 
 # Grid geometry: unit spacing before the separation factor scales the means.
 # The covariance ceiling keeps neighbouring atoms nearly disjoint (pairwise
@@ -171,15 +183,11 @@ class ExperimentSpec:
     def from_dict(cls, d: dict) -> "ExperimentSpec":
         if "family" not in d:
             raise ValueError("experiment dict needs a 'family' key")
-        kwargs = {}
-        for key in ("k", "dim", "trials", "seed"):
-            if key in d and d[key] is not None:
-                kwargs[key] = int(d[key])
-        for key in ("eta", "label_noise"):
-            if key in d and d[key] is not None:
-                kwargs[key] = float(d[key])
-        if d.get("n_grid") is not None:
-            kwargs["n_grid"] = tuple(int(n) for n in d["n_grid"])
+        kwargs = {
+            key: _json_field(d, key, kind)
+            for key, kind in _SPEC_FIELDS.items()
+            if d.get(key) is not None
+        }
         for key in ("true_mixture", "model_mixture"):
             if d.get(key) is not None:
                 kwargs[key] = mixture_from_dict(d[key])
@@ -260,7 +268,7 @@ def perturb_mixture(
     """
     if mean_shift_scale < 0.0:
         raise ValueError("mean_shift_scale must be >= 0")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     components = []
     for comp in measure.components:
         if isinstance(comp, Gaussian):

@@ -24,7 +24,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -804,24 +804,53 @@ def _density_to_dict(density: ComponentDensity) -> dict:
     raise ValueError(f"unsupported density type {type(density).__name__}")
 
 
+_JSON_KINDS = {
+    "a number": float,
+    "an integer": int,
+    "an array of numbers": lambda value: np.asarray(value, dtype=float),
+    "a list of integers": lambda value: tuple(int(v) for v in value),
+}
+
+
+def _json_field(obj: dict, key: str, kind: str):
+    """``obj[key]`` converted to ``kind``, one of the keys of ``_JSON_KINDS``.
+
+    A missing field, or one that does not convert, raises a ValueError that
+    names the field instead of the conversion's TypeError.
+    """
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"missing field '{key}'")
+    try:
+        return _JSON_KINDS[kind](obj[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"'{key}' must be {kind}") from None
+
+
+def _gaussian_from_dict(obj: dict) -> Gaussian:
+    return Gaussian(
+        _json_field(obj, "mean", "an array of numbers"),
+        _json_field(obj, "cov", "an array of numbers"),
+    )
+
+
 def _density_from_dict(obj: dict, where: str) -> ComponentDensity:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError(f"{where}: density must be an object with a 'type' key")
     kind = obj["type"]
     try:
         if kind == "gaussian":
-            return Gaussian(obj["mean"], obj["cov"])
+            return _gaussian_from_dict(obj)
         if kind == "gaussian_mixture":
-            comps = obj["components"]
+            comps = obj.get("components")
             if not isinstance(comps, list) or not comps:
                 raise ValueError("'components' must be a nonempty list")
-            weights = [c["weight"] for c in comps]
-            parts = [Gaussian(c["mean"], c["cov"]) for c in comps]
-            return GaussianMixture(weights, parts)
+            weights = [_json_field(c, "weight", "a number") for c in comps]
+            return GaussianMixture(weights, [_gaussian_from_dict(c) for c in comps])
         if kind == "kde":
-            return KernelDensity(obj["points"], obj["bandwidth"])
-    except KeyError as exc:
-        raise ValueError(f"{where}: missing density field {exc}") from None
+            return KernelDensity(
+                _json_field(obj, "points", "an array of numbers"),
+                _json_field(obj, "bandwidth", "a number"),
+            )
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
     raise ValueError(f"{where}: unknown density type {kind!r}")
@@ -851,27 +880,67 @@ def mixture_from_dict(obj: dict) -> MixingMeasure:
         where = f"atoms[{i}]"
         if not isinstance(atom, dict) or "weight" not in atom or "density" not in atom:
             raise ValueError(f"{where}: each atom needs 'weight' and 'density'")
-        weights.append(atom["weight"])
+        try:
+            weights.append(_json_field(atom, "weight", "a number"))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         components.append(_density_from_dict(atom["density"], where + ".density"))
-    measure = MixingMeasure(weights, components, labels=obj.get("labels"))
-    declared = obj.get("dim")
-    if declared is not None and int(declared) != measure.dim:
-        raise ValueError(
-            f"declared dim {declared} does not match components (dim {measure.dim})"
-        )
+    labels = obj.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise ValueError("'labels' must be a list of class names")
+    measure = MixingMeasure(weights, components, labels=labels)
+    if obj.get("dim") is not None:
+        declared = _json_field(obj, "dim", "an integer")
+        if declared != measure.dim:
+            raise ValueError(
+                f"declared dim {declared} does not match components (dim {measure.dim})"
+            )
     return measure
+
+
+def _plain(obj):
+    """obj as the JSON values ``_json_text`` writes."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    # before the dataclass rule: a permutation is written as its to_region list
+    if isinstance(obj, Permutation):
+        return list(obj.to_region)
+    if is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {key: _plain(val) for key, val in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return _plain(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return [_plain(val) for val in obj]
+    return obj
+
+
+def _json_text(obj) -> str:
+    """The text of every JSON file the package writes: mixtures and results.
+
+    A ``Permutation`` becomes its ``to_region`` list, any other dataclass a
+    dict of its fields, arrays and tuples lists, and NaN or infinite floats
+    ``null``, so the text is strict JSON. Keys are sorted, the indent is two
+    spaces, and the text ends in a newline.
+    """
+    return json.dumps(_plain(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def save_mixture(measure: MixingMeasure, path: str | os.PathLike) -> None:
     with open(path, "w") as fh:
-        json.dump(mixture_to_dict(measure), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(mixture_to_dict(measure)))
+
+
+def _read_json(path: str | os.PathLike):
+    """The JSON value in the file at ``path``; malformed text raises a
+    ValueError that names the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc})") from None
 
 
 def load_mixture(path: str | os.PathLike) -> MixingMeasure:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc})") from None
-    return mixture_from_dict(obj)
+    return mixture_from_dict(_read_json(path))

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -24,11 +25,13 @@ from permlearn import (
     mixture_to_dict,
     mle_recovery_bound,
     mv_recovery_bound,
+    perturb_mixture,
     required_sample_size,
     sample_labeled,
     tv_distance,
     wasserstein1,
 )
+from permlearn import matching
 from permlearn.analysis import bounds, transport
 from permlearn.analysis.bounds import (
     ESS_FLOOR,
@@ -36,6 +39,7 @@ from permlearn.analysis.bounds import (
     _largest_stable_tilt,
 )
 from permlearn.analysis.transport import MAX_ATOMS, _optimal_coupling
+from permlearn.mixtures import _json_text
 
 
 def two_atom(mu, weights=(0.5, 0.5)):
@@ -382,7 +386,7 @@ class TestGapEstimates:
         assert rep.empty_regions == (2,)
         assert math.isnan(rep.mv_gap)
         assert math.isnan(rep.region_margins[1])
-        d = rep.to_dict()
+        d = json.loads(_json_text(rep))
         assert d["mv_gap"] is None
         assert d["region_margins"][1] is None
 
@@ -765,3 +769,57 @@ class TestRisk:
         single = MixingMeasure([1.0], [Gaussian([0.0], [[1.0]])])
         with pytest.raises(ValueError):
             misclassification_rate(single, Permutation.identity(1), m, Permutation.identity(2))
+
+
+def _planar_pair():
+    a = MixingMeasure(
+        [0.5, 0.5], [Gaussian([0.0, 0.0], np.eye(2)), Gaussian([1.5, 0.5], np.eye(2))]
+    )
+    b = MixingMeasure(
+        [0.3, 0.7], [Gaussian([0.2, 0.0], np.eye(2)), Gaussian([1.0, 1.0], np.eye(2))]
+    )
+    return a, b
+
+
+_SEEDED = {
+    "perturb_mixture": lambda a, b, seed: tuple(
+        perturb_mixture(a, seed, mean_shift_scale=0.3).components[0].mean
+    ),
+    "tv_distance": lambda a, b, seed: tv_distance(
+        a.components[0], b.components[1], mc_samples=400, seed=seed
+    ).value,
+    "wasserstein1": lambda a, b, seed: wasserstein1(a, b, mc_samples=400, seed=seed)[0],
+    "chernoff_exponent": lambda a, b, seed: chernoff_exponent(
+        a, 1, 0.1, samples=400, seed=seed
+    ).value,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+def test_a_generator_seed_is_drawn_from_not_copied(name):
+    draw = _SEEDED[name]
+    a, b = _planar_pair()
+    assert draw(a, b, np.random.default_rng(11)) == draw(a, b, 11)
+    rng = np.random.default_rng(11)
+    assert draw(a, b, rng) != draw(a, b, rng)
+
+
+def test_mle_gap_makes_one_runner_up_search(monkeypatch):
+    truth = MixingMeasure(
+        [0.3, 0.3, 0.4],
+        [Gaussian([0.0], [[1.0]]), Gaussian([2.0], [[1.0]]), Gaussian([5.0], [[1.0]])],
+    )
+    true_perm = Permutation.identity(3)
+    expected = estimate_mle_gap(truth, truth, true_perm, samples=5_000, seed=3)
+    solves = []
+    original = matching.linear_sum_assignment
+
+    def counted(cost):
+        solves.append(1)
+        return original(cost)
+
+    monkeypatch.setattr(matching, "linear_sum_assignment", counted)
+    rep = estimate_mle_gap(truth, truth, true_perm, samples=5_000, seed=3)
+    # the optimum is the true assignment: one solve plus one per forbidden edge
+    assert len(solves) == 3 + 1
+    assert rep == expected

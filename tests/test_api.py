@@ -86,3 +86,33 @@ def test_no_module_draws_a_weighted_choice():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_results_have_no_hand_written_encoders():
+    # every artifact is written by mixtures._json_text, which encodes any
+    # result dataclass field by field
+    from permlearn import analysis
+
+    results = (
+        estimators.EstimateOutcome,
+        analysis.GapReport,
+        analysis.RiskEstimate,
+        analysis.TvEstimate,
+        analysis.TransportPlan,
+        analysis.DualEstimate,
+    )
+    assert [cls.__name__ for cls in results if hasattr(cls, "to_dict")] == []
+
+
+def test_one_json_writer():
+    package = Path(permlearn.__file__).parent
+    writers = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps"):
+                    writers.append(f"{path.name}:{func.name}")
+    assert writers == ["mixtures.py:_json_text"]

@@ -20,6 +20,7 @@ from permlearn import cli
 from permlearn.analysis import gaps as gaps_module, risk as risk_module
 from permlearn.cli import main
 from permlearn.harness import resolve_model
+from permlearn.mixtures import _json_text
 
 
 def run(argv):
@@ -109,6 +110,46 @@ def test_bad_flag_values_exit_2_with_message(argv, message, out, capsys):
         run(argv + ["--out-dir", out])
     assert exc.value.code == 2
     assert capsys.readouterr().err.rstrip().endswith(message)
+
+
+def _one_atom(density=None, **fields):
+    """A one-atom 1-d mixture file's JSON value, with fields replaced."""
+    gaussian = {"type": "gaussian", "mean": [0.0], "cov": [[1.0]]}
+    return {"dim": 1, "atoms": [{"weight": 1.0, "density": density or gaussian}], **fields}
+
+
+@pytest.mark.parametrize(
+    "kind, content, message",
+    [
+        ("mixture", _one_atom(dim=[1]), "'dim' must be an integer"),
+        ("mixture", _one_atom(labels=5), "'labels' must be a list"),
+        ("mixture", _one_atom({"type": "kde", "points": [[0.0]], "bandwidth": [1]}),
+         "atoms[0].density: 'bandwidth' must be a number"),
+        ("mixture", _one_atom({"type": "gaussian", "mean": {"a": 1}, "cov": [[1.0]]}),
+         "atoms[0].density: 'mean' must be an array of numbers"),
+        ("mixture", "{not json", "bad.json: invalid JSON"),
+        ("spec", [1, 2], "bad.json: an experiment spec must be a JSON object"),
+        ("spec", 3, "bad.json: an experiment spec must be a JSON object"),
+        ("spec", {"family": "gaussian_grid", "n_grid": 5},
+         "'n_grid' must be a list of integers"),
+        ("spec", {"family": "gaussian_grid", "k": [1]}, "'k' must be an integer"),
+        ("spec", "{not json", "bad.json: invalid JSON"),
+    ],
+)
+def test_malformed_json_exits_1_naming_the_field(
+    kind, content, message, tmp_path, out, capsys
+):
+    path = tmp_path / "bad.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    if kind == "mixture":
+        argv = ["analyze", "--w1", path, path, "--out-dir", out]
+    else:
+        argv = ["experiment", "--spec", path, "--trials", "1", "--out-dir", out]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert message in err
+    assert list(out.iterdir()) == []
 
 
 class TestEstimate:
@@ -240,8 +281,8 @@ class TestAnalyzeOneDraw:
         p = Permutation(perm) if perm else Permutation.identity(3)
         gaps = estimate_gaps(model, truth, tp, samples=self.MC, seed=self.SEED)
         risk = misclassification_rate(model, p, truth, tp, samples=self.MC, seed=self.SEED)
-        assert result["gaps"] == gaps.to_dict()
-        assert result["risk"] == risk.to_dict()
+        assert result["gaps"] == json.loads(_json_text(gaps))
+        assert result["risk"] == json.loads(_json_text(risk))
 
     def test_model_equal_to_truth_draws_and_scores_once(self, out, files, monkeypatch):
         draws, scorings = [], []

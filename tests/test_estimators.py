@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from permlearn.estimators import (
     mv_from_summary,
     prefix_summaries,
 )
+from permlearn.mixtures import _json_text
 
 
 def separated(k=2, gap=30.0):
@@ -201,20 +204,17 @@ class TestGreedy:
 
 class TestOutcomeShape:
     def test_to_dict_is_json_ready(self):
-        import json
-
         m = separated(2)
         data = sample_labeled(m, Permutation.identity(2), 10, seed=9)
         for out in (mle_estimate(m, data), mv_estimate(m, data), greedy_estimate(m, data)):
-            d = out.to_dict()
-            json.dumps(d)
+            d = json.loads(_json_text(out))
             assert d["method"] in ("mle", "mv", "greedy")
             assert d["class_counts"] == list(np.bincount(data.y, minlength=3)[1:])
 
     def test_failure_outcome_fields(self):
         m = separated(2)
         out = mv_estimate(m, data_from([30.0], [1]))
-        d = out.to_dict()
+        d = json.loads(_json_text(out))
         assert d["failure"] == FAIL_EMPTY_REGION
         assert d["permutation"] is None
         assert d["log_likelihood"] is None

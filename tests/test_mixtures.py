@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from permlearn import (
     sample_labeled,
     save_mixture,
 )
-from permlearn.mixtures import _categorical, _logsumexp
+from permlearn.mixtures import _categorical, _json_text, _logsumexp
 
 
 def two_atom(mu=1.0):
@@ -761,3 +763,64 @@ class TestMixtureJSON:
     def test_strict_json(self):
         text = json.dumps(mixture_to_dict(self.build()))
         json.loads(text)
+
+    def test_save_mixture_writes_the_sorted_two_space_text(self, tmp_path):
+        m = self.build()
+        path = tmp_path / "mix.json"
+        save_mixture(m, path)
+        expected = json.dumps(mixture_to_dict(m), indent=2, sort_keys=True) + "\n"
+        assert path.read_text() == expected
+
+
+@dataclass(frozen=True)
+class _Inner:
+    perm: Permutation
+    grid: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Outer:
+    zeta: tuple
+    inner: _Inner
+    alpha: float | None
+
+
+def test_json_text_of_a_nested_result():
+    obj = {
+        "b": _Outer(
+            (1, math.nan, math.inf),
+            _Inner(Permutation((2, 3, 1)), np.array([[1.5, -math.inf], [0.25, 2.0]])),
+            None,
+        ),
+        "a": -math.inf,
+    }
+    assert _json_text(obj) == (
+        "{\n"
+        '  "a": null,\n'
+        '  "b": {\n'
+        '    "alpha": null,\n'
+        '    "inner": {\n'
+        '      "grid": [\n'
+        "        [\n"
+        "          1.5,\n"
+        "          null\n"
+        "        ],\n"
+        "        [\n"
+        "          0.25,\n"
+        "          2.0\n"
+        "        ]\n"
+        "      ],\n"
+        '      "perm": [\n'
+        "        2,\n"
+        "        3,\n"
+        "        1\n"
+        "      ]\n"
+        "    },\n"
+        '    "zeta": [\n'
+        "      1,\n"
+        "      null,\n"
+        "      null\n"
+        "    ]\n"
+        "  }\n"
+        "}\n"
+    )
