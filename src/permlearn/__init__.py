@@ -20,7 +20,6 @@ from .mixtures import (
     Permutation,
     classify,
     load_mixture,
-    mixture_density,
     mixture_from_dict,
     mixture_log_density,
     mixture_to_dict,
@@ -32,7 +31,6 @@ from .matching import (
     MatchingResult,
     brute_force_matching,
     max_weight_matching,
-    second_best_matching,
 )
 from .estimators import (
     EstimateOutcome,
@@ -50,8 +48,6 @@ from .analysis import (
     chernoff_exponent,
     chernoff_exponent_from_scores,
     estimate_gaps,
-    estimate_mle_gap,
-    estimate_mv_gap,
     min_count_probability,
     misclassification_rate,
     mle_recovery_bound,
@@ -79,7 +75,6 @@ __all__ = [
     "Permutation",
     "classify",
     "load_mixture",
-    "mixture_density",
     "mixture_from_dict",
     "mixture_log_density",
     "mixture_to_dict",
@@ -89,7 +84,6 @@ __all__ = [
     "MatchingResult",
     "brute_force_matching",
     "max_weight_matching",
-    "second_best_matching",
     "EstimateOutcome",
     "greedy_estimate",
     "mle_estimate",
@@ -103,8 +97,6 @@ __all__ = [
     "chernoff_exponent",
     "chernoff_exponent_from_scores",
     "estimate_gaps",
-    "estimate_mle_gap",
-    "estimate_mv_gap",
     "min_count_probability",
     "misclassification_rate",
     "mle_recovery_bound",

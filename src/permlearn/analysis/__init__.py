@@ -9,7 +9,7 @@ from .bounds import (
     mv_recovery_bound,
     required_sample_size,
 )
-from .gaps import GapReport, estimate_gaps, estimate_mle_gap, estimate_mv_gap
+from .gaps import GapReport, estimate_gaps
 from .risk import RiskEstimate, misclassification_rate
 from .transport import MAX_ATOMS, TransportPlan, TvEstimate, tv_distance, wasserstein1
 
@@ -23,8 +23,6 @@ __all__ = [
     "chernoff_exponent",
     "chernoff_exponent_from_scores",
     "estimate_gaps",
-    "estimate_mle_gap",
-    "estimate_mv_gap",
     "min_count_probability",
     "misclassification_rate",
     "mle_recovery_bound",

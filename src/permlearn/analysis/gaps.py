@@ -19,7 +19,7 @@ from ..estimators import prefix_summaries
 from ..matching import _as_weight_matrix, _best_two
 from ..mixtures import MixingMeasure, Permutation, sample_labeled
 
-__all__ = ["GapReport", "estimate_mle_gap", "estimate_mv_gap", "estimate_gaps"]
+__all__ = ["GapReport", "estimate_gaps"]
 
 
 @dataclass(frozen=True)
@@ -176,25 +176,3 @@ def estimate_gaps(
     _check_gaps(model, truth, true_perm, samples, which)
     data = sample_labeled(truth, true_perm, samples, seed)
     return _gaps_from_scores(model.log_scores(data.x), data.y, true_perm, which, seed)
-
-
-def estimate_mle_gap(
-    model: MixingMeasure,
-    truth: MixingMeasure,
-    true_perm: Permutation,
-    samples: int = 100_000,
-    seed: int | np.random.Generator = 0,
-) -> GapReport:
-    """Likelihood margin of the true assignment over the best wrong one."""
-    return estimate_gaps(model, truth, true_perm, samples, seed, which={"mle"})
-
-
-def estimate_mv_gap(
-    model: MixingMeasure,
-    truth: MixingMeasure,
-    true_perm: Permutation,
-    samples: int = 100_000,
-    seed: int | np.random.Generator = 0,
-) -> GapReport:
-    """Worst-region vote margin; NaN (with flags) if a region drew no mass."""
-    return estimate_gaps(model, truth, true_perm, samples, seed, which={"mv"})

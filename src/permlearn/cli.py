@@ -29,12 +29,7 @@ from .analysis import (
 )
 from .analysis.gaps import _check_gaps, _gaps_from_scores
 from .analysis.risk import _check_risk, _risk_from_scores
-from .estimators import (
-    greedy_from_summary,
-    mle_from_summary,
-    mv_from_summary,
-    summarize,
-)
+from .estimators import _estimate, summarize
 from .harness import (
     FAMILIES,
     ExperimentSpec,
@@ -255,13 +250,8 @@ def _cmd_estimate(args, out_dir: Path, started: float) -> list[str]:
     measure = load_mixture(args.mixture)
     data = LabeledData.load_csv(args.data)
     summary = summarize(measure, data)
-    runners = {
-        "mle": mle_from_summary,
-        "mv": mv_from_summary,
-        "greedy": greedy_from_summary,
-    }
-    wanted = list(runners) if args.method == "all" else [args.method]
-    result = {name: runners[name](summary) for name in wanted}
+    wanted = ("mle", "mv", "greedy") if args.method == "all" else (args.method,)
+    result = {name: _estimate(name, summary) for name in wanted}
     config = {
         "mixture": str(args.mixture),
         "data": str(args.data),

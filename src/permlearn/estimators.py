@@ -31,9 +31,6 @@ __all__ = [
     "mle_estimate",
     "mv_estimate",
     "greedy_estimate",
-    "mle_from_summary",
-    "mv_from_summary",
-    "greedy_from_summary",
     "mle_prefixes",
     "mv_prefixes",
     "greedy_prefixes",
@@ -105,8 +102,8 @@ class PrefixSummaries:
 def summarize(measure: MixingMeasure, data: LabeledData) -> PrefixSummaries:
     """Score every sample under every atom and aggregate by class and region.
 
-    The result is the one-prefix summary of the whole dataset, which the
-    *_from_summary rules read.
+    The result is the one-prefix summary of the whole dataset, which every
+    estimator reads.
     """
     if not isinstance(data, LabeledData):
         raise ValueError("data must be a LabeledData")
@@ -171,7 +168,7 @@ def _codes(empty: np.ndarray, tie: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def mle_prefixes(p: PrefixSummaries) -> tuple[np.ndarray, np.ndarray]:
     """Matching MLE of every prefix: outcome codes (all CODE_OK) and columns.
 
-    Unlike mle_from_summary it makes no runner-up solve, so it has no tie flag.
+    Unlike mle_estimate it makes no runner-up solve, so it has no tie flag.
     """
     cols = max_weight_assignments(p.weights)
     return np.full(p.ns.size, CODE_OK), cols
@@ -197,20 +194,28 @@ def greedy_prefixes(p: PrefixSummaries) -> tuple[np.ndarray, np.ndarray]:
     return _codes(empty, np.zeros_like(empty), cols), cols
 
 
-def _outcome(
-    method: str, p: PrefixSummaries, codes, cols, unique: bool | None = None
-) -> EstimateOutcome:
-    """EstimateOutcome of a one-prefix rule result (codes[0], cols[0])."""
-    if p.ns.size != 1:
-        raise ValueError("an estimate needs a one-prefix summary (see summarize)")
-    code = int(codes[0])
-    perm = Permutation(tuple(int(c) + 1 for c in cols[0])) if code == CODE_OK else None
+def _estimate(method: str, p: PrefixSummaries) -> EstimateOutcome:
+    """EstimateOutcome of the named rule on a one-prefix summary (summarize).
+
+    MV and greedy read prefix 0 of their *_prefixes rule. The MLE solves its
+    one matching with max_weight_matching, whose runner-up search sets the
+    ``unique`` tie flag.
+    """
+    unique = None
+    if method == "mle":
+        result = max_weight_matching(p.weights[0])
+        code, unique = CODE_OK, result.is_unique
+        cols = np.array(result.permutation.to_region) - 1
+    else:
+        codes, cols = {"mv": mv_prefixes, "greedy": greedy_prefixes}[method](p)
+        code, cols = int(codes[0]), cols[0]
+    perm = Permutation(tuple(int(c) + 1 for c in cols)) if code == CODE_OK else None
     class_counts = p.class_counts[0]
     return EstimateOutcome(
         method=method,
         permutation=perm,
         failure=FAILURES[code],
-        log_likelihood=None if perm is None else float(p.loglik(cols)[0]),
+        log_likelihood=None if perm is None else float(p.loglik(cols[np.newaxis])[0]),
         class_counts=tuple(int(c) for c in class_counts),
         region_counts=tuple(int(c) for c in p.region_counts[0]),
         unconstrained_classes=tuple(
@@ -220,20 +225,6 @@ def _outcome(
     )
 
 
-def mle_from_summary(p: PrefixSummaries) -> EstimateOutcome:
-    result = max_weight_matching(p.weights[0])
-    cols = np.array([result.permutation.to_region]) - 1
-    return _outcome("mle", p, [CODE_OK], cols, unique=result.is_unique)
-
-
-def mv_from_summary(p: PrefixSummaries) -> EstimateOutcome:
-    return _outcome("mv", p, *mv_prefixes(p))
-
-
-def greedy_from_summary(p: PrefixSummaries) -> EstimateOutcome:
-    return _outcome("greedy", p, *greedy_prefixes(p))
-
-
 def mle_estimate(measure: MixingMeasure, data) -> EstimateOutcome:
     """Likelihood-maximizing permutation, found by exact matching.
 
@@ -241,7 +232,7 @@ def mle_estimate(measure: MixingMeasure, data) -> EstimateOutcome:
     score rows; the matching assigns them deterministically and they are
     reported in ``unconstrained_classes``.
     """
-    return mle_from_summary(summarize(measure, data))
+    return _estimate("mle", summarize(measure, data))
 
 
 def mv_estimate(measure: MixingMeasure, data) -> EstimateOutcome:
@@ -250,7 +241,7 @@ def mv_estimate(measure: MixingMeasure, data) -> EstimateOutcome:
     Fails (in this order of checks) when a region holds no samples, when some
     region's vote is tied, or when two regions elect the same class.
     """
-    return mv_from_summary(summarize(measure, data))
+    return _estimate("mv", summarize(measure, data))
 
 
 def greedy_estimate(measure: MixingMeasure, data) -> EstimateOutcome:
@@ -261,4 +252,4 @@ def greedy_estimate(measure: MixingMeasure, data) -> EstimateOutcome:
     failure is reported as ``empty_region`` although it concerns a class, so
     recovery curves count it in ``fail_empty``.
     """
-    return greedy_from_summary(summarize(measure, data))
+    return _estimate("greedy", summarize(measure, data))

@@ -21,7 +21,6 @@ __all__ = [
     "MatchingResult",
     "max_weight_matching",
     "max_weight_assignments",
-    "second_best_matching",
     "brute_force_matching",
     "TIE_TOL",
     "BRUTE_FORCE_LIMIT",
@@ -43,8 +42,7 @@ class MatchingResult:
 
     ``is_unique`` is False when some other permutation's total comes within
     the tie tolerance (TIE_TOL relative to the optimum's absolute weight) of
-    the best total; for second_best_matching it reports the same fact: the
-    optimum was tied.
+    the best total.
     """
 
     permutation: Permutation
@@ -132,17 +130,6 @@ def max_weight_assignments(weights: ArrayLike) -> np.ndarray:
         for g in range(w.shape[0]):
             cols[g] = _solve(w[g])
     return cols
-
-
-def second_best_matching(weights: ArrayLike) -> MatchingResult:
-    """Best permutation strictly different (as a map) from the optimum.
-
-    Its weight equals the optimum exactly when the optimum is tied.
-    """
-    w = _as_weight_matrix(weights)
-    if w.shape[0] < 2:
-        raise ValueError("second-best matching needs K >= 2")
-    return _best_two(w)[1]
 
 
 def brute_force_matching(weights: ArrayLike) -> MatchingResult:

@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
@@ -41,7 +42,6 @@ __all__ = [
     "MixingMeasure",
     "Permutation",
     "LabeledData",
-    "mixture_density",
     "mixture_log_density",
     "region_of",
     "classify",
@@ -701,11 +701,6 @@ def mixture_log_density(measure: MixingMeasure, x: ArrayLike):
     return _logsumexp(scores, axis=-1)
 
 
-def mixture_density(measure: MixingMeasure, x: ArrayLike):
-    """Mixture density sum_b weight_b f_b(x)."""
-    return np.exp(mixture_log_density(measure, x))
-
-
 def _region_from_scores(scores: np.ndarray):
     """The 1-based index of the largest log score, per row; exact ties go to
     the lowest index so the map is total."""
@@ -745,14 +740,16 @@ def sample_labeled(
     n: int,
     seed: int | np.random.Generator | np.random.SeedSequence,
 ) -> LabeledData:
-    """Draw n labeled samples: Y ~ weights, X ~ component assigned via perm.
+    """Draw n labeled samples: label k with the weight of its region perm(k),
+    then X from that region's atom, so X follows the measure's mixture.
 
     The draw for sample i is independent of n, so ``result.prefix(m)`` is a
     valid size-m dataset from the same model. Deterministic given the seed.
 
     The generator calls are pinned: one ``rng.random(n)`` draws the labels
-    (the draw ``rng.choice(K, n, p=weights)`` makes), then for each label
-    k = 1..K with a nonzero count m, the component of region
+    (the draw ``rng.choice(K, n, p=weights[regions])`` makes, where
+    ``regions`` lists ``perm.region_of_label(k) - 1`` for k = 1..K), then for
+    each label k with a nonzero count m, the component of region
     ``perm.region_of_label(k)`` draws ``sample(rng, m)``; the samples of one
     label take its draws in sample order.
     """
@@ -761,8 +758,9 @@ def sample_labeled(
     if n < 0:
         raise ValueError("n must be nonnegative")
     rng = np.random.default_rng(seed)
-    comps = [measure.components[b - 1] for b in perm.to_region]
-    y0, x = _sample_groups(rng, measure.weights, comps, n, measure.dim)
+    regions = np.asarray(perm.to_region) - 1
+    comps = [measure.components[b] for b in regions]
+    y0, x = _sample_groups(rng, measure.weights[regions], comps, n, measure.dim)
     # widened before the shift: a uint8 index 255 would wrap to label 0
     return LabeledData(x, y0.astype(np.int64) + 1)
 
@@ -804,11 +802,35 @@ def _density_to_dict(density: ComponentDensity) -> dict:
     raise ValueError(f"unsupported density type {type(density).__name__}")
 
 
+def _scalar(value, kind=numbers.Real):
+    """``value`` if it is a ``kind`` number; a bool (JSON true or false), a
+    string or anything else raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"not a number: {value!r}")
+    return value
+
+
+def _nested(value):
+    """``value`` if it is a number or lists of numbers nested to any depth."""
+    if not isinstance(value, (list, tuple)):
+        return _scalar(value)
+    for item in value:
+        _nested(item)
+    return value
+
+
+def _int_list(value) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"not a list: {value!r}")
+    return tuple(int(_scalar(v, numbers.Integral)) for v in value)
+
+
+# Strings, bools and fractional counts are refused, never converted.
 _JSON_KINDS = {
-    "a number": float,
-    "an integer": int,
-    "an array of numbers": lambda value: np.asarray(value, dtype=float),
-    "a list of integers": lambda value: tuple(int(v) for v in value),
+    "a number": lambda value: float(_scalar(value)),
+    "an integer": lambda value: int(_scalar(value, numbers.Integral)),
+    "an array of numbers": lambda value: np.asarray(_nested(value), dtype=float),
+    "a list of integers": _int_list,
 }
 
 
@@ -943,4 +965,9 @@ def _read_json(path: str | os.PathLike):
 
 
 def load_mixture(path: str | os.PathLike) -> MixingMeasure:
-    return mixture_from_dict(_read_json(path))
+    """The mixture in the JSON file at ``path``; every ValueError names the file."""
+    obj = _read_json(path)
+    try:
+        return mixture_from_dict(obj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

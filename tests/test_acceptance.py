@@ -17,6 +17,7 @@ from scipy import stats
 
 import permlearn as pl
 from permlearn.cli import main as cli_main
+from permlearn.matching import _as_weight_matrix, _best_two
 
 THREADS = 4
 
@@ -58,7 +59,7 @@ def test_criterion_01_matching_vs_enumeration():
         for i in range(1000):
             w = rng.normal(size=(k, k))
             best = pl.max_weight_matching(w)
-            second = pl.second_best_matching(w)
+            second = _best_two(_as_weight_matrix(w))[1]
             totals = w[rows, perms].sum(axis=1)
             assert best.total_weight == totals.max(), (k, i, "optimum")
             ridx = lehmer_rank(tuple(v - 1 for v in best.permutation.to_region))
@@ -121,8 +122,9 @@ def test_criterion_03_mv_gap_closed_form():
     ok = True
     for mu in (0.25, 0.5, 1.0):
         measure = two_atom(mu)
-        report = pl.estimate_mv_gap(
-            measure, measure, pl.Permutation.identity(2), samples=samples, seed=31
+        report = pl.estimate_gaps(
+            measure, measure, pl.Permutation.identity(2), samples=samples, seed=31,
+            which={"mv"},
         )
         oracle = float(stats.norm.cdf(mu) - stats.norm.cdf(-mu))
         err = abs(report.mv_gap - oracle)
@@ -319,7 +321,9 @@ def test_criterion_07_required_sample_size_end_to_end():
     delta = 0.2
     measure = two_atom(1.0)
     ident = pl.Permutation.identity(2)
-    gap = pl.estimate_mv_gap(measure, measure, ident, samples=100_000, seed=11).mv_gap
+    gap = pl.estimate_gaps(
+        measure, measure, ident, samples=100_000, seed=11, which={"mv"}
+    ).mv_gap
     n_req = pl.required_sample_size(2, delta, "mv", gap)
     recovered = 0
     for t in range(trials):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -17,13 +18,14 @@ from permlearn import (
     chernoff_exponent,
     chernoff_exponent_from_scores,
     estimate_gaps,
-    estimate_mle_gap,
-    estimate_mv_gap,
+    greedy_estimate,
     min_count_probability,
     misclassification_rate,
     mixture_from_dict,
     mixture_to_dict,
+    mle_estimate,
     mle_recovery_bound,
+    mv_estimate,
     mv_recovery_bound,
     perturb_mixture,
     required_sample_size,
@@ -373,7 +375,7 @@ class TestGapEstimates:
             [0.3, 0.3, 0.4],
             [Gaussian([0.0], [[1.0]]), Gaussian([2.0], [[1.0]]), Gaussian([5.0], [[1.0]])],
         )
-        rep = estimate_mv_gap(m, m, Permutation.identity(3), samples=50_000, seed=2)
+        rep = estimate_gaps(m, m, Permutation.identity(3), samples=50_000, seed=2, which={"mv"})
         assert rep.mv_gap == pytest.approx(min(rep.region_margins))
         assert rep.mle_gap is None
 
@@ -382,7 +384,9 @@ class TestGapEstimates:
         model = MixingMeasure(
             [0.5, 0.5], [Gaussian([0.0], [[1.0]]), Gaussian([80.0], [[1.0]])]
         )
-        rep = estimate_mv_gap(model, truth, Permutation.identity(2), samples=2000, seed=0)
+        rep = estimate_gaps(
+            model, truth, Permutation.identity(2), samples=2000, seed=0, which={"mv"}
+        )
         assert rep.empty_regions == (2,)
         assert math.isnan(rep.mv_gap)
         assert math.isnan(rep.region_margins[1])
@@ -395,7 +399,9 @@ class TestGapEstimates:
         swapped = MixingMeasure(
             [0.5, 0.5], [Gaussian([1.0], [[1.0]]), Gaussian([-1.0], [[1.0]])]
         )
-        rep = estimate_mle_gap(swapped, truth, Permutation.identity(2), samples=50_000, seed=4)
+        rep = estimate_gaps(
+            swapped, truth, Permutation.identity(2), samples=50_000, seed=4, which={"mle"}
+        )
         assert rep.mle_gap < 0
         assert rep.mv_gap is None
 
@@ -410,11 +416,11 @@ class TestGapEstimates:
         with pytest.raises(ValueError):
             estimate_gaps(m2, m2, Permutation.identity(2), which=set())
 
-    @pytest.mark.parametrize("estimate", [estimate_gaps, estimate_mle_gap, estimate_mv_gap])
-    def test_one_atom_has_no_wrong_assignment(self, estimate):
+    @pytest.mark.parametrize("which", [{"mle", "mv"}, {"mle"}, {"mv"}], ids=["mle-mv", "mle", "mv"])
+    def test_one_atom_has_no_wrong_assignment(self, which):
         one = MixingMeasure([1.0], [Gaussian([0.0], [[1.0]])])
         with pytest.raises(ValueError, match="gaps need K >= 2 atoms"):
-            estimate(one, one, Permutation.identity(1), samples=100, seed=0)
+            estimate_gaps(one, one, Permutation.identity(1), samples=100, seed=0, which=which)
 
 
 class TestTvDistance:
@@ -810,7 +816,7 @@ def test_mle_gap_makes_one_runner_up_search(monkeypatch):
         [Gaussian([0.0], [[1.0]]), Gaussian([2.0], [[1.0]]), Gaussian([5.0], [[1.0]])],
     )
     true_perm = Permutation.identity(3)
-    expected = estimate_mle_gap(truth, truth, true_perm, samples=5_000, seed=3)
+    expected = estimate_gaps(truth, truth, true_perm, samples=5_000, seed=3, which={"mle"})
     solves = []
     original = matching.linear_sum_assignment
 
@@ -819,7 +825,67 @@ def test_mle_gap_makes_one_runner_up_search(monkeypatch):
         return original(cost)
 
     monkeypatch.setattr(matching, "linear_sum_assignment", counted)
-    rep = estimate_mle_gap(truth, truth, true_perm, samples=5_000, seed=3)
+    rep = estimate_gaps(truth, truth, true_perm, samples=5_000, seed=3, which={"mle"})
     # the optimum is the true assignment: one solve plus one per forbidden edge
     assert len(solves) == 3 + 1
     assert rep == expected
+
+
+def compose(p, q):
+    """The permutation k -> p(q(k))."""
+    return Permutation(tuple(p.to_region[b - 1] for b in q.to_region))
+
+
+def permutations(k):
+    return st.permutations(range(1, k + 1)).map(Permutation)
+
+
+@given(
+    st.integers(min_value=2, max_value=4).flatmap(
+        lambda k: st.tuples(
+            st.lists(st.floats(min_value=0.25, max_value=1.0), min_size=k, max_size=k),
+            permutations(k),
+            permutations(k),
+            permutations(k),
+        )
+    ),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_relabelling_the_atoms_moves_every_result_by_sigma(case, seed):
+    # Reordering the atoms by sigma (atom j of m2 is atom sigma(j) of m) and
+    # the true assignment with them (pi2 = sigma^-1 o pi) leaves the model
+    # the same: the draw is the same bits, each estimated assignment moves by
+    # sigma^-1, and gaps and risk read the same values with region-indexed
+    # entries reordered.
+    raw, pi, sigma, rho = case
+    k = len(raw)
+    weights = np.array(raw) / sum(raw)
+    m = MixingMeasure(weights, [Gaussian([1.5 * b], [[1.0 + 0.2 * b]]) for b in range(k)])
+    order = np.asarray(sigma.to_region) - 1
+    m2 = MixingMeasure(weights[order], [m.components[b] for b in order])
+    inv = sigma.inverse()
+    pi2 = compose(inv, pi)
+
+    data = sample_labeled(m, pi, 200, seed)
+    data2 = sample_labeled(m2, pi2, 200, seed)
+    assert np.array_equal(data.x, data2.x) and np.array_equal(data.y, data2.y)
+
+    for estimate in (mle_estimate, mv_estimate, greedy_estimate):
+        one, two = estimate(m, data), estimate(m2, data)
+        moved = None if one.permutation is None else compose(inv, one.permutation)
+        assert two.permutation == moved
+        assert two.region_counts == tuple(one.region_counts[b] for b in order)
+        fields = ("failure", "log_likelihood", "class_counts", "unique")
+        assert [getattr(two, f) for f in fields] == [getattr(one, f) for f in fields]
+
+    rep = estimate_gaps(m, m, pi, samples=500, seed=seed)
+    expected = dataclasses.replace(
+        rep,
+        region_margins=tuple(rep.region_margins[b] for b in order),
+        margin_half_widths=tuple(rep.margin_half_widths[b] for b in order),
+        empty_regions=tuple(sorted(inv.to_region[b - 1] for b in rep.empty_regions)),
+    )
+    assert _json_text(estimate_gaps(m2, m2, pi2, samples=500, seed=seed)) == _json_text(expected)
+    risk = misclassification_rate(m, rho, m, pi, samples=500, seed=seed)
+    assert misclassification_rate(m2, compose(inv, rho), m2, pi2, samples=500, seed=seed) == risk

@@ -40,6 +40,16 @@ def test_exports_resolve_and_estimator_table_is_public():
         # a whole dataset is the one-prefix PrefixSummaries
         "DataSummary": ("permlearn", "permlearn.estimators"),
         "summary_from_scores": ("permlearn", "permlearn.estimators"),
+        # one way to run each estimator: *_estimate, or the *_prefixes rules
+        "mle_from_summary": ("permlearn", "permlearn.estimators"),
+        "mv_from_summary": ("permlearn", "permlearn.estimators"),
+        "greedy_from_summary": ("permlearn", "permlearn.estimators"),
+        # wrappers with no caller: _best_two, estimate_gaps(which=...) and
+        # exp(mixture_log_density) do their work
+        "second_best_matching": ("permlearn", "permlearn.matching"),
+        "estimate_mle_gap": ("permlearn", "permlearn.analysis", "permlearn.analysis.gaps"),
+        "estimate_mv_gap": ("permlearn", "permlearn.analysis", "permlearn.analysis.gaps"),
+        "mixture_density": ("permlearn", "permlearn.mixtures"),
     }
     for name, places in gone.items():
         for place in places:

@@ -134,6 +134,21 @@ def _one_atom(density=None, **fields):
          "'n_grid' must be a list of integers"),
         ("spec", {"family": "gaussian_grid", "k": [1]}, "'k' must be an integer"),
         ("spec", "{not json", "bad.json: invalid JSON"),
+        # numbers are strict: a string, a bool or a fraction is never converted
+        ("spec", {"family": "gaussian_grid", "n_grid": "36", "k": 2.9},
+         "'k' must be an integer"),
+        ("spec", {"family": "gaussian_grid", "n_grid": "36"},
+         "'n_grid' must be a list of integers"),
+        ("spec", {"family": "gaussian_grid", "n_grid": [3, 6.5]},
+         "'n_grid' must be a list of integers"),
+        ("spec", {"family": "gaussian_grid", "eta": "1.0"}, "'eta' must be a number"),
+        ("mixture", _one_atom(dim=True), "bad.json: 'dim' must be an integer"),
+        ("mixture", _one_atom(atoms=[{**_one_atom()["atoms"][0], "weight": "1"}]),
+         "bad.json: atoms[0]: 'weight' must be a number"),
+        ("mixture", _one_atom({"type": "gaussian", "mean": ["0.5"], "cov": [[1.0]]}),
+         "bad.json: atoms[0].density: 'mean' must be an array of numbers"),
+        ("mixture", _one_atom({"type": "kde", "points": [[0.0]], "bandwidth": True}),
+         "bad.json: atoms[0].density: 'bandwidth' must be a number"),
     ],
 )
 def test_malformed_json_exits_1_naming_the_field(
@@ -150,6 +165,19 @@ def test_malformed_json_exits_1_naming_the_field(
     assert err.startswith("error:") and "Traceback" not in err
     assert message in err
     assert list(out.iterdir()) == []
+
+
+def test_a_bad_mixture_file_is_named(tmp_path, out, capsys):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(_one_atom()))
+    bad.write_text(json.dumps(_one_atom(dim=[1])))
+    assert run(["analyze", "--w1", good, bad, "--out-dir", out]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: 'dim' must be an integer\n"
+    # invalid JSON text names its file once
+    bad.write_text("{not json")
+    assert run(["analyze", "--w1", good, bad, "--out-dir", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: invalid JSON") and err.count(str(bad)) == 1
 
 
 class TestEstimate:

@@ -18,9 +18,7 @@ from permlearn.estimators import (
     FAIL_EMPTY_REGION,
     FAIL_MAJORITY_TIE,
     FAIL_NON_BIJECTIVE,
-    greedy_from_summary,
-    mle_from_summary,
-    mv_from_summary,
+    _estimate,
     prefix_summaries,
 )
 from permlearn.mixtures import _json_text
@@ -75,14 +73,6 @@ class TestSummarize:
         m = separated(2)
         with pytest.raises(ValueError, match="non-empty"):
             summarize(m, LabeledData(np.zeros((0, 1)), np.zeros(0, dtype=int)))
-
-    def test_rules_refuse_a_summary_of_several_prefixes(self):
-        m = separated(2)
-        data = sample_labeled(m, Permutation.identity(2), 20, seed=0)
-        p = prefix_summaries(m.log_scores(data.x), data.y, 2, [10, 20])
-        for rule in (mle_from_summary, mv_from_summary, greedy_from_summary):
-            with pytest.raises(ValueError, match="one-prefix"):
-                rule(p)
 
 
 class TestMLE:
@@ -185,9 +175,9 @@ class TestGreedy:
             2,
             [2],
         )
-        greedy = greedy_from_summary(s)
+        greedy = _estimate("greedy", s)
         assert greedy.failure == FAIL_NON_BIJECTIVE
-        mle = mle_from_summary(s)
+        mle = _estimate("mle", s)
         assert mle.ok and mle.permutation == Permutation.identity(2)
 
     def test_unseen_class_fails(self):
@@ -199,7 +189,7 @@ class TestGreedy:
         m = separated(2)
         data = sample_labeled(m, Permutation.identity(2), 30, seed=8)
         s = summarize(m, data)
-        assert mv_from_summary(s).permutation == greedy_from_summary(s).permutation
+        assert _estimate("mv", s).permutation == _estimate("greedy", s).permutation
 
 
 class TestOutcomeShape:

@@ -19,7 +19,6 @@ from permlearn import (
     Permutation,
     classify,
     load_mixture,
-    mixture_density,
     mixture_from_dict,
     mixture_log_density,
     mixture_to_dict,
@@ -65,7 +64,8 @@ def mask_loop_sample(density, rng, n):
 def mask_loop_sample_labeled(measure, perm, n, seed):
     """Labeled draws as a boolean mask and scatter per class label."""
     rng = np.random.default_rng(seed)
-    y0 = rng.choice(measure.n_atoms, size=n, p=measure.weights)
+    # the prior of label k is the weight of its region perm(k)
+    y0 = rng.choice(measure.n_atoms, size=n, p=measure.weights[np.asarray(perm.to_region) - 1])
     x = np.empty((n, measure.dim))
     for k0 in range(measure.n_atoms):
         mask = y0 == k0
@@ -277,7 +277,9 @@ class TestMixingMeasure:
         m = two_atom()
         xs = np.linspace(-3, 3, 17)
         direct = 0.5 * norm.pdf(xs, -1, 1) + 0.5 * norm.pdf(xs, 1, 1)
-        np.testing.assert_allclose(mixture_density(m, xs.reshape(-1, 1)), direct, rtol=1e-12)
+        np.testing.assert_allclose(
+            np.exp(mixture_log_density(m, xs.reshape(-1, 1))), direct, rtol=1e-12
+        )
         np.testing.assert_allclose(
             mixture_log_density(m, xs.reshape(-1, 1)), np.log(direct), rtol=1e-12
         )
@@ -285,7 +287,7 @@ class TestMixingMeasure:
     def test_single_atom_allowed(self):
         m = MixingMeasure([1.0], [Gaussian([0.0], [[1.0]])])
         assert m.n_atoms == 1
-        assert mixture_density(m, np.array([[0.0]]))[0] == pytest.approx(
+        assert np.exp(mixture_log_density(m, np.array([[0.0]])))[0] == pytest.approx(
             0.3989422804014327
         )
 
@@ -379,7 +381,6 @@ class TestNonFinitePoints:
             m.log_scores,
             lambda x: region_of(m, x),
             lambda x: mixture_log_density(m, x),
-            lambda x: mixture_density(m, x),
             lambda x: classify(m, perm, x),
         )
         for call in calls:
