@@ -19,7 +19,8 @@ densities (whose integrand is bounded by 2). In one dimension:
   centre and integrated in the offset from the breakpoint. The CDF
   differences between the sign changes of f - g at quad's nodes give a
   second, partition-based value; the larger of the two is reported, and
-  their disagreement widens the half-width.
+  their disagreement widens the half-width. The integrand reuses one buffer
+  per distance, so each of quad's calls allocates no array.
 
 The transport distance couples two measures' weight vectors under the
 pairwise TV cost; the coupling is the optimum of the transportation linear
@@ -188,12 +189,20 @@ def _tv_quadrature(f: ComponentDensity, g: ComponentDensity) -> TvEstimate:
     sds = np.concatenate([sd_f, sd_g])
     coef = weights / (sds * math.sqrt(2.0 * math.pi))
     scale = 1.0 / (sds * math.sqrt(2.0))
-    nodes: list[tuple[float, float]] = []
+    # quad's nodes as x = centre + u and h = (f - g)(x)
+    node_x: list[float] = []
+    node_h: list[float] = []
+    buf = np.empty_like(mu)
 
     def signed(u: float, shift: np.ndarray = -mu) -> float:
-        # f - g at x = u + centre, given shift = centre - mu
-        z = (u + shift) * scale
-        return float(coef @ np.exp(-z * z))
+        # f - g at x = u + centre, given shift = centre - mu; every step writes
+        # into buf, so a call allocates no array
+        np.add(shift, u, buf)
+        np.multiply(buf, scale, buf)
+        np.multiply(buf, buf, buf)
+        np.negative(buf, buf)
+        np.exp(buf, buf)
+        return float(coef.dot(buf))
 
     def integral_over(a: float, b: float, points: list[float], centre: float = 0.0):
         # |f - g| at centre + u, integrated over u in [a, b]. Offsets from a
@@ -203,7 +212,8 @@ def _tv_quadrature(f: ComponentDensity, g: ComponentDensity) -> TvEstimate:
 
         def integrand(u: float) -> float:
             h = signed(u, shift)
-            nodes.append((centre + u, h))
+            node_x.append(centre + u)
+            node_h.append(h)
             return abs(h)
 
         return quad(
@@ -230,7 +240,9 @@ def _tv_quadrature(f: ComponentDensity, g: ComponentDensity) -> TvEstimate:
     # partition also reads low, and over the sign changes of f - g it is
     # exact, so take the larger of the two with the sign changes seen at
     # quad's nodes, and report their disagreement in the half-width.
-    x, h = np.array(sorted(nodes)).T
+    x, h = np.array(node_x), np.array(node_h)
+    order = np.lexsort((h, x))  # by x, then h, as sorting the (x, h) pairs does
+    x, h = x[order], h[order]
     cross = np.flatnonzero(h[:-1] * h[1:] < 0.0)
     roots = np.sort(np.concatenate([
         x[h == 0.0], [brentq(signed, x[k], x[k + 1]) for k in cross]

@@ -5,12 +5,14 @@ subcommand, the fully resolved configuration, the seeds, the artifact names,
 the package version, and the wall time. Files are written through a temporary
 name and renamed into place, so a failed run leaves no partial artifact, and
 all artifact bytes are independent of thread count (the manifest's wall-time
-field is the single value that varies between reruns).
+field is the single value that varies between reruns). The argument parser
+is built once per process and serves every ``main`` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -33,6 +35,7 @@ from .estimators import _estimate, summarize
 from .harness import (
     FAMILIES,
     ExperimentSpec,
+    _spec_fields,
     resolve_model,
     run_recovery_experiment,
 )
@@ -99,6 +102,9 @@ def _family(text: str) -> str:
     return name
 
 
+# parse_args builds a fresh Namespace on each call, so one parser serves
+# every main() call of a process
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permlearn",
@@ -375,12 +381,6 @@ def _cmd_analyze(args, out_dir: Path, started: float) -> list[str]:
 
 
 def _cmd_experiment(args, out_dir: Path, started: float) -> list[str]:
-    merged: dict = {}
-    if args.spec is not None:
-        spec_file = _read_json(args.spec)
-        if not isinstance(spec_file, dict):
-            raise ValueError(f"{args.spec}: an experiment spec must be a JSON object")
-        merged.update(spec_file)
     overrides = {
         "family": args.family,
         "k": args.k,
@@ -391,10 +391,21 @@ def _cmd_experiment(args, out_dir: Path, started: float) -> list[str]:
         "label_noise": args.rho,
         "seed": args.seed,
     }
-    merged.update({key: val for key, val in overrides.items() if val is not None})
-    if "family" not in merged:
+    flags = {key: val for key, val in overrides.items() if val is not None}
+    fields: dict = {}
+    if args.spec is not None:
+        spec_file = _read_json(args.spec)
+        if not isinstance(spec_file, dict):
+            raise ValueError(f"{args.spec}: an experiment spec must be a JSON object")
+        # the file's fields that no flag overrides; their errors name the file
+        try:
+            fields = _spec_fields({k: v for k, v in spec_file.items() if k not in flags})
+        except ValueError as exc:
+            raise ValueError(f"{args.spec}: {exc}") from None
+    fields.update(flags)
+    if "family" not in fields:
         raise ValueError("experiment needs --family or a spec file with one")
-    spec = ExperimentSpec.from_dict(merged)
+    spec = ExperimentSpec(**fields)
     curve = run_recovery_experiment(spec, threads=args.threads)
     texts = {
         "curves.csv": curve.csv_text(),

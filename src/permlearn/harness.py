@@ -183,15 +183,26 @@ class ExperimentSpec:
     def from_dict(cls, d: dict) -> "ExperimentSpec":
         if "family" not in d:
             raise ValueError("experiment dict needs a 'family' key")
-        kwargs = {
-            key: _json_field(d, key, kind)
-            for key, kind in _SPEC_FIELDS.items()
-            if d.get(key) is not None
-        }
-        for key in ("true_mixture", "model_mixture"):
-            if d.get(key) is not None:
-                kwargs[key] = mixture_from_dict(d[key])
-        return cls(family=str(d["family"]), **kwargs)
+        return cls(**{**_spec_fields(d), "family": str(d["family"])})
+
+
+def _spec_fields(d: dict) -> dict:
+    """The ``ExperimentSpec`` arguments that the non-null fields of d set.
+
+    Each field is converted as ``from_dict`` converts it; one that does not
+    convert raises a ValueError that names it.
+    """
+    kwargs = {
+        key: _json_field(d, key, kind)
+        for key, kind in _SPEC_FIELDS.items()
+        if d.get(key) is not None
+    }
+    for key in ("true_mixture", "model_mixture"):
+        if d.get(key) is not None:
+            kwargs[key] = mixture_from_dict(d[key])
+    if d.get("family") is not None:
+        kwargs["family"] = str(d["family"])
+    return kwargs
 
 
 def _grid_means(k: int, dim: int) -> np.ndarray:

@@ -226,7 +226,7 @@ class Gaussian(ComponentDensity):
             )
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise ValueError("mean and covariance must be finite")
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10):
+        if np.abs(cov - cov.T).max() > 1e-10:
             raise ValueError("covariance must be symmetric")
         try:
             chol = np.linalg.cholesky(cov)

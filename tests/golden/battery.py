@@ -41,6 +41,17 @@ def _mixture(*atoms):
     return {"dim": 1, "atoms": [{"weight": w, "density": d} for w, d in atoms]}
 
 
+def _nested(*parts):
+    """1-d GaussianMixture density JSON from (weight, mean, variance) parts."""
+    return {"type": "gaussian_mixture", "components": [
+        {"weight": w, "mean": [m], "cov": [[v]]} for w, m, v in parts
+    ]}
+
+
+def _kde(points, bandwidth):
+    return {"type": "kde", "points": [[p] for p in points], "bandwidth": bandwidth}
+
+
 UNEQUAL3 = _mixture(
     (0.6, _gaussian(-2.0, 1.0)), (0.3, _gaussian(0.0, 0.5)), (0.1, _gaussian(2.5, 1.5))
 )
@@ -65,6 +76,26 @@ INPUTS = {
     "in/tv_kde.json": _mixture((1.0, {
         "type": "kde", "points": [[-0.5], [0.1], [0.4], [1.8]], "bandwidth": 0.3,
     })),
+    # 1-d transport by quadrature: a 2x2 coupling of GaussianMixture atoms, and a
+    # 3x3 coupling of KDE atoms against GaussianMixture atoms
+    "in/w1_mix2_a.json": _mixture(
+        (0.4, _nested((0.5, -2.0, 0.3), (0.5, -1.0, 0.6))),
+        (0.6, _nested((0.3, 1.0, 0.4), (0.7, 2.2, 0.8))),
+    ),
+    "in/w1_mix2_b.json": _mixture(
+        (0.55, _nested((0.6, -1.7, 0.5), (0.4, -0.6, 0.3))),
+        (0.45, _nested((0.5, 1.4, 0.6), (0.5, 2.0, 0.2))),
+    ),
+    "in/w1_kde3.json": _mixture(
+        (0.3, _kde([-2.5, -2.1, -1.6], 0.4)),
+        (0.3, _kde([-0.3, 0.2, 0.5, 0.9], 0.25)),
+        (0.4, _kde([1.8, 2.4, 3.1], 0.5)),
+    ),
+    "in/w1_mix3.json": _mixture(
+        (0.25, _nested((0.5, -2.4, 0.2), (0.5, -1.8, 0.5))),
+        (0.35, _nested((0.7, 0.1, 0.3), (0.3, 0.8, 0.1))),
+        (0.4, _nested((0.4, 2.0, 0.6), (0.6, 2.9, 0.4))),
+    ),
     "in/tv_2d_a.json": {"dim": 2, "atoms": [{"weight": 1.0, "density": {
         "type": "gaussian", "mean": [0.0, 0.0], "cov": [[1.0, 0.3], [0.3, 1.0]]}}]},
     "in/tv_2d_b.json": {"dim": 2, "atoms": [{"weight": 1.0, "density": {
@@ -141,6 +172,8 @@ ANALYZE = [
     ("ana/tv_2d", ["analyze", "--tv", "in/tv_2d_a.json", "in/tv_2d_b.json",
                    "--mc", "4000", "--seed", "6"]),
     ("ana/w1_1d", ["analyze", "--w1", "in/unequal3.json", "in/unequal3_shifted.json"]),
+    ("ana/w1_mix2", ["analyze", "--w1", "in/w1_mix2_a.json", "in/w1_mix2_b.json"]),
+    ("ana/w1_kde_mix3", ["analyze", "--w1", "in/w1_kde3.json", "in/w1_mix3.json"]),
     ("ana/w1_2d", ["analyze", "--w1", f"{GRID}/mixture.json", f"{PERTURBED}/model.json",
                    "--mc", "2000", "--seed", "7"]),
     ("ana/bounds_mle", ["analyze", "--required-n", "mle", "--k", "3", "--delta", "0.05",
@@ -169,11 +202,22 @@ ANALYZE_DIRS = tuple(out for out, _ in ANALYZE)
 _WALL_TIME = re.compile(rb'("wall_time_s": )[^,\n}]*')
 
 
+def _blas(module) -> str:
+    """Name and version of the BLAS a numpy or scipy build links."""
+    blas = module.__config__.CONFIG["Build Dependencies"]["blas"]
+    return f"{blas['name']} {blas['version']}"
+
+
 def versions() -> dict:
     import numpy
     import scipy
 
-    return {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    return {
+        "numpy": numpy.__version__,
+        "numpy_blas": _blas(numpy),
+        "scipy": scipy.__version__,
+        "scipy_blas": _blas(scipy),
+    }
 
 
 def _write_inputs(workdir: Path) -> None:

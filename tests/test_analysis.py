@@ -889,3 +889,43 @@ def test_relabelling_the_atoms_moves_every_result_by_sigma(case, seed):
     assert _json_text(estimate_gaps(m2, m2, pi2, samples=500, seed=seed)) == _json_text(expected)
     risk = misclassification_rate(m, rho, m, pi, samples=500, seed=seed)
     assert misclassification_rate(m2, compose(inv, rho), m2, pi2, samples=500, seed=seed) == risk
+
+
+def _atom_1d(kind, rng):
+    """A 1-d atom of the given kind with continuous random parameters."""
+    centre = rng.uniform(-3.0, 3.0)
+    if kind == "gaussian":
+        return Gaussian([centre], [[rng.uniform(0.3, 1.5)]])
+    if kind == "mixture":
+        parts = [Gaussian([centre + off], [[rng.uniform(0.2, 0.8)]])
+                 for off in rng.uniform(-1.0, 1.0, 2)]
+        return GaussianMixture(rng.dirichlet(np.ones(2)), parts)
+    return KernelDensity(centre + rng.normal(0.0, 0.7, 4), rng.uniform(0.2, 0.6))
+
+
+def atom_kinds_and_order():
+    kinds = st.lists(st.sampled_from(("gaussian", "mixture", "kde")), min_size=1, max_size=3)
+    return kinds.flatmap(lambda ks: st.tuples(st.just(ks), permutations(len(ks))))
+
+
+@given(atom_kinds_and_order(), atom_kinds_and_order(), st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_relabelling_both_measures_moves_the_w1_plan_with_them(a_case, b_case, seed):
+    # Atom i of a2 is atom sigma_a(i) of a, and likewise for b: the TV costs
+    # are the same bits, reordered, so W1 keeps its value and the plan's rows
+    # and columns move with the atoms. Continuous random parameters keep the
+    # optimal plan unique.
+    rng = np.random.default_rng(seed)
+    measures, relabelled, orders = [], [], []
+    for kinds, sigma in (a_case, b_case):
+        m = MixingMeasure(rng.dirichlet(np.ones(len(kinds))), [_atom_1d(k, rng) for k in kinds])
+        order = np.asarray(sigma.to_region) - 1
+        measures.append(m)
+        relabelled.append(MixingMeasure(m.weights[order], [m.components[b] for b in order]))
+        orders.append(order)
+    value, plan = wasserstein1(*measures)
+    value2, plan2 = wasserstein1(*relabelled)
+    rows, cols = orders
+    assert abs(value2 - value) <= 1e-12
+    np.testing.assert_array_equal(plan2.cost_matrix, plan.cost_matrix[np.ix_(rows, cols)])
+    np.testing.assert_allclose(plan2.matrix, plan.matrix[np.ix_(rows, cols)], rtol=0, atol=1e-12)

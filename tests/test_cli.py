@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -131,17 +133,19 @@ def _one_atom(density=None, **fields):
         ("spec", [1, 2], "bad.json: an experiment spec must be a JSON object"),
         ("spec", 3, "bad.json: an experiment spec must be a JSON object"),
         ("spec", {"family": "gaussian_grid", "n_grid": 5},
-         "'n_grid' must be a list of integers"),
-        ("spec", {"family": "gaussian_grid", "k": [1]}, "'k' must be an integer"),
+         "bad.json: 'n_grid' must be a list of integers"),
+        ("spec", {"family": "gaussian_grid", "k": [1]}, "bad.json: 'k' must be an integer"),
         ("spec", "{not json", "bad.json: invalid JSON"),
         # numbers are strict: a string, a bool or a fraction is never converted
         ("spec", {"family": "gaussian_grid", "n_grid": "36", "k": 2.9},
-         "'k' must be an integer"),
+         "bad.json: 'k' must be an integer"),
         ("spec", {"family": "gaussian_grid", "n_grid": "36"},
-         "'n_grid' must be a list of integers"),
+         "bad.json: 'n_grid' must be a list of integers"),
         ("spec", {"family": "gaussian_grid", "n_grid": [3, 6.5]},
-         "'n_grid' must be a list of integers"),
-        ("spec", {"family": "gaussian_grid", "eta": "1.0"}, "'eta' must be a number"),
+         "bad.json: 'n_grid' must be a list of integers"),
+        ("spec", {"family": "gaussian_grid", "eta": "1.0"}, "bad.json: 'eta' must be a number"),
+        ("spec", {"family": "custom", "true_mixture": _one_atom(dim=True)},
+         "bad.json: 'dim' must be an integer"),
         ("mixture", _one_atom(dim=True), "bad.json: 'dim' must be an integer"),
         ("mixture", _one_atom(atoms=[{**_one_atom()["atoms"][0], "weight": "1"}]),
          "bad.json: atoms[0]: 'weight' must be a number"),
@@ -178,6 +182,25 @@ def test_a_bad_mixture_file_is_named(tmp_path, out, capsys):
     assert run(["analyze", "--w1", good, bad, "--out-dir", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: invalid JSON") and err.count(str(bad)) == 1
+
+
+def test_a_bad_spec_field_is_named_with_its_file(tmp_path, out, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"family": "gaussian_grid", "k": [1], "n_grid": [3, 6],
+                                "trials": 1}))
+    assert run(["experiment", "--spec", spec, "--out-dir", out]) == 1
+    assert capsys.readouterr().err == f"error: {spec}: 'k' must be an integer\n"
+    # a flag overrides the bad field, which is then never read
+    assert run(["experiment", "--spec", spec, "--k", "2", "--out-dir", out]) == 0
+
+
+def test_a_bad_value_from_a_flag_carries_no_file_name(tmp_path, out, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"family": "gaussian_grid", "k": 3, "trials": 1}))
+    assert run(["experiment", "--spec", spec, "--n-grid", "6,3", "--out-dir", out]) == 1
+    assert capsys.readouterr().err == "error: n_grid must be strictly increasing\n"
+    assert run(["experiment", "--spec", spec, "--k", "1", "--out-dir", out]) == 1
+    assert capsys.readouterr().err == "error: synthetic families need k >= 2\n"
 
 
 class TestEstimate:
@@ -397,3 +420,45 @@ class TestOutDirResolution:
         run(["gen", "--family", "gaussian-grid", "--samples", "10", "--out-dir", out])
         leftovers = [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
         assert leftovers == []
+
+
+def test_the_cached_parser_carries_nothing_between_calls(tmp_path):
+    # One process runs a failing parse, then analyze --tv, analyze --w1 and
+    # experiment on the one cached parser; every manifest equals the one a
+    # fresh process writes for the same arguments.
+    assert cli._build_parser() is cli._build_parser()
+    two = {"dim": 1, "atoms": [
+        {"weight": 0.4, "density": {"type": "gaussian", "mean": [-1.0], "cov": [[0.5]]}},
+        {"weight": 0.6, "density": {"type": "gaussian", "mean": [1.5], "cov": [[1.2]]}},
+    ]}
+    (tmp_path / "one.json").write_text(json.dumps(_one_atom()))
+    (tmp_path / "two.json").write_text(json.dumps(two))
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", "--seed", "3", "--tv", "one.json", "two.json", "--mc", "0"])
+    assert exc.value.code == 2
+    commands = {
+        "tv": ["analyze", "--tv", "one.json", "one.json"],
+        "w1": ["analyze", "--w1", "one.json", "two.json"],
+        "exp": ["experiment", "--family", "gaussian-grid", "--k", "2", "--n-grid", "3,6",
+                "--trials", "2"],
+    }
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    previous = os.getcwd()
+    os.chdir(tmp_path)
+    try:
+        for name, argv in commands.items():
+            assert run(argv + ["--out-dir", f"in_process/{name}"]) == 0
+        for name, argv in commands.items():
+            subprocess.run(
+                [sys.executable, "-m", "permlearn.cli", *argv, "--out-dir", f"fresh/{name}"],
+                env=env, check=True, capture_output=True,
+            )
+    finally:
+        os.chdir(previous)
+    for name in commands:
+        got, fresh = (read_json(tmp_path / side / name / "manifest.json")
+                      for side in ("in_process", "fresh"))
+        got.pop("wall_time_s"), fresh.pop("wall_time_s")
+        assert got == fresh
