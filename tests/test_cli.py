@@ -133,19 +133,17 @@ def _one_atom(density=None, **fields):
         ("spec", [1, 2], "bad.json: an experiment spec must be a JSON object"),
         ("spec", 3, "bad.json: an experiment spec must be a JSON object"),
         ("spec", {"family": "gaussian_grid", "n_grid": 5},
-         "bad.json: 'n_grid' must be a list of integers"),
-        ("spec", {"family": "gaussian_grid", "k": [1]}, "bad.json: 'k' must be an integer"),
+         "'n_grid' must be a list of integers"),
+        ("spec", {"family": "gaussian_grid", "k": [1]}, "'k' must be an integer"),
         ("spec", "{not json", "bad.json: invalid JSON"),
         # numbers are strict: a string, a bool or a fraction is never converted
         ("spec", {"family": "gaussian_grid", "n_grid": "36", "k": 2.9},
-         "bad.json: 'k' must be an integer"),
+         "'k' must be an integer"),
         ("spec", {"family": "gaussian_grid", "n_grid": "36"},
-         "bad.json: 'n_grid' must be a list of integers"),
+         "'n_grid' must be a list of integers"),
         ("spec", {"family": "gaussian_grid", "n_grid": [3, 6.5]},
-         "bad.json: 'n_grid' must be a list of integers"),
-        ("spec", {"family": "gaussian_grid", "eta": "1.0"}, "bad.json: 'eta' must be a number"),
-        ("spec", {"family": "custom", "true_mixture": _one_atom(dim=True)},
-         "bad.json: 'dim' must be an integer"),
+         "'n_grid' must be a list of integers"),
+        ("spec", {"family": "gaussian_grid", "eta": "1.0"}, "'eta' must be a number"),
         ("mixture", _one_atom(dim=True), "bad.json: 'dim' must be an integer"),
         ("mixture", _one_atom(atoms=[{**_one_atom()["atoms"][0], "weight": "1"}]),
          "bad.json: atoms[0]: 'weight' must be a number"),
@@ -153,6 +151,8 @@ def _one_atom(density=None, **fields):
          "bad.json: atoms[0].density: 'mean' must be an array of numbers"),
         ("mixture", _one_atom({"type": "kde", "points": [[0.0]], "bandwidth": True}),
          "bad.json: atoms[0].density: 'bandwidth' must be a number"),
+        ("spec", {"family": "custom", "true_mixture": _one_atom(dim=True)},
+         "bad.json: 'dim' must be an integer"),
     ],
 )
 def test_malformed_json_exits_1_naming_the_field(
@@ -166,7 +166,8 @@ def test_malformed_json_exits_1_naming_the_field(
         argv = ["experiment", "--spec", path, "--trials", "1", "--out-dir", out]
     assert run(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    # every message names the file it read
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
     assert message in err
     assert list(out.iterdir()) == []
 
