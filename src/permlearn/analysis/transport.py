@@ -24,7 +24,8 @@ densities (whose integrand is bounded by 2). In one dimension:
 
 The transport distance couples two measures' weight vectors under the
 pairwise TV cost; the coupling is the optimum of the transportation linear
-program, solved by HiGHS (``scipy.optimize.linprog``).
+program, found by the transportation simplex (u/v potentials over a
+spanning-tree basis) from a least-cost start.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq, linprog
+from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from ..mixtures import (
@@ -295,13 +296,59 @@ def tv_distance(
     raise ValueError("method must be 'auto', 'quadrature', or 'mc'")
 
 
-def _optimal_coupling(cost: np.ndarray, supply, demand) -> tuple[np.ndarray, float]:
-    """Min-cost coupling of two discrete weight vectors, by linear programming.
+# The simplex stops when every reduced cost is at least -_TOL times the largest
+# cost: the plan's total then exceeds the optimum by at most that much per unit
+# of mass, and the tolerance absorbs the round-off of potentials summed along
+# the basis tree.
+_TOL = 1e-13
+# After this many degenerate pivots in a row Bland's rule takes over, entering
+# and leaving by lowest cell index, which cannot cycle.
+_DEGENERATE_RUN = 8
 
-    The m*n plan entries are the variables and the row and column sums are
-    the equality constraints; HiGHS solves the LP exactly up to its
-    feasibility tolerance. With one supply or one demand atom the only
-    feasible plan ships every weight to or from it, and no LP is solved.
+
+def _least_cost_start(cost: np.ndarray, s: np.ndarray, d: np.ndarray):
+    """Least-cost (matrix-minimum) basic plan: m + n - 1 cells, a spanning tree.
+
+    Cells are taken in order of cost (ties in row-major order) while their
+    row and column are open. Each closes exactly one line, the row when its
+    supply is used up first; a tie closes the row and leaves the column open
+    with zero demand, so the basis may hold zero cells. The last open row or
+    column is never closed before the other side, which keeps the cells a
+    tree.
+    """
+    m, n = cost.shape
+    plan = [[0.0] * n for _ in range(m)]
+    rest_s, rest_d = s.tolist(), d.tolist()
+    row_open, col_open = [True] * m, [True] * n
+    rows, cols = m, n
+    basis = []
+    for k in np.argsort(cost, axis=None, kind="stable").tolist():
+        i, j = divmod(k, n)
+        if not (row_open[i] and col_open[j]):
+            continue
+        basis.append((i, j))
+        if cols == 1 or (rows > 1 and rest_s[i] <= rest_d[j]):
+            plan[i][j] = rest_s[i]
+            rest_d[j] = max(rest_d[j] - rest_s[i], 0.0)
+            row_open[i], rows = False, rows - 1
+        else:
+            plan[i][j] = rest_d[j]
+            rest_s[i] = max(rest_s[i] - rest_d[j], 0.0)
+            col_open[j], cols = False, cols - 1
+        if len(basis) == m + n - 1:
+            return plan, basis
+
+
+def _optimal_coupling(cost: np.ndarray, supply, demand) -> tuple[np.ndarray, float]:
+    """Min-cost coupling of two discrete weight vectors, by the transportation simplex.
+
+    The plan starts from the least-cost basis. Each pivot takes the potentials
+    u_i + v_j = c_ij over the basis tree, enters the cell of most negative
+    reduced cost c_ij - u_i - v_j (lowest index under Bland's rule), and
+    shifts theta, the least entry on the cycle's "-" cells, around the cycle
+    the cell closes; the leaving cell is set to exactly 0, so the plan never
+    goes negative. With one supply or one demand atom the only feasible plan
+    ships every weight to or from it, and no pivot is made.
     """
     cost = np.asarray(cost, dtype=float)
     s = np.asarray(supply, dtype=float).ravel()
@@ -319,14 +366,57 @@ def _optimal_coupling(cost: np.ndarray, supply, demand) -> tuple[np.ndarray, flo
     if m == 1 or n == 1:
         plan = (d.reshape(1, n) if m == 1 else s.reshape(m, 1)).copy()
         return plan, float((plan * cost).sum())
-    a_eq = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
-    res = linprog(
-        cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([s, d]), bounds=(0.0, None),
-        method="highs",
-    )
-    if res.status != 0:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    plan = res.x.reshape(m, n)
+    plan, basis = _least_cost_start(cost, s, d)
+    c = cost.tolist()
+    tol = _TOL * float(np.abs(cost).max())
+    bland, degenerate, max_pivots = False, 0, 10 * m * n
+    for _ in range(max_pivots):
+        # nodes 0..m-1 are rows and m..m+n-1 columns; walk the tree from row 0
+        adjacent = [[] for _ in range(m + n)]
+        for i, j in basis:
+            adjacent[i].append(m + j)
+            adjacent[m + j].append(i)
+        pot, parent, depth = [0.0] * (m + n), [0] * (m + n), [0] * (m + n)
+        order, seen = [0], [True] + [False] * (m + n - 1)
+        for a in order:
+            for b in adjacent[a]:
+                if not seen[b]:
+                    seen[b], parent[b], depth[b] = True, a, depth[a] + 1
+                    pot[b] = (c[a][b - m] if a < m else c[b][a - m]) - pot[a]
+                    order.append(b)
+        reduced = cost - np.add.outer(pot[:m], pot[m:])
+        if bland:
+            entering = np.flatnonzero(reduced < -tol)
+            if entering.size == 0:
+                break
+            k = int(entering[0])
+        else:
+            k = int(reduced.argmin())
+            if reduced.flat[k] >= -tol:
+                break
+        p, q = divmod(k, n)
+        # the tree path from row p to column q; its cells alternate "-" and
+        # "+" counting from either end
+        ends, steps, minus, plus = [p, m + q], [0, 0], [], [(p, q)]
+        while ends[0] != ends[1]:
+            side = 0 if depth[ends[0]] >= depth[ends[1]] else 1
+            a = ends[side]
+            b = parent[a]
+            (plus if steps[side] % 2 else minus).append((a, b - m) if a < m else (b, a - m))
+            ends[side], steps[side] = b, steps[side] + 1
+        theta, leaving = min((plan[i][j], (i, j)) for i, j in minus)
+        for i, j in plus:
+            plan[i][j] += theta
+        for i, j in minus:
+            plan[i][j] -= theta
+        plan[leaving[0]][leaving[1]] = 0.0
+        basis.remove(leaving)
+        basis.append((p, q))
+        degenerate = degenerate + 1 if theta == 0.0 else 0
+        bland = bland or degenerate >= _DEGENERATE_RUN
+    else:
+        raise RuntimeError(f"transport simplex made {max_pivots} pivots without converging")
+    plan = np.array(plan)
     return plan, float((plan * cost).sum())
 
 

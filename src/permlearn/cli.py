@@ -138,7 +138,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--model", default=None, help="fitted mixture JSON (default: truth)")
     ana.add_argument("--true-perm", type=_int_list, default=None)
     ana.add_argument("--perm", type=_int_list, default=None,
-                     help="candidate assignment for --risk (default identity)")
+                     help="candidate assignment for --risk (default --true-perm, "
+                          "else identity)")
     ana.add_argument("--gap-mle", action="store_true")
     ana.add_argument("--gap-mv", action="store_true")
     ana.add_argument("--risk", action="store_true")
@@ -291,11 +292,8 @@ def _cmd_analyze(args, out_dir: Path, started: float) -> list[str]:
         if which:
             _check_gaps(model, truth, true_perm, args.mc, which)
         if args.risk:
-            perm = (
-                Permutation(args.perm)
-                if args.perm
-                else Permutation.identity(model.n_atoms)
-            )
+            chosen = args.perm or args.true_perm
+            perm = Permutation(chosen) if chosen else Permutation.identity(model.n_atoms)
             _check_risk(model, perm, truth, true_perm, args.mc)
         # estimate_gaps and misclassification_rate make this same draw; share
         # it and the model's scores between them.

@@ -6,7 +6,7 @@ directory with relative paths. It hashes every file the commands write;
 manifests are hashed with their ``wall_time_s`` value blanked, the one field
 that varies between reruns. Failing commands keep their exit code and stderr.
 
-    python tests/golden/battery.py --record   # re-record hashes.json
+    python tests/golden/battery.py --record   # re-record hashes.json, list what moved
     python tests/golden/battery.py --dir DIR  # run in DIR, print the result
 
 ``--only analyze`` runs just the analyze commands, on the inputs an earlier
@@ -270,6 +270,15 @@ def run_battery(workdir, only: str | None = None) -> dict:
     return {"artifacts": dict(sorted(artifacts.items())), "failures": failures}
 
 
+def diff(old: dict, new: dict) -> dict:
+    """Artifact paths whose digest changed, and those only in new or only in old."""
+    return {
+        "changed": sorted(k for k in old.keys() & new.keys() if old[k] != new[k]),
+        "added": sorted(new.keys() - old.keys()),
+        "removed": sorted(old.keys() - new.keys()),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--record", action="store_true", help=f"rewrite {HASHES.name}")
@@ -279,9 +288,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         result = run_battery(args.dir or tmp, args.only)
     if args.record:
+        previous = json.loads(HASHES.read_text())["artifacts"] if HASHES.exists() else {}
         record = {"record_command": RECORD_COMMAND, "versions": versions(), **result}
         HASHES.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
         print(f"recorded {len(result['artifacts'])} artifacts in {HASHES}")
+        for kind, paths in diff(previous, result["artifacts"]).items():
+            print(f"{kind}: {len(paths)}", *paths, sep="\n  ")
     else:
         print(json.dumps(result, sort_keys=True))
     return 0

@@ -30,10 +30,7 @@ def check_versions():
 
 
 def compare(got: dict, expected: dict):
-    changed = sorted(k for k in expected if k in got and got[k] != expected[k])
-    assert (changed, sorted(set(expected) - set(got)), sorted(set(got) - set(expected))) == (
-        [], [], []
-    ), "changed, missing and unexpected entries"
+    assert battery.diff(expected, got) == {"changed": [], "added": [], "removed": []}
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 from scipy.stats import norm
 
 from permlearn import (
@@ -550,12 +551,13 @@ class TestTvDistance:
 
 
 class TestTransportationSimplex:
-    """``_optimal_coupling``: the transportation LP behind ``wasserstein1``.
+    """``_optimal_coupling``: the transportation simplex behind ``wasserstein1``.
 
-    The oracles need no LP solver. With uniform weights and m = n an optimal
-    plan is a permutation matrix / n (Birkhoff), so brute force over
-    permutations gives the optimum. With cost |x_i - y_j| the optimum is the
-    1-d Wasserstein distance, the integral of |F - G| between the two CDFs.
+    With uniform weights and m = n an optimal plan is a permutation matrix / n
+    (Birkhoff), so brute force over permutations gives the optimum. With cost
+    |x_i - y_j| the optimum is the 1-d Wasserstein distance, the integral of
+    |F - G| between the two CDFs. Up to 64 x 64, HiGHS (scipy's ``linprog``,
+    used only here) solves the same linear program as an oracle.
     """
 
     @pytest.mark.parametrize("trial", range(20))
@@ -621,6 +623,50 @@ class TestTransportationSimplex:
     def test_rejects_mass_mismatch(self):
         with pytest.raises(ValueError, match="mass"):
             _optimal_coupling(np.ones((2, 2)), [0.7, 0.31], [0.5, 0.5])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 12) | st.sampled_from([40, 64]),
+        st.integers(1, 12) | st.sampled_from([40, 64]),
+        st.sampled_from(["uniform", "grid", "equal", "equal_grid"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_highs(self, m, n, kind, seed):
+        # "grid" costs on a 0.1 grid tie often; "equal" masses make the
+        # least-cost start exhaust a row and a column at once (zero cells)
+        rng = np.random.default_rng(seed)
+        cost = rng.uniform(0.0, 1.0, (m, n))
+        if kind.endswith("grid"):
+            cost = np.round(cost, 1)
+        if kind.startswith("equal"):
+            supply, demand = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+        else:
+            supply, demand = rng.uniform(0.1, 1.0, m), rng.uniform(0.1, 1.0, n)
+            supply, demand = supply / supply.sum(), demand / demand.sum()
+        plan, total = _optimal_coupling(cost, supply, demand)
+        a_eq = np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
+        res = linprog(
+            cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([supply, demand]),
+            bounds=(0.0, None), method="highs",
+        )
+        assert res.status == 0
+        assert abs(total - float(res.x @ cost.ravel())) <= 1e-12
+        np.testing.assert_allclose(plan.sum(axis=1), supply, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(plan.sum(axis=0), demand, rtol=0, atol=1e-12)
+        assert plan.min() >= 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_a_measure_against_itself_costs_exactly_zero(self, k, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.1, 1.0, k)
+        atoms = [
+            Gaussian([m], [[v]]) for m, v in zip(rng.uniform(-5, 5, k), rng.uniform(0.2, 3, k))
+        ]
+        a = MixingMeasure(weights / weights.sum(), atoms)
+        value, plan = wasserstein1(a, a)
+        assert value == 0.0
+        assert np.array_equal(plan.matrix, np.diag(a.weights))
 
 
 class TestWasserstein:

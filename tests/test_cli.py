@@ -247,6 +247,17 @@ class TestAnalyze:
         assert result["gaps"]["samples_used"] == 5000
         assert result["risk"]["excess"] == 0.0
 
+    def test_risk_scores_the_true_perm_when_no_perm_is_given(self, out, tmp_path):
+        truth = MixingMeasure(
+            [0.9, 0.1], [Gaussian([-2.0], [[1.0]]), Gaussian([2.0], [[1.0]])]
+        )
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(mixture_to_dict(truth)))
+        assert run(["analyze", "--truth", path, "--true-perm", "2,1", "--risk",
+                    "--mc", "2000", "--seed", "5", "--out-dir", out]) == 0
+        risk = read_json(out / "analysis.json")["risk"]
+        assert risk["excess"] == 0.0 and risk["excess_half_width"] == 0.0
+
     def test_bound_helpers(self, out):
         assert run(["analyze", "--required-n", "mv", "--k", "4", "--delta", "0.05",
                     "--value", "0.3", "--out-dir", out]) == 0
