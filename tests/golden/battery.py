@@ -8,11 +8,15 @@ that varies between reruns. Failing commands keep their exit code and stderr.
 
     python tests/golden/battery.py --record   # re-record hashes.json, list what moved
     python tests/golden/battery.py --dir DIR  # run in DIR, print the result
+    python tests/golden/battery.py --against DIR  # what moved against a run in DIR
 
 ``--only analyze`` runs just the analyze commands, on the inputs an earlier
-full run left in ``--dir``. ``tests/golden/test_golden.py`` checks the result
-against ``hashes.json``, in process and in subprocesses at one and at the
-default number of OpenBLAS threads.
+full run left in ``--dir``. ``--against DIR`` compares this run's artifacts
+with those an earlier run (say, of a parent commit, with ``--dir DIR``) left in
+DIR, and prints each changed JSON artifact with the largest absolute change of
+any numeric leaf; it combines with ``--record``. ``tests/golden/test_golden.py``
+checks the result against ``hashes.json``, in process and in subprocesses at
+one and at the default number of OpenBLAS threads.
 """
 
 from __future__ import annotations
@@ -261,13 +265,63 @@ def run_battery(workdir, only: str | None = None) -> dict:
                 failures[out] = {"exit": code, "stderr": err.getvalue()}
     finally:
         os.chdir(previous)
+    return {"artifacts": _artifacts(workdir, commands), "failures": failures}
+
+
+def _artifacts(workdir: Path, commands) -> dict:
+    """SHA-256 of every file the commands' output directories hold, by path."""
     roots = [workdir / out for out, _ in commands]
     artifacts = {
         path.relative_to(workdir).as_posix(): _digest(path)
         for root in roots if root.exists()
         for path in sorted(root.rglob("*")) if path.is_file()
     }
-    return {"artifacts": dict(sorted(artifacts.items())), "failures": failures}
+    return dict(sorted(artifacts.items()))
+
+
+def _leaves(obj, path: str = ""):
+    """(path, value) of every leaf of parsed JSON, as ``a.b[0][1]``."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def largest_move(old, new) -> str:
+    """The largest absolute change of a numeric leaf between two JSON values,
+    and how many other leaves differ (non-numeric, or present on one side)."""
+    a, b = dict(_leaves(old)), dict(_leaves(new))
+    moves, others, missing = [], 0, object()
+    for key in sorted(a.keys() | b.keys()):
+        x, y = a.get(key, missing), b.get(key, missing)
+        if _is_number(x) and _is_number(y):
+            if x != y:
+                moves.append((abs(y - x), key))
+        elif x != y:
+            others += 1
+    text = "largest move {:.3g} at {}".format(*max(moves)) if moves else "no numeric move"
+    return text + (f"; {others} other leaves differ" if others else "")
+
+
+def against(old_dir: Path, workdir: Path, artifacts: dict, commands) -> list[str]:
+    """One line per artifact that differs from an earlier run's in old_dir."""
+    lines = []
+    for kind, paths in diff(_artifacts(old_dir, commands), artifacts).items():
+        for path in paths:
+            detail = kind
+            if kind == "changed" and path.endswith(".json"):
+                old, new = (json.loads((d / path).read_text()) for d in (old_dir, workdir))
+                detail = largest_move(old, new)
+            lines.append(f"{path}: {detail}")
+    return lines
 
 
 def diff(old: dict, new: dict) -> dict:
@@ -284,9 +338,18 @@ def main(argv=None) -> int:
     parser.add_argument("--record", action="store_true", help=f"rewrite {HASHES.name}")
     parser.add_argument("--dir", default=None, help="working directory (default: a temp dir)")
     parser.add_argument("--only", choices=("analyze",), default=None)
+    parser.add_argument(
+        "--against", default=None, metavar="DIR",
+        help="print what moved against an earlier run's artifacts in DIR",
+    )
     args = parser.parse_args(argv)
+    commands = ANALYZE if args.only == "analyze" else COMMANDS
     with tempfile.TemporaryDirectory() as tmp:
-        result = run_battery(args.dir or tmp, args.only)
+        workdir = Path(args.dir or tmp)
+        result = run_battery(workdir, args.only)
+        if args.against:
+            moves = against(Path(args.against), workdir, result["artifacts"], commands)
+            print(f"{len(moves)} artifacts differ from {args.against}", *moves, sep="\n  ")
     if args.record:
         previous = json.loads(HASHES.read_text())["artifacts"] if HASHES.exists() else {}
         record = {"record_command": RECORD_COMMAND, "versions": versions(), **result}
@@ -294,7 +357,7 @@ def main(argv=None) -> int:
         print(f"recorded {len(result['artifacts'])} artifacts in {HASHES}")
         for kind, paths in diff(previous, result["artifacts"]).items():
             print(f"{kind}: {len(paths)}", *paths, sep="\n  ")
-    else:
+    elif not args.against:
         print(json.dumps(result, sort_keys=True))
     return 0
 

@@ -2,11 +2,13 @@ import dataclasses
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import linprog
+from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import brentq, linprog
 from scipy.stats import norm
 
 from permlearn import (
@@ -68,6 +70,52 @@ def trapezoid_tv(f, g, points=1_000_001, chunk=200_000):
     return 0.5 * total
 
 
+def quad_tv(f, g):
+    """TV by scipy's ``quad``, and half its error estimate: an oracle for the
+    1-d rule.
+
+    f - g is the signed sum of the atoms' Gaussian parts. Breakpoints sit at
+    each part's centre and 8 of its standard deviations either side, so no
+    part is narrower than the pieces around it, and at the sign changes of
+    f - g on a grid that also resolves every part, so |f - g| is smooth on
+    each piece. quad integrates each piece in the offset from the part centre
+    nearest to it: near x = 6, x itself rounds by 1e-7 of the standard
+    deviation of a part 1e-8 wide, which moved such a part's integral by
+    1.5e-8 of its weight.
+    """
+    parts = [transport._gaussian_parts(d) for d in (f, g)]
+    w = np.concatenate([parts[0][0], -parts[1][0]])
+    mu = np.concatenate([parts[0][1], parts[1][1]])
+    sd = np.concatenate([parts[0][2], parts[1][2]])
+    coef = w / (sd * math.sqrt(2.0 * math.pi))
+
+    def h(u, shift=-mu):
+        z = np.add.outer(u, shift) / sd
+        return (coef * np.exp(-0.5 * z * z)).sum(axis=-1)
+
+    lo = min(f.envelope_1d()[0], g.envelope_1d()[0])
+    hi = max(f.envelope_1d()[1], g.envelope_1d()[1])
+    local = (mu[:, np.newaxis] + sd[:, np.newaxis] * np.linspace(-12, 12, 241)).ravel()
+    grid = np.unique(np.clip(np.concatenate([np.linspace(lo, hi, 4001), local]), lo, hi))
+    values = h(grid)
+    roots = [
+        brentq(h, grid[k], grid[k + 1]) for k in np.flatnonzero(values[:-1] * values[1:] < 0.0)
+    ]
+    graded = (mu[:, np.newaxis] + sd[:, np.newaxis] * np.array([-8.0, 0.0, 8.0])).ravel()
+    points = np.unique(np.clip(np.concatenate([roots, graded, [lo, hi]]), lo, hi))
+    total = err = 0.0
+    for a, b in zip(points[:-1], points[1:]):
+        centre = mu[np.argmin(np.abs(mu - 0.5 * (a + b)))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            piece, piece_err = quad(
+                lambda u: abs(h(u, centre - mu)), a - centre, b - centre,
+                epsabs=1e-14, epsrel=1e-13,
+            )
+        total, err = total + piece, err + piece_err
+    return 0.5 * total, 0.5 * err
+
+
 def jittered_kde_pair(seed):
     """Two KDEs (h = 0.3) of 50 normal quantiles, each shifted and jittered."""
     rng = np.random.default_rng(seed)
@@ -76,6 +124,36 @@ def jittered_kde_pair(seed):
         KernelDensity(shift + quantiles + rng.normal(0.0, 0.05, 50), 0.3)
         for shift in rng.uniform(-3.0, 3.0, 2)
     ]
+
+
+@st.composite
+def tv_pairs(draw):
+    """A 1-d Gaussian mixture, at times with a spike 1e-2 to 1e-8 wide, and a
+    Gaussian, a Gaussian mixture or a KDE."""
+    unit = st.floats(0.0, 1.0)
+
+    def weights(n):
+        w = np.array([0.1 + draw(unit) for _ in range(n)])
+        return w / w.sum()
+
+    def parts(n, lo, hi):
+        # n Gaussians centred in [-4, 4] with standard deviations in [lo, hi]
+        sds = [lo + (hi - lo) * draw(unit) for _ in range(n)]
+        return [Gaussian([-4.0 + 8.0 * draw(unit)], [[sd * sd]]) for sd in sds]
+
+    f_parts = parts(draw(st.integers(1, 5)), 0.04, 2.0)
+    if draw(st.booleans()):
+        sd = 10.0 ** -draw(st.floats(2.0, 8.0))
+        f_parts.append(Gaussian([-6.0 + 12.0 * draw(unit)], [[sd * sd]]))
+    f = GaussianMixture(weights(len(f_parts)), f_parts)
+    kind = draw(st.sampled_from(["gaussian", "mixture", "kde"]))
+    if kind == "kde":
+        points = [[-3.0 + 6.0 * draw(unit)] for _ in range(draw(st.integers(2, 20)))]
+        g = KernelDensity(points, 0.04 + 0.96 * draw(unit))
+    else:
+        g_parts = parts(draw(st.integers(1, 1 if kind == "gaussian" else 5)), 0.1, 2.0)
+        g = g_parts[0] if kind == "gaussian" else GaussianMixture(weights(len(g_parts)), g_parts)
+    return f, g
 
 
 class TestChernoffExponent:
@@ -499,13 +577,13 @@ class TestTvDistance:
         assert est.value == pytest.approx(0.5 * unit, abs=max(est.half_width, 1e-9))
 
     def test_pairs_without_a_narrow_part_keep_one_centre_partition(self, monkeypatch):
-        calls, original = [], transport.quad
+        calls, original = [], transport._integrate_abs
 
-        def counted(func, a, b, **kw):
-            calls.append((a, b, kw["points"]))
-            return original(func, a, b, **kw)
+        def counted(fn, a, b, points):
+            calls.append((a, b, points))
+            return original(fn, a, b, points)
 
-        monkeypatch.setattr(transport, "quad", counted)
+        monkeypatch.setattr(transport, "_integrate_abs", counted)
         mix = GaussianMixture([0.3, 0.7], [Gaussian([-1.0], [[0.5]]), Gaussian([2.0], [[1.5]])])
         for f, g in [jittered_kde_pair(16), (mix, Gaussian([0.4], [[0.8]]))]:
             calls.clear()
@@ -517,6 +595,56 @@ class TestTvDistance:
             lo = min(f.envelope_1d()[0], g.envelope_1d()[0])
             hi = max(f.envelope_1d()[1], g.envelope_1d()[1])
             assert calls == [(lo, hi, points)]
+
+    # A 20-point KDE with h in [0.04, 0.08] against a 5-part mixture: quad
+    # spent its whole subinterval limit on 15 of these 30 pairs and warned,
+    # since |f - g| has a kink at each of its many roots.
+    def test_narrow_bandwidth_kde_pairs_converge_without_warning(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(30):
+            kde = KernelDensity(rng.normal(0.0, 1.0, (20, 1)), rng.uniform(0.04, 0.08))
+            means, sds = rng.uniform(-2.0, 2.0, 5), rng.uniform(0.2, 1.0, 5)
+            parts = [Gaussian([m], [[s * s]]) for m, s in zip(means, sds)]
+            mix = GaussianMixture(rng.dirichlet(np.ones(5)), parts)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", IntegrationWarning)
+                est = tv_distance(kde, mix)
+            value, half_width = quad_tv(kde, mix)
+            assert abs(est.value - value) <= est.half_width + half_width
+
+    # Two roots of f - g between neighbouring nodes leave no sign change among
+    # them, so neither the integral nor the sign-change partition sees the
+    # dip of f - g through 0 between them: quad's value read 3.9e-5 low here,
+    # with a half-width of 5e-11.
+    def test_a_dip_through_zero_between_two_nodes_is_not_missed(self):
+        points = [-0.99, -0.73, 0.35, -0.15, 1.77, -0.4, 0.28, -0.44]
+        kde = KernelDensity(np.array(points)[:, np.newaxis], 0.067)
+        mix = GaussianMixture(
+            [0.5, 0.5], [Gaussian([0.38], [[0.75**2]]), Gaussian([0.78], [[0.91**2]])]
+        )
+        value, half_width = quad_tv(kde, mix)
+        for est in (tv_distance(kde, mix), tv_distance(mix, kde)):
+            assert est.value == pytest.approx(value, abs=1e-12 + half_width)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tv_pairs())
+    def test_agrees_with_quad_and_is_symmetric(self, pair):
+        f, g = pair
+        est, swapped = tv_distance(f, g), tv_distance(g, f)
+        value, half_width = quad_tv(f, g)
+        assert abs(est.value - value) <= max(1e-9, est.half_width + half_width)
+        assert 0.0 <= est.value <= 1.0
+        assert abs(est.value - swapped.value) <= 1e-9
+
+    def test_the_subinterval_cap_warns_and_the_half_width_covers_the_error(self, monkeypatch):
+        monkeypatch.setattr(transport, "_LIMIT", 2)
+        for seed in (16, 173):
+            f, g = jittered_kde_pair(seed)
+            with pytest.warns(IntegrationWarning, match="limit of"):
+                est = tv_distance(f, g)
+            value, half_width = quad_tv(f, g)
+            assert est.half_width > 1e-9
+            assert abs(est.value - value) <= est.half_width + half_width
 
     # Integrating |f - g| from the atoms' log densities without breakpoints
     # errs by 5e-7 on seed 173. On seed 16, the breakpointed quad without the
