@@ -1,9 +1,9 @@
 """Distances between mixing measures: total variation and optimal transport.
 
-Total variation (TV) between two component densities is computed
-deterministically in one dimension (method label ``"quadrature"``) and
-otherwise by importance sampling from the balanced mixture of the two
-densities (whose integrand is bounded by 2). In one dimension:
+Total variation (TV) between two component densities takes its route from
+their dimension: deterministic in one (method label ``"quadrature"``), and in
+more by importance sampling from the balanced mixture of the two densities,
+whose integrand is bounded by 2 (label ``"mc"``). In one dimension:
 
 * identical atoms give exactly 0;
 * two Gaussians have a closed form: the densities cross at the roots of a
@@ -12,20 +12,21 @@ densities (whose integrand is bounded by 2). In one dimension:
 * every other pair (Gaussian mixtures and kernel density estimates, alone or
   against a Gaussian) is written as one signed Gaussian mixture f - g, whose
   absolute value an adaptive 21-point Gauss-Kronrod rule (QUADPACK's qk21
-  nodes, weights and error estimate) integrates over the atoms' envelope
-  with breakpoints at the part centres, thinned to at least the smallest
-  part standard deviation apart. Each pass of the rule evaluates the nodes of
-  every live subinterval in one vectorised step and splits each subinterval
-  not yet within its share of the tolerance: at a root of f - g where f - g
-  changes sign among its nodes, so |f - g| is smooth on both halves, and
-  otherwise at its midpoint. A part far narrower than the subintervals next
-  to the breakpoint it was thinned onto gets a window around that
-  breakpoint, graded at 1, 4 and 8 of its standard deviations from its own
-  centre and integrated in the offset from the breakpoint. The CDF
-  differences between the sign changes of f - g at the rule's nodes, and
-  between the two roots of any dip of f - g through 0 between two nodes,
-  give a second, partition-based value; the larger of the two is reported,
-  and their disagreement widens the half-width.
+  nodes, weights and error estimate) integrates out to 10 standard
+  deviations beyond the outermost parts, with breakpoints at the part
+  centres, thinned to at least the smallest part standard deviation apart.
+  Each pass of the rule evaluates the nodes of every live subinterval in one
+  vectorised step and splits each subinterval not yet within its share of
+  the tolerance: at a root of f - g where f - g changes sign among its
+  nodes, so |f - g| is smooth on both halves, and otherwise at its midpoint.
+  A part far narrower than the subintervals next to the breakpoint it was
+  thinned onto gets a window around that breakpoint, graded at 1, 4 and 8
+  of its standard deviations from its own centre and integrated in the
+  offset from the breakpoint. The CDF differences between the sign changes
+  of f - g at the rule's nodes, and between the two roots of any dip of
+  f - g through 0 between two nodes, give a second, partition-based value;
+  the larger of the two is reported, and their disagreement widens the
+  half-width.
 
 The transport distance couples two measures' weight vectors under the
 pairwise TV cost; the coupling is the optimum of the transportation linear
@@ -133,7 +134,8 @@ def _gaussian_parts(d: ComponentDensity) -> tuple[np.ndarray, np.ndarray, np.nda
         m = d.points.shape[0]
         return np.full(m, 1.0 / m), d.points[:, 0], np.full(m, d.bandwidth)
     raise ValueError(
-        f"quadrature does not support {type(d).__name__} atoms; use method='mc'"
+        "1-d TV supports Gaussian, GaussianMixture and KernelDensity atoms, "
+        f"not {type(d).__name__}"
     )
 
 
@@ -375,9 +377,8 @@ def _tv_quadrature(f: ComponentDensity, g: ComponentDensity) -> TvEstimate:
         node_h.append(h)
         return value, err
 
-    lo_f, hi_f = f.envelope_1d()
-    lo_g, hi_g = g.envelope_1d()
-    lo, hi = min(lo_f, lo_g), max(hi_f, hi_g)
+    # the mass beyond 10 standard deviations of every part is ~1e-23
+    lo, hi = float((mu - 10.0 * sds).min()), float((mu + 10.0 * sds).max())
     kept = _breakpoints(mu, float(sds.min()))
     pieces, start = [], lo
     for c, offsets in _narrow_windows(kept, lo, hi, mu, sds).items():
@@ -407,46 +408,33 @@ def _tv_quadrature(f: ComponentDensity, g: ComponentDensity) -> TvEstimate:
     return TvEstimate(value, 0.5 * max(err, abs(integral - exact)), "quadrature")
 
 
-def _tv_monte_carlo(
+def tv_distance(
     f: ComponentDensity,
     g: ComponentDensity,
-    samples: int,
-    rng: np.random.Generator,
-    seed: int | None,
+    mc_samples: int = 200_000,
+    seed: int | np.random.Generator = 0,
 ) -> TvEstimate:
-    n_f = int(rng.binomial(samples, 0.5))
-    x = np.vstack([f.sample(rng, n_f), g.sample(rng, samples - n_f)])
+    """Total-variation distance between two component densities.
+
+    ``mc_samples`` and ``seed`` serve only the Monte Carlo route, beyond 1-d.
+    """
+    if f.dim != g.dim:
+        raise ValueError("densities must share one dimension")
+    if f.dim == 1:
+        return _tv_quadrature(f, g)
+    if mc_samples < 2:
+        raise ValueError("mc_samples must be >= 2")
+    rng = np.random.default_rng(seed)
+    n_f = int(rng.binomial(mc_samples, 0.5))
+    x = np.vstack([f.sample(rng, n_f), g.sample(rng, mc_samples - n_f)])
     log_f = f.log_density(x)
     log_g = g.log_density(x)
     log_h = np.logaddexp(log_f, log_g) - math.log(2.0)
     vals = np.abs(np.exp(log_f - log_h) - np.exp(log_g - log_h))
     value = min(1.0, max(0.0, 0.5 * float(vals.mean())))
-    se = float(vals.std(ddof=1)) / math.sqrt(samples) if samples > 1 else 0.0
-    return TvEstimate(value, 0.5 * 3.0 * se, "mc", samples, seed)
-
-
-def tv_distance(
-    f: ComponentDensity,
-    g: ComponentDensity,
-    method: str = "auto",
-    mc_samples: int = 200_000,
-    seed: int | np.random.Generator = 0,
-) -> TvEstimate:
-    """Total-variation distance between two component densities."""
-    if f.dim != g.dim:
-        raise ValueError("densities must share one dimension")
-    if method == "auto":
-        method = "quadrature" if f.dim == 1 else "mc"
-    if method == "quadrature":
-        if f.dim != 1:
-            raise ValueError("quadrature is only available in one dimension")
-        return _tv_quadrature(f, g)
-    if method == "mc":
-        if mc_samples < 2:
-            raise ValueError("mc_samples must be >= 2")
-        rng = np.random.default_rng(seed)
-        return _tv_monte_carlo(f, g, mc_samples, rng, seed if isinstance(seed, int) else None)
-    raise ValueError("method must be 'auto', 'quadrature', or 'mc'")
+    se = float(vals.std(ddof=1)) / math.sqrt(mc_samples)
+    seed_used = seed if isinstance(seed, int) else None
+    return TvEstimate(value, 0.5 * 3.0 * se, "mc", mc_samples, seed_used)
 
 
 # The simplex stops when every reduced cost is at least -_TOL times the largest
@@ -576,7 +564,6 @@ def _optimal_coupling(cost: np.ndarray, supply, demand) -> tuple[np.ndarray, flo
 def wasserstein1(
     a: MixingMeasure,
     b: MixingMeasure,
-    method: str = "auto",
     mc_samples: int = 200_000,
     seed: int | np.random.Generator = 0,
 ) -> tuple[float, TransportPlan]:
@@ -591,23 +578,18 @@ def wasserstein1(
     if a.n_atoms > MAX_ATOMS or b.n_atoms > MAX_ATOMS:
         raise ValueError(f"transport solver supports at most {MAX_ATOMS} atoms")
     rng = np.random.default_rng(seed)
-    seed_int = seed if isinstance(seed, int) else None
 
     ka, kb = a.n_atoms, b.n_atoms
     cost = np.zeros((ka, kb))
     hw = np.zeros((ka, kb))
-    used_methods = set()
     for i in range(ka):
         for j in range(kb):
             est = tv_distance(
-                a.components[i], b.components[j], method=method,
-                mc_samples=mc_samples, seed=rng,
+                a.components[i], b.components[j], mc_samples=mc_samples, seed=rng
             )
             cost[i, j] = est.value
             hw[i, j] = est.half_width
-            used_methods.add(est.method)
 
     plan, total = _optimal_coupling(cost, a.weights, b.weights)
     total_hw = float((plan * hw).sum())
-    resolved = used_methods.pop() if len(used_methods) == 1 else "mixed"
-    return total, TransportPlan(plan, cost, hw, total, total_hw, resolved)
+    return total, TransportPlan(plan, cost, hw, total, total_hw, est.method)

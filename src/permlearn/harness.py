@@ -179,17 +179,11 @@ class ExperimentSpec:
             ),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentSpec":
-        if "family" not in d:
-            raise ValueError("experiment dict needs a 'family' key")
-        return cls(**{**_spec_fields(d), "family": str(d["family"])})
-
 
 def _spec_fields(d: dict) -> dict:
     """The ``ExperimentSpec`` arguments that the non-null fields of d set.
 
-    Each field is converted as ``from_dict`` converts it; one that does not
+    Each field is converted to the type its argument takes; one that does not
     convert raises a ValueError that names it.
     """
     kwargs = {
@@ -221,9 +215,7 @@ def _random_spd(rng: np.random.Generator, dim: int, target_std: float) -> np.nda
     return s * (target_std**2 / top)
 
 
-def generate_true_mixture(
-    spec: ExperimentSpec, seed: int | None = None
-) -> tuple[MixingMeasure, Permutation]:
+def generate_true_mixture(spec: ExperimentSpec) -> tuple[MixingMeasure, Permutation]:
     """Draw the ground-truth measure for a spec; the true assignment is identity.
 
     Atom means sit on a centered square lattice with spacing ``eta``;
@@ -233,7 +225,7 @@ def generate_true_mixture(
     """
     if spec.family == "custom":
         return spec.true_mixture, Permutation.identity(spec.k)
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
+    rng = np.random.default_rng(spec.seed)
     k, dim = spec.k, spec.dim
     raw = rng.uniform(size=k)
     weights = raw / raw.sum()

@@ -54,10 +54,6 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# Half-width of the 1-d integration envelope, in standard deviations. Mass
-# beyond it is ~1e-23 and irrelevant at the tolerances used anywhere here.
-ENVELOPE_SIGMAS = 10.0
-
 WEIGHT_SUM_TOL = 1e-12
 
 
@@ -181,9 +177,11 @@ def _sample_groups(
 class ComponentDensity:
     """A strictly positive, sampleable probability density on R^d.
 
-    Concrete variants: :class:`Gaussian`, :class:`GaussianMixture`,
-    :class:`KernelDensity`. All are immutable after construction and safe to
-    share across threads; sampling takes an explicit generator.
+    Its interface is ``dim``, ``log_density`` and ``sample``. Concrete variants:
+    :class:`Gaussian`, :class:`GaussianMixture`, :class:`KernelDensity`. All
+    are immutable after construction and safe to share across threads;
+    sampling takes an explicit generator. TV with an atom of another subclass
+    is sampled in 2-d and up and refused in 1-d.
     """
 
     @property
@@ -199,10 +197,6 @@ class ComponentDensity:
 
     def sample(self, rng: np.random.Generator, n: int) -> NDArray[np.float64]:
         """Draw n points, shape (n, dim)."""
-        raise NotImplementedError
-
-    def envelope_1d(self) -> tuple[float, float]:
-        """Interval holding all but negligible mass (1-d densities only)."""
         raise NotImplementedError
 
 
@@ -295,13 +289,6 @@ class Gaussian(ComponentDensity):
             out[:, j] += self._mean[j]
         return out
 
-    def envelope_1d(self) -> tuple[float, float]:
-        if self.dim != 1:
-            raise ValueError("envelope_1d is only defined for 1-d densities")
-        m = float(self._mean[0])
-        half = ENVELOPE_SIGMAS * math.sqrt(float(self._cov[0, 0]))
-        return m - half, m + half
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Gaussian):
             return NotImplemented
@@ -368,12 +355,6 @@ class GaussianMixture(ComponentDensity):
         """
         return _sample_groups(rng, self._weights, self._parts, n, self.dim)[1]
 
-    def envelope_1d(self) -> tuple[float, float]:
-        if self.dim != 1:
-            raise ValueError("envelope_1d is only defined for 1-d densities")
-        bounds = [p.envelope_1d() for p in self._parts]
-        return min(lo for lo, _ in bounds), max(hi for _, hi in bounds)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GaussianMixture):
             return NotImplemented
@@ -432,12 +413,6 @@ class KernelDensity(ComponentDensity):
         idx = rng.integers(0, self._points.shape[0], size=n)
         noise = rng.standard_normal((n, self.dim))
         return self._points[idx] + self._bandwidth * noise
-
-    def envelope_1d(self) -> tuple[float, float]:
-        if self.dim != 1:
-            raise ValueError("envelope_1d is only defined for 1-d densities")
-        half = ENVELOPE_SIGMAS * self._bandwidth
-        return float(self._points.min()) - half, float(self._points.max()) + half
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KernelDensity):
@@ -722,13 +697,19 @@ def region_of(measure: MixingMeasure, x: ArrayLike):
     """Index of the decision region containing x (1-based).
 
     Region b is where weight_b f_b dominates every other atom; exact ties go
-    to the lowest index so the map is total.
+    to the lowest index so the map is total. A Gaussian atom may score a
+    point alone and inside a batch differently in the last bits, so at a
+    near-tie the two may land in different regions.
     """
     return _region_from_scores(measure.log_scores(x))
 
 
 def classify(measure: MixingMeasure, perm: Permutation, x: ArrayLike):
-    """Class label assigned to x: the inverse permutation of its region."""
+    """Class label assigned to x: the inverse permutation of its region.
+
+    As in :func:`region_of`, at a near-tie a point alone and inside a batch
+    may land in different regions.
+    """
     if perm.size != measure.n_atoms:
         raise ValueError("permutation size does not match the measure")
     return _label_from_scores(measure.log_scores(x), perm)

@@ -58,10 +58,18 @@ def gaussian_tv(m1, m2, sigma=1.0):
     return 2.0 * norm.cdf(abs(m1 - m2) / (2.0 * sigma)) - 1.0
 
 
+def envelope(f, g):
+    """The 1-d rule's interval: 10 standard deviations beyond the outermost
+    Gaussian parts of both atoms."""
+    parts = [transport._gaussian_parts(d) for d in (f, g)]
+    mu = np.concatenate([parts[0][1], parts[1][1]])
+    sd = np.concatenate([parts[0][2], parts[1][2]])
+    return float((mu - 10.0 * sd).min()), float((mu + 10.0 * sd).max())
+
+
 def trapezoid_tv(f, g, points=1_000_001, chunk=200_000):
     """TV by the trapezoid rule on the atoms' own densities over both envelopes."""
-    lo = min(f.envelope_1d()[0], g.envelope_1d()[0])
-    hi = max(f.envelope_1d()[1], g.envelope_1d()[1])
+    lo, hi = envelope(f, g)
     x = np.linspace(lo, hi, points)
     total = 0.0
     for start in range(0, points - 1, chunk):
@@ -93,8 +101,7 @@ def quad_tv(f, g):
         z = np.add.outer(u, shift) / sd
         return (coef * np.exp(-0.5 * z * z)).sum(axis=-1)
 
-    lo = min(f.envelope_1d()[0], g.envelope_1d()[0])
-    hi = max(f.envelope_1d()[1], g.envelope_1d()[1])
+    lo, hi = envelope(f, g)
     local = (mu[:, np.newaxis] + sd[:, np.newaxis] * np.linspace(-12, 12, 241)).ravel()
     grid = np.unique(np.clip(np.concatenate([np.linspace(lo, hi, 4001), local]), lo, hi))
     values = h(grid)
@@ -592,9 +599,7 @@ class TestTvDistance:
             w_g, mu_g, sd_g = transport._gaussian_parts(g)
             sds = np.concatenate([sd_f, sd_g])
             points = transport._breakpoints(np.concatenate([mu_f, mu_g]), float(sds.min()))
-            lo = min(f.envelope_1d()[0], g.envelope_1d()[0])
-            hi = max(f.envelope_1d()[1], g.envelope_1d()[1])
-            assert calls == [(lo, hi, points)]
+            assert calls == [(*envelope(f, g), points)]
 
     # A 20-point KDE with h in [0.04, 0.08] against a 5-part mixture: quad
     # spent its whole subinterval limit on 15 of these 30 pairs and warned,
@@ -666,16 +671,9 @@ class TestTvDistance:
             def log_density(self, x):
                 return -np.abs(np.asarray(x, dtype=float)).ravel() - math.log(2.0)
 
-            def envelope_1d(self):
-                return -40.0, 40.0
-
-        with pytest.raises(ValueError, match="method='mc'"):
+        match = "supports Gaussian, GaussianMixture and KernelDensity atoms, not Laplace"
+        with pytest.raises(ValueError, match=match):
             tv_distance(Laplace(), Gaussian([0.0], [[1.0]]))
-
-    def test_quadrature_refused_beyond_1d(self):
-        f = Gaussian([0.0, 0.0], np.eye(2))
-        with pytest.raises(ValueError, match="one dimension"):
-            tv_distance(f, f, method="quadrature")
 
 
 class TestTransportationSimplex:

@@ -2,10 +2,12 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import permlearn
-from permlearn import estimators, harness
+from permlearn import estimators, harness, mixtures
+from permlearn.analysis import transport
 
 LAYER_MODULES = (
     "mixtures",
@@ -50,10 +52,31 @@ def test_exports_resolve_and_estimator_table_is_public():
         "estimate_mle_gap": ("permlearn", "permlearn.analysis", "permlearn.analysis.gaps"),
         "estimate_mv_gap": ("permlearn", "permlearn.analysis", "permlearn.analysis.gaps"),
         "mixture_density": ("permlearn", "permlearn.mixtures"),
+        # the 1-d TV envelope is read from the atoms' Gaussian parts in transport
+        "ENVELOPE_SIGMAS": ("permlearn.mixtures",),
     }
     for name, places in gone.items():
         for place in places:
             assert not hasattr(importlib.import_module(place), name), f"{place}.{name}"
+
+
+def test_knobs_that_select_nothing_are_gone():
+    atoms = (
+        mixtures.ComponentDensity,
+        mixtures.Gaussian,
+        mixtures.GaussianMixture,
+        mixtures.KernelDensity,
+    )
+    assert [cls.__name__ for cls in atoms if hasattr(cls, "envelope_1d")] == []
+    # a spec file goes through ExperimentSpec(**_spec_fields(d)), as --spec does
+    assert not hasattr(harness.ExperimentSpec, "from_dict")
+    # TV and W1 take their route from the dimension; the spec carries the seed
+    for fn, name in (
+        (transport.tv_distance, "method"),
+        (transport.wasserstein1, "method"),
+        (harness.generate_true_mixture, "seed"),
+    ):
+        assert name not in inspect.signature(fn).parameters, fn.__name__
 
 
 def scipy_uses(name):
@@ -126,3 +149,45 @@ def test_one_json_writer():
                 if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps"):
                     writers.append(f"{path.name}:{func.name}")
     assert writers == ["mixtures.py:_json_text"]
+
+
+def unread_locals(func):
+    """Names that a function binds in its own scope and never reads.
+
+    A read anywhere in the function counts, nested functions included, and
+    an augmented assignment reads its target. ``_`` and names declared
+    global or nonlocal are exempt.
+    """
+    nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+    own, todo = [], list(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.pop()
+        own.append(node)
+        if not isinstance(node, nested):
+            todo.extend(ast.iter_child_nodes(node))
+    stored = {
+        node.id: node.lineno
+        for node in own
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    free = {"_"}
+    for node in own:
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            free.update(node.names)
+    for node in ast.walk(func):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            free.add(node.id)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            free.add(node.target.id)
+    return sorted((line, name) for name, line in stored.items() if name not in free)
+
+
+def test_no_function_binds_a_local_it_never_reads():
+    package = Path(permlearn.__file__).parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for line, name in unread_locals(func):
+                    offenders.append(f"{path.name}:{line} {func.name}: {name}")
+    assert offenders == []
