@@ -46,13 +46,7 @@ from scipy.integrate import IntegrationWarning, quad  # noqa: F401
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from ..mixtures import (
-    ComponentDensity,
-    Gaussian,
-    GaussianMixture,
-    KernelDensity,
-    MixingMeasure,
-)
+from ..mixtures import ComponentDensity, Gaussian, MixingMeasure
 
 __all__ = [
     "TvEstimate",
@@ -124,19 +118,13 @@ def _tv_gaussians(f: Gaussian, g: Gaussian) -> float:
 
 def _gaussian_parts(d: ComponentDensity) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A 1-d atom as a Gaussian mixture: (weights, means, standard deviations)."""
-    if isinstance(d, Gaussian):
-        return np.ones(1), d.mean, np.sqrt(d.cov[0])
-    if isinstance(d, GaussianMixture):
-        means = np.array([p.mean[0] for p in d.parts])
-        sds = np.sqrt([p.cov[0, 0] for p in d.parts])
-        return d.weights, means, sds
-    if isinstance(d, KernelDensity):
-        m = d.points.shape[0]
-        return np.full(m, 1.0 / m), d.points[:, 0], np.full(m, d.bandwidth)
-    raise ValueError(
-        "1-d TV supports Gaussian, GaussianMixture and KernelDensity atoms, "
-        f"not {type(d).__name__}"
-    )
+    table = d._table
+    if table is None:
+        raise ValueError(
+            "1-d TV supports Gaussian, GaussianMixture and KernelDensity atoms, "
+            f"not {type(d).__name__}"
+        )
+    return table.weights, table.means[:, 0], table.chol[:, 0, 0]
 
 
 def _breakpoints(centres: np.ndarray, spacing: float) -> list[float]:

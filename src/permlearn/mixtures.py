@@ -12,6 +12,13 @@ package goes through the one private kernel ``_logsumexp`` here: the real-input
 arithmetic of ``scipy.special.logsumexp`` in plain numpy, bit for bit, without
 its array-API dispatch and copies.
 
+Every built-in atom is a Gaussian mixture: a ``Gaussian`` of one part, a
+``GaussianMixture`` of P parts, a ``KernelDensity`` of m isotropic parts. One
+private kernel, ``_score``, scores a table of parts built once per atom:
+``MixingMeasure.log_scores`` all its atoms' parts in one pass, an atom's
+``log_density`` its own, with the same bits per atom. A built-in atom scores a
+point with the same bits alone as anywhere inside a batch.
+
 Query points must be finite. Every atom's ``log_density``, ``log_scores`` and
 everything built on them refuse NaN or infinite coordinates with the same
 ``ValueError``, raised where points are coerced, before any density math.
@@ -21,18 +28,17 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import numbers
 import os
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
-from scipy.linalg.lapack import dtrtrs
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "ComponentDensity",
@@ -124,6 +130,106 @@ def _logsumexp(a: ArrayLike, axis: int | None = None, b: ArrayLike | None = None
     return out[()] if out.ndim == 0 else out
 
 
+class _Parts(NamedTuple):
+    """The Gaussian parts of atoms: atom a owns parts ``bounds[a]:bounds[a + 1]``.
+
+    Part p has a nested weight, a mean (d,), a lower Cholesky factor (d, d),
+    its reciprocal diagonal and ``log_norm[p] = -d/2 log 2pi - sum log diag``.
+    """
+
+    weights: NDArray[np.float64]
+    means: NDArray[np.float64]
+    chol: NDArray[np.float64]
+    inv_diag: NDArray[np.float64]
+    log_norm: NDArray[np.float64]
+    bounds: tuple[int, ...]
+
+
+def _parts(weights: ArrayLike, means: np.ndarray, chol: np.ndarray) -> _Parts:
+    """The table of one atom with these parts."""
+    diag = np.diagonal(chol, axis1=1, axis2=2)
+    log_norm = -0.5 * means.shape[1] * _LOG_2PI - np.log(diag).sum(axis=1)
+    arrays = (weights, means, chol, 1.0 / diag, log_norm)
+    return _Parts(*(_frozen(np.array(a, dtype=float)) for a in arrays), (0, len(means)))
+
+
+def _join(tables: Sequence[_Parts]) -> _Parts:
+    """One table holding every atom of ``tables``, in order."""
+    arrays = (_frozen(np.concatenate(field)) for field in list(zip(*tables))[:-1])
+    bounds = itertools.accumulate((len(t.weights) for t in tables), initial=0)
+    return _Parts(*arrays, tuple(bounds))
+
+
+# Part x point entries per block: its arrays stay in cache, and a KDE of many
+# points scores in bounded memory.
+_BLOCK_ENTRIES = 2**17
+
+
+def _block(n_parts: int) -> int:
+    return max(2, _BLOCK_ENTRIES // n_parts)
+
+
+def _score(table: _Parts, pts: np.ndarray) -> NDArray[np.float64]:
+    """Log density of every atom of ``table`` at the points (n, d), as (n, atoms).
+
+    Each block of points is whitened for all parts at once by forward
+    substitution, z_i = (r_i - sum_{k<i} L_ik z_k) * (1 / L_ii) with
+    r = x - mean, and scored as ``log_norm - 0.5 * sum(z**2)``; the parts of
+    each atom are combined by ``_logsumexp`` over the part axis. Every step
+    treats each (part, point) entry alone or adds parts in their order, so a
+    point scores the same bits alone as inside any batch.
+    """
+    n, d = pts.shape
+    n_parts = len(table.weights)
+    block = _block(n_parts)
+    means, inv = table.means.T[..., np.newaxis], table.inv_diag.T[..., np.newaxis]
+    chol = table.chol.transpose(1, 2, 0)[..., np.newaxis]
+    weights = table.weights[:, np.newaxis]
+    atoms = list(zip(table.bounds, table.bounds[1:]))
+    out = np.empty((n, len(atoms)))
+    # z_1 .. z_d and a scratch row
+    z = np.empty((d + 1, n_parts, max(2, min(n, block))))
+    # an extreme finite point overflows z or its square, and scores -inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, block):
+            x = pts[start : start + block]
+            m = len(x)
+            if m == 1:
+                # numpy adds the rows of a one-column block pairwise, of a
+                # wider one in order
+                x = np.repeat(x, 2, axis=0)
+            zb = z[:, :, : len(x)]
+            tmp = zb[d]
+            for i in range(d):
+                np.subtract(x[:, i], means[i], out=zb[i])
+                for k in range(i):
+                    zb[i] -= np.multiply(chol[i, k], zb[k], out=tmp)
+                zb[i] *= inv[i]
+            sq = np.square(zb[0])
+            for i in range(1, d):
+                sq += np.square(zb[i], out=tmp)
+            sq *= -0.5
+            sq += table.log_norm[:, np.newaxis]
+            if d > 1:
+                # NaN from 0 * inf or inf - inf marks an overflowed z: -inf
+                np.fmax(sq, -np.inf, out=sq)
+            for a, (lo, hi) in enumerate(atoms):
+                if hi - lo == 1 and table.weights[lo] == 1.0:
+                    # the part's score, which is what the log-sum-exp returns
+                    out[start : start + m, a] = sq[lo, :m]
+                else:
+                    lse = _logsumexp(sq[lo:hi], axis=0, b=weights[lo:hi])
+                    out[start : start + m, a] = lse[:m]
+    return out
+
+
+def _log_density(atom: ComponentDensity, x: ArrayLike):
+    """An atom's log density at a point (float) or a batch (n,), from its table."""
+    pts, squeeze = _as_points(x, atom.dim)
+    out = _score(atom._table, pts)[:, 0]
+    return float(out[0]) if squeeze else out
+
+
 def _categorical(rng: np.random.Generator, p: np.ndarray, n: int) -> np.ndarray:
     """n indices drawn with probabilities ``p``, bit for bit ``rng.choice``.
 
@@ -180,7 +286,8 @@ class ComponentDensity:
     Its interface is ``dim``, ``log_density`` and ``sample``. Concrete variants:
     :class:`Gaussian`, :class:`GaussianMixture`, :class:`KernelDensity`. All
     are immutable after construction and safe to share across threads;
-    sampling takes an explicit generator. TV with an atom of another subclass
+    sampling takes an explicit generator. An atom of another subclass has no
+    Gaussian parts: ``log_scores`` calls its ``log_density``, and TV with it
     is sampled in 2-d and up and refused in 1-d.
     """
 
@@ -198,6 +305,9 @@ class ComponentDensity:
     def sample(self, rng: np.random.Generator, n: int) -> NDArray[np.float64]:
         """Draw n points, shape (n, dim)."""
         raise NotImplementedError
+
+    # the atom's Gaussian parts, read by _score and by 1-d TV
+    _table: _Parts | None = None
 
 
 class Gaussian(ComponentDensity):
@@ -229,17 +339,6 @@ class Gaussian(ComponentDensity):
         self._mean = _frozen(mean.copy())
         self._cov = _frozen(cov.copy())
         self._chol = _frozen(chol)
-        # dtrtrs operands for the whitening solve chol z = x - mean, chosen as
-        # scipy's triangular-solve wrapper chooses them: LAPACK reads Fortran
-        # order, so a C-ordered factor (d > 1) is passed as its transpose and
-        # solved as the transposed upper-triangular system
-        if chol.flags.f_contiguous:
-            self._trtrs = (self._chol, 1, 0)
-        else:
-            self._trtrs = (self._chol.T, 0, 1)
-        self._log_norm = float(
-            -0.5 * mean.size * _LOG_2PI - np.log(np.diag(chol)).sum()
-        )
 
     @property
     def dim(self) -> int:
@@ -253,32 +352,18 @@ class Gaussian(ComponentDensity):
     def cov(self) -> NDArray[np.float64]:
         return self._cov
 
+    @cached_property
+    def _table(self) -> _Parts:
+        return _parts([1.0], self._mean[np.newaxis], self._chol[np.newaxis])
+
     def log_density(self, x: ArrayLike):
         """Log density at a point (d,) or batch (n, d); returns float or (n,).
 
-        The residuals are whitened by one direct LAPACK ``dtrtrs`` call on the
-        operands scipy's triangular-solve wrapper would pass, so the values
-        equal that wrapper's whitening bit for bit. LAPACK may round a point
-        differently alone than inside a batch, so a single-point score and
-        the same point's score in a batch need not agree bit for bit and must
-        not be compared that way.
+        The residuals are whitened by forward substitution with the Cholesky
+        factor, one point at a time in effect: a point scores the same bits
+        alone as anywhere inside a batch.
         """
-        pts, squeeze = _as_points(x, self.dim)
-        chol, lower, trans = self._trtrs
-        # residuals one column at a time, much faster for small d than the
-        # broadcast pts - mean, into a C-ordered buffer whose transpose is the
-        # Fortran-ordered right-hand side; it is fresh, so LAPACK solves in place
-        res = np.empty(pts.shape)
-        for j in range(self.dim):
-            np.subtract(pts[:, j], self._mean[j], out=res[:, j])
-        z, info = dtrtrs(chol, res.T, lower=lower, trans=trans, overwrite_b=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"triangular solve failed: LAPACK info {info}")
-        # in place, and equal bit for bit to log_norm - 0.5 * |z|^2
-        out = np.einsum("dn,dn->n", z, z)
-        out *= -0.5
-        out += self._log_norm
-        return float(out[0]) if squeeze else out
+        return _log_density(self, x)
 
     def sample(self, rng: np.random.Generator, n: int) -> NDArray[np.float64]:
         """One ``rng.standard_normal((n, dim))`` call, mapped by mean + chol z."""
@@ -336,14 +421,13 @@ class GaussianMixture(ComponentDensity):
     def parts(self) -> tuple[Gaussian, ...]:
         return self._parts
 
+    @cached_property
+    def _table(self) -> _Parts:
+        table = _join([p._table for p in self._parts])
+        return table._replace(weights=self._weights, bounds=(0, len(self._parts)))
+
     def log_density(self, x: ArrayLike):
-        pts, squeeze = _as_points(x, self.dim)
-        # numpy reduces a part-major (P, n) stack over axis 0 much faster than
-        # the short rows of an (n, P) stack over axis 1. Both add the parts in
-        # order below 8 parts, so the two layouts agree bit for bit there.
-        per_part = np.stack([p.log_density(pts) for p in self._parts])
-        out = _logsumexp(per_part, axis=0, b=self._weights[:, np.newaxis])
-        return float(out[0]) if squeeze else out
+        return _log_density(self, x)
 
     def sample(self, rng: np.random.Generator, n: int) -> NDArray[np.float64]:
         """Draw n points: each picks a part by the nested weights.
@@ -399,15 +483,14 @@ class KernelDensity(ComponentDensity):
     def bandwidth(self) -> float:
         return self._bandwidth
 
+    @cached_property
+    def _table(self) -> _Parts:
+        m, d = self._points.shape
+        chol = np.broadcast_to(self._bandwidth * np.eye(d), (m, d, d))
+        return _parts(np.full(m, 1.0 / m), self._points, chol)
+
     def log_density(self, x: ArrayLike):
-        pts, squeeze = _as_points(x, self.dim)
-        sq = cdist(pts, self._points, "sqeuclidean")
-        h = self._bandwidth
-        out = _logsumexp(-0.5 * sq / (h * h), axis=1)
-        out += -math.log(self._points.shape[0]) - self.dim * (
-            math.log(h) + 0.5 * _LOG_2PI
-        )
-        return float(out[0]) if squeeze else out
+        return _log_density(self, x)
 
     def sample(self, rng: np.random.Generator, n: int) -> NDArray[np.float64]:
         idx = rng.integers(0, self._points.shape[0], size=n)
@@ -497,9 +580,17 @@ class MixingMeasure:
         the shared primitive behind densities, regions and likelihoods.
         """
         pts, squeeze = _as_points(x, self.dim)
-        cols = [c.log_density(pts) for c in self._components]
-        scores = np.stack(cols, axis=1) + self._log_weights[np.newaxis, :]
+        if self._table is None:
+            scores = np.stack([c.log_density(pts) for c in self._components], axis=1)
+        else:
+            scores = _score(self._table, pts)
+        scores += self._log_weights
         return scores[0] if squeeze else scores
+
+    @cached_property
+    def _table(self) -> _Parts | None:
+        tables = [c._table for c in self._components]
+        return None if any(t is None for t in tables) else _join(tables)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MixingMeasure):
@@ -697,9 +788,9 @@ def region_of(measure: MixingMeasure, x: ArrayLike):
     """Index of the decision region containing x (1-based).
 
     Region b is where weight_b f_b dominates every other atom; exact ties go
-    to the lowest index so the map is total. A Gaussian atom may score a
-    point alone and inside a batch differently in the last bits, so at a
-    near-tie the two may land in different regions.
+    to the lowest index so the map is total. The built-in atoms score a point
+    with the same bits alone as inside a batch, so it lands in the same
+    region either way.
     """
     return _region_from_scores(measure.log_scores(x))
 
@@ -707,8 +798,8 @@ def region_of(measure: MixingMeasure, x: ArrayLike):
 def classify(measure: MixingMeasure, perm: Permutation, x: ArrayLike):
     """Class label assigned to x: the inverse permutation of its region.
 
-    As in :func:`region_of`, at a near-tie a point alone and inside a batch
-    may land in different regions.
+    As in :func:`region_of`, a point gets the same label alone as inside a
+    batch.
     """
     if perm.size != measure.n_atoms:
         raise ValueError("permutation size does not match the measure")

@@ -46,7 +46,7 @@ def test_artifacts_equal_the_recorded_hashes(workdir):
     assert result["failures"] == RECORDED["failures"]
 
 
-@pytest.mark.parametrize("blas_threads", ["1", None])
+@pytest.mark.parametrize("blas_threads", ["1", "4", None])
 def test_analyze_bytes_do_not_depend_on_blas_threads(workdir, blas_threads):
     check_versions()
     path, _ = workdir

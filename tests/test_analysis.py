@@ -280,11 +280,8 @@ class TestChernoffScan:
             raise AssertionError("chernoff_exponent scored every atom")
 
         monkeypatch.setattr(MixingMeasure, "log_scores", no_log_scores)
-        atom = m.components[1]
         chernoff_exponent(m, 2, 0.05, samples=5_000, seed=3)
-        assert called[0] is atom
-        assert len(called) == 1 + len(atom.parts)
-        assert all(c is p for c, p in zip(called[1:], atom.parts))
+        assert len(called) == 1 and called[0] is m.components[1]
 
     @pytest.mark.parametrize("n", [2, 7, 49])
     def test_fewer_samples_than_the_floor_diverge_like_the_full_grid(self, n):

@@ -99,9 +99,15 @@ def test_no_module_uses_scipy_logsumexp():
 
 
 def test_no_module_imports_solve_triangular():
-    # Gaussian whitening calls LAPACK's dtrtrs directly: scipy's wrapper
-    # re-validates and copies its operands on every call
+    # every atom is whitened by the forward substitution of mixtures._score
     assert scipy_uses("solve_triangular") == []
+
+
+def test_no_module_scores_by_lapack_or_cdist():
+    # LAPACK whitens a point alone and inside a batch differently; the forward
+    # substitution of mixtures._score, one entry at a time, does not
+    for name in ("dtrtrs", "cdist"):
+        assert scipy_uses(name) == [], name
 
 
 def test_no_module_draws_a_weighted_choice():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 import scipy
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_triangular
+from scipy.spatial.distance import cdist
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import multivariate_normal, norm
 
 from permlearn import (
+    ComponentDensity,
     Gaussian,
     GaussianMixture,
     KernelDensity,
@@ -26,6 +29,7 @@ from permlearn import (
     sample_labeled,
     save_mixture,
 )
+from permlearn import mixtures
 from permlearn.mixtures import _categorical, _json_text, _logsumexp
 
 
@@ -126,17 +130,24 @@ class TestGaussian:
     @pytest.mark.parametrize("diagonal", [True, False])
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_whitening_equals_solve_triangular_bit_for_bit(self, d, diagonal):
+        # Bit for bit on 1-d batches, which LAPACK whitens by the reciprocal
+        # of the factor as the forward substitution does. A lone right-hand
+        # side LAPACK divides by it, and from 2-d its blocked solve rounds
+        # otherwise, so there within 1e-12 (1 + |reference|).
         rng = np.random.default_rng(10 * d + diagonal)
         g = random_gaussian(rng, d, diagonal)
-        for n in (0, 1, 2, 63, 64, 4096):
+        for n in (0, 1, 2, 63, 64, 4096, 4097):
             x = rng.normal(0.0, 3.0, (n, d))
-            got = g.log_density(x)
+            got, ref = g.log_density(x), solve_triangular_log_density(g, x)
             assert got.shape == (n,)
-            assert np.array_equal(got, solve_triangular_log_density(g, x))
+            if d == 1 and n > 1:
+                assert np.array_equal(got, ref)
+            else:
+                assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
         for point in rng.normal(0.0, 3.0, (5, d)):
-            got = g.log_density(point)
+            got, ref = g.log_density(point), float(solve_triangular_log_density(g, point)[0])
             assert type(got) is float
-            assert got == float(solve_triangular_log_density(g, point)[0])
+            assert abs(got - ref) <= 1e-12 * (1.0 + abs(ref))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_log_density_leaves_the_callers_points_alone(self, d):
@@ -195,6 +206,15 @@ class TestGaussianMixtureDensity:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             GaussianMixture([0.5, 0.6], [Gaussian([0.0], [[1.0]])] * 2)
+
+
+def cdist_log_density(kd, x):
+    """KernelDensity.log_density from squared distances by ``cdist``."""
+    sq = cdist(x, kd.points, "sqeuclidean")
+    h = kd.bandwidth
+    m, d = kd.points.shape
+    out = scipy_logsumexp(-0.5 * sq / (h * h), axis=1)
+    return out - math.log(m) - d * (math.log(h) + 0.5 * math.log(2.0 * math.pi))
 
 
 def row_major_log_density(mix, pts):
@@ -271,6 +291,15 @@ class TestKernelDensity:
         total, _ = quad(lambda x: float(kd.density(np.array([[x]]))[0]), -5.0, 6.0)
         assert total == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_agrees_with_the_cdist_formula(self, d):
+        rng = np.random.default_rng(d)
+        for m in (1, 7, 8, 60):
+            kd = KernelDensity(rng.normal(0.0, 2.0, (m, d)), rng.uniform(0.05, 2.0))
+            x = rng.normal(0.0, 3.0, (300, d))
+            got, ref = kd.log_density(x), cdist_log_density(kd, x)
+            assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
 
 class TestMixingMeasure:
     def test_density_is_weighted_sum(self):
@@ -306,6 +335,18 @@ class TestMixingMeasure:
                 [0.5, 0.5], [Gaussian([0.0], [[1.0]]), Gaussian([0.0, 0.0], np.eye(2))]
             )
 
+    def test_an_atom_without_gaussian_parts_scores_by_its_own_density(self):
+        class Laplace(ComponentDensity):
+            dim = 1
+
+            def log_density(self, x):
+                return -np.abs(np.asarray(x, dtype=float)).ravel() - math.log(2.0)
+
+        m = MixingMeasure([0.25, 0.75], [Laplace(), Gaussian([1.0], [[2.0]])])
+        x = np.linspace(-3.0, 3.0, 7).reshape(-1, 1)
+        expected = np.column_stack([c.log_density(x) for c in m.components]) + m.log_weights
+        assert np.array_equal(m.log_scores(x), expected)
+
     def test_log_scores_shape_and_value(self):
         m = two_atom()
         s = m.log_scores(np.array([[0.0], [1.0]]))
@@ -336,6 +377,72 @@ class TestRegionsAndClassify:
         x = np.array([[-1.2], [1.2]])
         np.testing.assert_array_equal(classify(m, Permutation((1, 2)), x), [1, 2])
         np.testing.assert_array_equal(classify(m, swap, x), [2, 1])
+
+
+def symmetric_pd(draw, d):
+    a = np.reshape(draw(st.lists(st.floats(-2.0, 2.0), min_size=d * d, max_size=d * d)), (d, d))
+    return a @ a.T + draw(st.sampled_from([1e-3, 0.3, 1.0])) * np.eye(d)
+
+
+@st.composite
+def atoms(draw, d):
+    """A Gaussian, a 1..12-part Gaussian mixture or a 1..20-point KDE in d dims."""
+    coord = st.floats(-5.0, 5.0)
+    kind = draw(st.sampled_from(["gaussian", "mixture", "kde"]))
+    if kind == "kde":
+        m = draw(st.integers(1, 20))
+        points = draw(st.lists(coord, min_size=m * d, max_size=m * d))
+        return KernelDensity(np.reshape(points, (m, d)), draw(st.floats(0.05, 3.0)))
+    gaussians = [
+        Gaussian(draw(st.lists(coord, min_size=d, max_size=d)), symmetric_pd(draw, d))
+        for _ in range(1 if kind == "gaussian" else draw(st.integers(1, 12)))
+    ]
+    if kind == "gaussian":
+        return gaussians[0]
+    raw = draw(st.lists(st.integers(0, 4), min_size=len(gaussians),
+                        max_size=len(gaussians)).filter(any))
+    return GaussianMixture(np.array(raw, dtype=float) / sum(raw), gaussians)
+
+
+@st.composite
+def measures_and_points(draw):
+    """1..4 atoms of one dimension 1..3, and points near and far from them."""
+    d = draw(st.integers(1, 3))
+    comps = draw(st.lists(atoms(d), min_size=1, max_size=4))
+    weights = np.array(draw(st.lists(st.integers(1, 5), min_size=len(comps),
+                                     max_size=len(comps))), dtype=float)
+    n = draw(st.integers(1, 12))
+    near = draw(st.lists(st.floats(-30.0, 30.0), min_size=n * d, max_size=n * d))
+    pts = np.vstack([np.reshape(near, (n, d)), np.full((1, d), 1e155)])
+    return MixingMeasure(weights / weights.sum(), comps), pts
+
+
+class TestAloneEqualsBatch:
+    """A point scores the same bits alone as inside any batch."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(measures_and_points())
+    def test_a_point_scores_alike_alone_and_in_a_batch(self, case):
+        m, x = case
+        batch = [c.log_density(x) for c in m.components]
+        regions = region_of(m, x)
+        for i in range(len(x)):
+            for c, scores in zip(m.components, batch):
+                assert c.log_density(x[i]) == scores[i]
+            assert region_of(m, x[i]) == regions[i]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_blocks_score_like_the_halves_scored_apart(self, d):
+        rng = np.random.default_rng(d)
+        m = nested_measure(rng, 5, d, with_zero_parts=True)
+        kde = KernelDensity(rng.normal(size=(40, d)), 0.6)
+        for score, comps in ((m.log_scores, m.components), (kde.log_density, [kde])):
+            block = mixtures._block(sum(len(c._table.weights) for c in comps))
+            for n in (block - 1, block + 1):
+                x = rng.normal(0.0, 3.0, (n, d))
+                whole = score(x)
+                for half in (1, n // 2, n - 1):
+                    assert np.array_equal(whole, np.concatenate([score(x[:half]), score(x[half:])]))
 
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
@@ -391,10 +498,25 @@ class TestNonFinitePoints:
     def test_finite_points_are_still_scored(self):
         m = MixingMeasure([0.2, 0.3, 0.5], [ATOMS_2D[k] for k in sorted(ATOMS_2D)])
         x = np.array([[0.0, 0.0], [1e300, -1e300]])
-        scores = m.log_scores(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = m.log_scores(x)
         assert np.all(np.isfinite(scores[0]))
         assert np.all(scores[1] == -np.inf)
         assert region_of(m, x).tolist() == [region_of(m, x[0]), 1]
+
+    def test_overflowing_whitening_scores_minus_inf_without_warnings(self):
+        # z overflows, and 0 * inf in the substitution would leave NaN
+        narrow = [Gaussian([0.0, 0.0], 1e-6 * np.eye(2)),
+                  Gaussian([0.0, 0.0], [[1e-6, 5e-7], [5e-7, 1e-6]])]
+        m = MixingMeasure([0.2, 0.2, 0.2, 0.2, 0.2], [*narrow, *ATOMS_2D.values()])
+        x = np.array([[1.7e308, -1.7e308], [-1.7e308, -1.7e308], [1e300, 1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = m.log_scores(x)
+            for atom in m.components:
+                assert np.all(atom.log_density(x) == -np.inf)
+        assert np.all(scores == -np.inf)
 
 
 # scipy 1.15 rewrote logsumexp around log1p; the kernel copies that algorithm
