@@ -83,7 +83,8 @@ class PrefixSummaries:
     with label k; votes[g, b-1, k-1] counts samples with label k falling in
     region b; class_counts[g, k-1] counts label k and region_counts[g, b-1]
     the samples in region b. A whole dataset is the one-prefix case
-    (summarize).
+    (summarize). Summaries of several trials stack their prefixes
+    trial-major, and ns repeats the grid once per trial.
     """
 
     ns: np.ndarray
@@ -117,11 +118,13 @@ def summarize(measure: MixingMeasure, data: LabeledData) -> PrefixSummaries:
 def prefix_summaries(
     scores: np.ndarray, labels: np.ndarray, k: int, ns
 ) -> PrefixSummaries:
-    """Summaries of the prefixes scores[:n], labels[:n] for every n in ns.
+    """Summaries of the prefixes scores[..., :n, :], labels[..., :n] for every n in ns.
 
-    One pass: each sample is counted once, in the segment between the grid
-    sizes that enclose it, and a cumulative sum over the segments gives the
-    prefixes. Beyond the scores, memory is O(len(ns) K^2), never O(n K^2).
+    A leading trial axis, scores (T, n, K) and labels (T, n), gives T len(ns)
+    prefixes, trial-major, each with the bits its trial gives alone. One
+    pass: each sample is counted once, in its trial's segment between the
+    grid sizes that enclose it, and a cumulative sum over each trial's
+    segments gives the prefixes. Beyond the scores, memory is O(T len(ns) K^2).
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
@@ -129,26 +132,32 @@ def prefix_summaries(
     if ns.ndim != 1 or ns.size == 0 or ns[0] < 1 or np.any(np.diff(ns) <= 0):
         raise ValueError("ns must be strictly increasing positive sizes")
     n = int(ns[-1])
-    if labels.ndim != 1 or labels.shape[0] < n:
+    if labels.ndim not in (1, 2) or labels.shape[-1] < n:
         raise ValueError(f"need at least {n} labels")
-    if scores.shape != (labels.shape[0], k):
-        raise ValueError(f"scores must have shape ({labels.shape[0]}, {k})")
-    scores, labels = scores[:n], labels[:n]
+    if scores.shape != (*labels.shape, k):
+        raise ValueError(f"scores must have shape {(*labels.shape, k)}")
+    scores, labels = scores[..., :n, :], labels[..., :n]
     if int(labels.max()) > k or int(labels.min()) < 1:
         raise ValueError(f"labels must lie in 1..{k}")
+    t = labels.size // n
     g = ns.size
-    # Bin (segment, row, column) of a flat (g, k, k) array is
-    # (segment * k + row) * k + column; seg_k holds segment * k per sample.
-    seg_k = np.repeat(np.arange(g) * k, np.diff(ns, prepend=0))
+    # Bin (trial, segment, row, column) of a flat (t, g, k, k) array is
+    # ((trial * g + segment) * k + row) * k + column; seg_k holds
+    # (trial * g + segment) * k per sample.
+    seg_k = np.repeat(np.arange(t * g) * k, np.tile(np.diff(ns, prepend=0), t))
+    labels = labels.ravel()
     by_class = (seg_k + labels - 1)[:, np.newaxis] * k + np.arange(k)
-    weights = np.bincount(by_class.ravel(), weights=scores.ravel(), minlength=g * k * k)
-    regions0 = np.argmax(scores, axis=1)
-    votes = np.bincount((seg_k + regions0) * k + labels - 1, minlength=g * k * k)
-    votes = votes.reshape(g, k, k).cumsum(axis=0)
+    size = t * g * k * k
+    weights = np.bincount(by_class.ravel(), weights=scores.ravel(), minlength=size)
+    regions0 = np.argmax(scores, axis=-1).ravel()
+    votes = np.bincount((seg_k + regions0) * k + labels - 1, minlength=size)
+    for field in (weights, votes):
+        field.reshape(t, g, -1).cumsum(axis=1, out=field.reshape(t, g, -1))
+    votes = votes.reshape(-1, k, k)
     return PrefixSummaries(
-        ns=ns,
+        ns=np.tile(ns, t),
         k=k,
-        weights=weights.reshape(g, k, k).cumsum(axis=0),
+        weights=weights.reshape(-1, k, k),
         votes=votes,
         class_counts=votes.sum(axis=1),
         region_counts=votes.sum(axis=2),

@@ -25,6 +25,7 @@ from .estimators import (
     CODE_NON_BIJECTIVE,
     CODE_OK,
     FAILURES,
+    PrefixSummaries,
     greedy_prefixes,
     mle_prefixes,
     mv_prefixes,
@@ -96,6 +97,10 @@ _ESTIMATORS: tuple[tuple[str, Callable], ...] = (
 # Cell outcome codes: the rules' codes, with a successful permutation that
 # equals the true one recoded as _RECOVERED.
 _RECOVERED = len(FAILURES)
+# A chunk of trials (at least one) holds at most _CHUNK_SCORES points x K
+# scores and _CHUNK_SUMMARIES prefixes x K^2 summary entries.
+_CHUNK_SCORES = 2**14
+_CHUNK_SUMMARIES = 2**16
 
 CSV_COLUMNS = (
     "family,K,dim,eta,perturbed,estimator,n,trials,recovered,"
@@ -370,40 +375,34 @@ class RecoveryCurve:
         return {"spec": self.spec.to_dict(), "version": __version__}
 
 
-def _run_trial(
+def _chunk_summaries(
     spec: ExperimentSpec,
     truth: MixingMeasure,
     true_perm: Permutation,
     model: MixingMeasure,
-    trial: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cell outcome codes and log-likelihoods (NaN on failure) of one trial.
+    trials: range,
+) -> PrefixSummaries:
+    """Grid prefix summaries of trials, trial-major, from one log_scores call.
 
-    Both arrays have shape (estimators, grid sizes).
+    Trial t draws its points and label noise from ``default_rng([seed, t])``.
     """
-    rng = np.random.default_rng([spec.seed, trial])
-    n_max = spec.n_grid[-1]
-    data = sample_labeled(truth, true_perm, n_max, rng)
-    y = data.y
-    k = spec.k
-    if k > 1:
-        # Draw the noise variables unconditionally so curves at different
-        # noise levels share the same underlying samples.
-        flip = rng.random(n_max) < spec.label_noise
-        wrong = rng.integers(1, k, size=n_max)
-        if spec.label_noise > 0.0:
-            y = np.where(flip, (y - 1 + wrong) % k + 1, y)
-    prefixes = prefix_summaries(model.log_scores(data.x), y, k, spec.n_grid)
-    true_cols = np.asarray(true_perm.to_region) - 1
-    codes = np.empty((len(_ESTIMATORS), len(spec.n_grid)), dtype=np.int8)
-    logliks = np.full(codes.shape, np.nan)
-    for e, (_, rule) in enumerate(_ESTIMATORS):
-        rule_codes, cols = rule(prefixes)
-        ok = rule_codes == CODE_OK
-        recovered = ok & np.all(cols == true_cols, axis=1)
-        codes[e] = np.where(recovered, _RECOVERED, rule_codes)
-        logliks[e, ok] = prefixes.loglik(cols)[ok]
-    return codes, logliks
+    k, n_max = spec.k, spec.n_grid[-1]
+    xs, ys = [], []
+    for t in trials:
+        rng = np.random.default_rng([spec.seed, t])
+        data = sample_labeled(truth, true_perm, n_max, rng)
+        y = data.y
+        if k > 1:
+            # Draw the noise variables unconditionally so curves at different
+            # noise levels share the same underlying samples.
+            flip = rng.random(n_max) < spec.label_noise
+            wrong = rng.integers(1, k, size=n_max)
+            if spec.label_noise > 0.0:
+                y = np.where(flip, (y - 1 + wrong) % k + 1, y)
+        xs.append(data.x)
+        ys.append(y)
+    scores = model.log_scores(np.concatenate(xs)).reshape(len(trials), n_max, k)
+    return prefix_summaries(scores, ys, k, spec.n_grid)
 
 
 def resolve_model(spec: ExperimentSpec) -> tuple[MixingMeasure, Permutation, MixingMeasure]:
@@ -421,19 +420,31 @@ def resolve_model(spec: ExperimentSpec) -> tuple[MixingMeasure, Permutation, Mix
 def run_recovery_experiment(spec: ExperimentSpec, threads: int = 1) -> RecoveryCurve:
     """Run every estimator over the sample-size grid for spec.trials draws.
 
-    Each trial draws once at the largest grid size, scores the samples
-    against the model a single time and summarizes all grid prefixes in one
-    pass. ``threads`` must be >= 1 and is accepted for compatibility only:
-    trials run one after another, since a thread pool over the batched trials
-    was no faster on two cores. Results never depend on it.
+    Each trial draws once at the largest grid size. Per chunk of trials, one
+    log_scores call scores the samples, one prefix_summaries call summarises
+    all grid prefixes and each rule runs once, giving the bits of one trial
+    at a time in bounded memory. ``threads`` must be >= 1 and is accepted for
+    compatibility only; results never depend on it.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     start = time.perf_counter()
     truth, true_perm, model = resolve_model(spec)
-    per_trial = [_run_trial(spec, truth, true_perm, model, t) for t in range(spec.trials)]
-    codes = np.stack([c for c, _ in per_trial])
-    logliks = np.stack([ll for _, ll in per_trial])
+    k, n_max, sizes = spec.k, spec.n_grid[-1], len(spec.n_grid)
+    per_chunk = max(1, min(_CHUNK_SCORES // (n_max * k), _CHUNK_SUMMARIES // (sizes * k * k)))
+    true_cols = np.asarray(true_perm.to_region) - 1
+    # outcome code and log-likelihood (NaN on failure) per trial and cell
+    codes = np.empty((spec.trials, len(_ESTIMATORS), sizes), dtype=np.int8)
+    logliks = np.empty(codes.shape)
+    for lo in range(0, spec.trials, per_chunk):
+        hi = min(lo + per_chunk, spec.trials)
+        prefixes = _chunk_summaries(spec, truth, true_perm, model, range(lo, hi))
+        for e, (_, rule) in enumerate(_ESTIMATORS):
+            rule_codes, cols = rule(prefixes)
+            ok = rule_codes == CODE_OK
+            recovered = ok & np.all(cols == true_cols, axis=1)
+            codes[lo:hi, e] = np.where(recovered, _RECOVERED, rule_codes).reshape(-1, sizes)
+            logliks[lo:hi, e] = np.where(ok, prefixes.loglik(cols), np.nan).reshape(-1, sizes)
     # counts[e, g, code]: trials of cell (e, g) with that outcome code
     counts = np.sum(codes[..., np.newaxis] == np.arange(_RECOVERED + 1), axis=0)
 

@@ -8,6 +8,7 @@ total weights of whole permutations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -34,6 +35,9 @@ TIE_TOL = 1e-9
 
 # brute_force_matching refuses anything above 10! evaluations.
 BRUTE_FORCE_LIMIT = 10
+
+# Largest K whose permutations brute_force_matching holds as one cached table.
+_TABLE_K = 8
 
 
 @dataclass(frozen=True)
@@ -132,12 +136,36 @@ def max_weight_assignments(weights: ArrayLike) -> np.ndarray:
     return cols
 
 
+@functools.cache
+def _lex_table(k: int) -> np.ndarray:
+    """Every permutation of range(k) as an int8 row, in lexicographic order."""
+    if k == 0:
+        return np.zeros((1, 0), dtype=np.int8)
+    rest = _lex_table(k - 1)
+    # head h, then the rows of rest relabelled to the other values in order
+    return np.concatenate([np.insert(rest + (rest >= h), 0, h, axis=1) for h in range(k)])
+
+
+def _lex_chunks(k: int):
+    """The permutations of range(k) in lexicographic order, as int8 row blocks.
+
+    Each lexicographic head of k - _TABLE_K values (none for k <= _TABLE_K)
+    is followed by the cached table of the rest, relabelled to the values
+    the head leaves.
+    """
+    tail = min(k, _TABLE_K)
+    table = _lex_table(tail)
+    for head in itertools.permutations(range(k), k - tail):
+        rest = np.setdiff1d(np.arange(k, dtype=np.int8), head)
+        yield np.hstack((np.tile(np.array(head, dtype=np.int8), (len(table), 1)), rest[table]))
+
+
 def brute_force_matching(weights: ArrayLike) -> MatchingResult:
     """Exhaustive reference maximizer; refuses K > BRUTE_FORCE_LIMIT.
 
-    Permutations are scored in vectorized chunks, so even 10! stays cheap;
-    earlier chunks win ties, which matches lexicographically-first semantics
-    because itertools.permutations yields in lexicographic order.
+    Permutations are scored in vectorized chunks in lexicographic order, so
+    even 10! stays cheap; earlier chunks win ties, which gives
+    lexicographically-first semantics.
     """
     w = _as_weight_matrix(weights)
     k = w.shape[0]
@@ -146,12 +174,8 @@ def brute_force_matching(weights: ArrayLike) -> MatchingResult:
     rows = np.arange(k)
     best_total, best_perm = -np.inf, None
     runner_total = -np.inf
-    perms = itertools.permutations(range(k))
-    while True:
-        chunk = np.array(list(itertools.islice(perms, 200_000)), dtype=np.intp)
-        if chunk.size == 0:
-            break
-        totals = w[rows, chunk.reshape(-1, k)].sum(axis=1)
+    for chunk in _lex_chunks(k):
+        totals = w[rows, chunk].sum(axis=1)
         top = int(np.argmax(totals))
         chunk_best = float(totals[top])
         chunk_second = (
@@ -160,9 +184,9 @@ def brute_force_matching(weights: ArrayLike) -> MatchingResult:
         if chunk_best > best_total:
             # the displaced optimum and this chunk's runner both compete
             runner_total = max(runner_total, best_total, chunk_second)
-            best_total, best_perm = chunk_best, tuple(int(c) for c in chunk[top])
+            best_total, best_perm = chunk_best, chunk[top]
         else:
             # a distinct permutation, even on an exact tie with the optimum
             runner_total = max(runner_total, chunk_best)
-    is_unique = k == 1 or best_total - runner_total > _tie_tol(w, np.array(best_perm))
+    is_unique = k == 1 or best_total - runner_total > _tie_tol(w, best_perm)
     return MatchingResult(_permutation(best_perm), best_total, is_unique)

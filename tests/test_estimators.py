@@ -64,6 +64,33 @@ class TestSummarize:
         np.testing.assert_array_equal(a.votes[0], b.votes[-1])
         np.testing.assert_allclose(a.weights[0], b.weights[-1])
 
+    @pytest.mark.parametrize(
+        "t,n,k,ns",
+        [(1, 5, 2, [1, 5]), (3, 40, 4, [1, 2, 3, 17, 40]), (5, 30, 16, [1, 7, 29]),
+         (4, 9, 1, [1, 9])],
+    )
+    def test_trial_axis_stacks_the_trials(self, t, n, k, ns):
+        # every field of one (T, n, K) call equals T 2-d calls stacked
+        # trial-major; n is one more than the grid needs, so slicing is hit
+        rng = np.random.default_rng([t, n, k])
+        scores = rng.normal(size=(t, n + 1, k))
+        labels = rng.integers(1, k + 1, size=(t, n + 1))
+        batch = prefix_summaries(scores, labels, k, ns)
+        alone = [prefix_summaries(scores[i], labels[i], k, ns) for i in range(t)]
+        assert batch.k == k
+        for field in ("ns", "weights", "votes", "class_counts", "region_counts"):
+            stacked = np.concatenate([getattr(a, field) for a in alone])
+            assert np.array_equal(getattr(batch, field), stacked), field
+        cols = np.tile(np.arange(k), (t * len(ns), 1))
+        stacked = np.concatenate([a.loglik(cols[: len(ns)]) for a in alone])
+        assert np.array_equal(batch.loglik(cols), stacked)
+
+    def test_rejects_scores_that_do_not_match_the_trial_axis(self):
+        with pytest.raises(ValueError, match="shape"):
+            prefix_summaries(np.zeros((2, 3, 2)), np.ones((3, 3), dtype=int), 2, [3])
+        with pytest.raises(ValueError, match="labels"):
+            prefix_summaries(np.zeros((1, 2, 3, 2)), np.ones((1, 2, 3), dtype=int), 2, [3])
+
     def test_rejects_label_above_k(self):
         m = separated(2)
         with pytest.raises(ValueError, match="label"):

@@ -19,9 +19,21 @@ from permlearn import (
     sample_labeled,
     tv_distance,
 )
+from permlearn import harness
+from permlearn.estimators import (
+    CODE_EMPTY_REGION,
+    CODE_MAJORITY_TIE,
+    CODE_NON_BIJECTIVE,
+    CODE_OK,
+    prefix_summaries,
+)
 from permlearn.harness import (
     CSV_COLUMNS,
     DEFAULT_N_GRID,
+    _ESTIMATORS,
+    _RECOVERED,
+    CurvePoint,
+    RecoveryCurve,
     _grid_means,
     _spec_fields,
     resolve_model,
@@ -319,6 +331,34 @@ def _two_atoms(mu, weights=(0.5, 0.5)):
 _SINGLE = MixingMeasure([1.0], [Gaussian([0.0], [[1.0]])])
 
 
+_ENGINE_SPECS = [
+    ExperimentSpec(
+        "custom", true_mixture=_SINGLE, model_mixture=_SINGLE,
+        n_grid=(1, 2, 7), trials=4, seed=1,
+    ),
+    ExperimentSpec(
+        "custom", true_mixture=_two_atoms(0.25), model_mixture=_two_atoms(0.25),
+        n_grid=(1, 2, 3, 4, 8, 16, 64), trials=15, seed=2,
+    ),
+    ExperimentSpec(
+        "custom", true_mixture=_two_atoms(0.4), model_mixture=_two_atoms(0.3, (0.6, 0.4)),
+        n_grid=(1, 2, 5, 30), trials=15, label_noise=0.3, seed=3,
+    ),
+    small_spec(n_grid=(1, 2, 3, 5, 9, 17, 33), trials=10, label_noise=0.3),
+    small_spec(family="gaussian_grid_perturbed", n_grid=(1, 4, 6, 12, 40), trials=10),
+    small_spec(
+        family="mixture_of_mixtures_perturbed", n_grid=(1, 3, 8, 20), trials=6,
+        label_noise=0.2,
+    ),
+    small_spec(k=16, eta=0.5, n_grid=(1, 5, 16, 30, 60), trials=4),
+    small_spec(k=16, eta=0.5, n_grid=(2, 40, 99), trials=3, label_noise=0.3),
+]
+_ENGINE_IDS = [
+    "k1", "k2", "k2-noise-misspecified", "k4-noise", "k4-perturbed",
+    "k4-nested-perturbed-noise", "k16", "k16-noise",
+]
+
+
 class TestBatchedEngineMatchesLibrary:
     """The one-pass prefix engine against per-prefix library estimates.
 
@@ -327,33 +367,7 @@ class TestBatchedEngineMatchesLibrary:
     order, so mean log-likelihoods agree to 1e-12.
     """
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            ExperimentSpec(
-                "custom", true_mixture=_SINGLE, model_mixture=_SINGLE,
-                n_grid=(1, 2, 7), trials=4, seed=1,
-            ),
-            ExperimentSpec(
-                "custom", true_mixture=_two_atoms(0.25), model_mixture=_two_atoms(0.25),
-                n_grid=(1, 2, 3, 4, 8, 16, 64), trials=15, seed=2,
-            ),
-            ExperimentSpec(
-                "custom", true_mixture=_two_atoms(0.4), model_mixture=_two_atoms(0.3, (0.6, 0.4)),
-                n_grid=(1, 2, 5, 30), trials=15, label_noise=0.3, seed=3,
-            ),
-            small_spec(n_grid=(1, 2, 3, 5, 9, 17, 33), trials=10, label_noise=0.3),
-            small_spec(family="gaussian_grid_perturbed", n_grid=(1, 4, 6, 12, 40), trials=10),
-            small_spec(
-                family="mixture_of_mixtures_perturbed", n_grid=(1, 3, 8, 20), trials=6,
-                label_noise=0.2,
-            ),
-            small_spec(k=16, eta=0.5, n_grid=(1, 5, 16, 30, 60), trials=4),
-            small_spec(k=16, eta=0.5, n_grid=(2, 40, 99), trials=3, label_noise=0.3),
-        ],
-        ids=["k1", "k2", "k2-noise-misspecified", "k4-noise", "k4-perturbed",
-             "k4-nested-perturbed-noise", "k16", "k16-noise"],
-    )
+    @pytest.mark.parametrize("spec", _ENGINE_SPECS, ids=_ENGINE_IDS)
     def test_counts_equal_and_loglik_close(self, spec):
         expected = _library_cells(spec)
         curve = run_recovery_experiment(spec)
@@ -393,6 +407,73 @@ class TestBatchedEngineMatchesLibrary:
         )
         assert regions_full > 0
         assert cell.fail_empty == absent_class
+
+
+def _trial_at_a_time(spec):
+    """curves.csv text of spec, each trial scored, summarised and ruled alone."""
+    truth, perm, model = resolve_model(spec)
+    true_cols = np.asarray(perm.to_region) - 1
+    per_trial = []
+    for t in range(spec.trials):
+        data = _trial_data(spec, truth, perm, t)
+        prefixes = prefix_summaries(model.log_scores(data.x), data.y, spec.k, spec.n_grid)
+        codes = np.empty((len(_ESTIMATORS), len(spec.n_grid)), dtype=np.int8)
+        logliks = np.full(codes.shape, np.nan)
+        for e, (_, rule) in enumerate(_ESTIMATORS):
+            rule_codes, cols = rule(prefixes)
+            ok = rule_codes == CODE_OK
+            recovered = ok & np.all(cols == true_cols, axis=1)
+            codes[e] = np.where(recovered, _RECOVERED, rule_codes)
+            logliks[e, ok] = prefixes.loglik(cols)[ok]
+        per_trial.append((codes, logliks))
+    codes = np.stack([c for c, _ in per_trial])
+    logliks = np.stack([ll for _, ll in per_trial])
+    points = []
+    for e, (name, _) in enumerate(_ESTIMATORS):
+        for g, n in enumerate(spec.n_grid):
+            cell = codes[:, e, g]
+            ll = logliks[:, e, g]
+            ll = ll[~np.isnan(ll)]
+            points.append(
+                CurvePoint(
+                    estimator=name,
+                    n=n,
+                    trials=spec.trials,
+                    recovered=int(np.sum(cell == _RECOVERED)),
+                    fail_empty=int(np.sum(cell == CODE_EMPTY_REGION)),
+                    fail_tie=int(np.sum(cell == CODE_MAJORITY_TIE)),
+                    fail_nonbij=int(np.sum(cell == CODE_NON_BIJECTIVE)),
+                    mean_loglik=float(np.mean(ll)) if ll.size else None,
+                )
+            )
+    return RecoveryCurve(spec, tuple(points), 0.0).csv_text()
+
+
+class TestChunkedEngineMatchesTrialAtATime:
+    """Trials scored and summarised in chunks give the bytes of one at a time.
+
+    The chunk caps are set so that a chunk holds one trial, about half the
+    trials (so the last chunk is ragged) or every trial.
+    """
+
+    @pytest.mark.parametrize("spec", _ENGINE_SPECS, ids=_ENGINE_IDS)
+    @pytest.mark.parametrize("per_chunk", ["one", "ragged", "all"])
+    def test_csv_bytes_equal(self, spec, per_chunk, monkeypatch):
+        n_chunk = {"one": 1, "ragged": spec.trials // 2 + 1, "all": spec.trials}[per_chunk]
+        k, sizes = spec.k, len(spec.n_grid)
+        monkeypatch.setattr(harness, "_CHUNK_SCORES", n_chunk * spec.n_grid[-1] * k)
+        monkeypatch.setattr(harness, "_CHUNK_SUMMARIES", n_chunk * sizes * k * k)
+        calls = []
+
+        def counted(scores, *args):
+            calls.append(len(scores))
+            return prefix_summaries(scores, *args)
+
+        monkeypatch.setattr(harness, "prefix_summaries", counted)
+        text = run_recovery_experiment(spec).csv_text()
+        chunks = -(-spec.trials // n_chunk)
+        assert calls == [n_chunk] * (chunks - 1) + [spec.trials - n_chunk * (chunks - 1)]
+        assert text == _trial_at_a_time(spec)
 
 
 class TestCsvFormat:

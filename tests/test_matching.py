@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -67,8 +68,6 @@ def test_agrees_with_brute_force(k):
 
 
 def test_second_best_agrees_with_enumeration():
-    import itertools
-
     rng = np.random.default_rng(11)
     for _ in range(40):
         k = int(rng.integers(2, 6))
@@ -154,6 +153,38 @@ def test_assignments_reject_bad_stacks(bad):
 def test_brute_force_limit():
     with pytest.raises(ValueError, match="brute force"):
         brute_force_matching(np.zeros((11, 11)))
+
+
+def _enumerated(w, perms):
+    """Optimum, total and tie flag of w over perms, all of them in itertools order.
+
+    The first of tied optima wins; the runner-up is the best of the others.
+    """
+    k = w.shape[0]
+    totals = w[np.arange(k), perms].sum(axis=1)
+    top = int(np.argmax(totals))
+    runner = np.delete(totals, top).max(initial=-np.inf)
+    tol = TIE_TOL * max(1.0, float(np.abs(w[np.arange(k), perms[top]]).sum()))
+    unique = k == 1 or totals[top] - runner > tol
+    return Permutation(tuple(int(c) + 1 for c in perms[top])), float(totals[top]), unique
+
+
+def _test_matrices(k, rng):
+    """Random matrices, and tied ones: small integers, all equal, and a_i + b_j."""
+    yield from (rng.normal(size=(k, k)) for _ in range(3))
+    yield from (rng.integers(-1, 2, size=(k, k)).astype(float) for _ in range(3))
+    yield np.full((k, k), 0.5)
+    yield rng.integers(-3, 4, size=(k, 1)) + rng.integers(-3, 4, size=(1, k)).astype(float)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 9])
+def test_brute_force_equals_itertools_enumeration(k):
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+    rng = np.random.default_rng([5, k])
+    matrices = list(_test_matrices(k, rng))
+    for w in matrices if k < 9 else matrices[::3]:
+        got = brute_force_matching(w)
+        assert (got.permutation, got.total_weight, got.is_unique) == _enumerated(w, perms)
 
 
 @given(
