@@ -13,7 +13,10 @@ tilted weights ``exp(s * V)`` keep an effective sample size of at least
 one sample. That point is found by a downward scan: ESS is computed for one
 grid row at a time, from the top, and the scan stops at the first stable row.
 That row is the largest stable tilt of the whole grid, whatever the shape of
-the ESS curve, and on typical scores it is the top row itself.
+the ESS curve, and on typical scores it is the top row itself. The scan and
+the search share one ``mixtures._TiltedLogSumExp`` of the centred scores,
+which reduces each tilt in reused buffers with the bits of a fresh
+``_logsumexp``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from ..mixtures import MixingMeasure, Permutation, _logsumexp, sample_labeled
+from ..mixtures import MixingMeasure, Permutation, _TiltedLogSumExp, sample_labeled
 
 __all__ = [
     "DualEstimate",
@@ -57,21 +60,15 @@ class DualEstimate:
     seed: int | None = None
 
 
-def _effective_sample_sizes(log_w: np.ndarray) -> np.ndarray:
-    # (sum w)^2 / sum w^2, rows = grid points
-    return np.exp(2.0 * _logsumexp(log_w, axis=1) - _logsumexp(2.0 * log_w, axis=1))
-
-
-def _largest_stable_tilt(grid: np.ndarray, v: np.ndarray, floor: float) -> float | None:
+def _largest_stable_tilt(grid: np.ndarray, lse: _TiltedLogSumExp, floor: float) -> float | None:
     """The largest tilt of the ascending ``grid`` whose ESS is at least ``floor``.
 
-    Rows are scanned one at a time from the top, each reduced as a (1, n)
-    stack exactly as it would be inside the full (grid, n) stack, so the
-    answer equals the full grid's without its temporaries. None when no tilt
-    is stable.
+    Rows are scanned one at a time from the top, each with the ESS bits it
+    has inside the full (grid, n) stack, so the answer equals the full grid's
+    without its temporaries. None when no tilt is stable.
     """
     for s in grid[::-1]:
-        if _effective_sample_sizes(s * v[np.newaxis, :])[0] >= floor:
+        if lse.ess(s) >= floor:
             return float(s)
     return None
 
@@ -100,14 +97,15 @@ def chernoff_exponent_from_scores(
         return DualEstimate(math.inf, math.inf, True, n, seed)
 
     grid = np.geomspace(1e-3, 1e3, _GRID_POINTS) / sd
-    s_hi = _largest_stable_tilt(grid, v, min(ESS_FLOOR, n))
+    lse = _TiltedLogSumExp(v)
+    s_hi = _largest_stable_tilt(grid, lse, min(ESS_FLOOR, n))
     if s_hi is None:
         return DualEstimate(0.0, 0.0, True, n, seed)
 
     log_n = math.log(n)
 
     def objective(s: float) -> float:
-        return -(s * t - (float(_logsumexp(s * v)) - log_n))
+        return -(s * t - (lse(s) - log_n))
 
     res = minimize_scalar(objective, bounds=(0.0, s_hi), method="bounded")
     value = max(-float(res.fun), 0.0)

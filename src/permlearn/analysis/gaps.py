@@ -56,10 +56,12 @@ def _mle_part(weights: np.ndarray, scores, labels, true_perm):
     n, k = scores.shape
     cell_mean = weights / n
     # per-class sums of squared scores, the second moment behind the
-    # half-width: one flat bin per (class, region) cell, added in sample order
-    cells = (labels - 1)[:, np.newaxis] * k + np.arange(k)
-    cell_sq = np.bincount(cells.ravel(), weights=(scores**2).ravel(), minlength=k * k)
-    cell_sq = cell_sq.reshape(k, k) / n
+    # half-width: one bincount per region column, added in sample order
+    rows = labels - 1
+    cell_sq = np.empty((k, k))
+    for r in range(k):
+        cell_sq[:, r] = np.bincount(rows, weights=np.square(scores[:, r]), minlength=k)
+    cell_sq /= n
     cell_se = np.sqrt(np.maximum(cell_sq - cell_mean**2, 0.0) / n)
 
     def value(perm: Permutation) -> float:

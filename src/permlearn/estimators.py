@@ -124,7 +124,8 @@ def prefix_summaries(
     prefixes, trial-major, each with the bits its trial gives alone. One
     pass: each sample is counted once, in its trial's segment between the
     grid sizes that enclose it, and a cumulative sum over each trial's
-    segments gives the prefixes. Beyond the scores, memory is O(T len(ns) K^2).
+    segments gives the prefixes. Beyond the scores, memory is
+    O(n + T len(ns) K^2).
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
@@ -146,9 +147,12 @@ def prefix_summaries(
     # (trial * g + segment) * k per sample.
     seg_k = np.repeat(np.arange(t * g) * k, np.tile(np.diff(ns, prepend=0), t))
     labels = labels.ravel()
-    by_class = (seg_k + labels - 1)[:, np.newaxis] * k + np.arange(k)
+    by_class = seg_k + labels - 1
     size = t * g * k * k
-    weights = np.bincount(by_class.ravel(), weights=scores.ravel(), minlength=size)
+    weights = np.empty(size)
+    for r in range(k):
+        # column r fills bins r::k, each adding its samples in sample order
+        weights[r::k] = np.bincount(by_class, scores[..., r].ravel(), minlength=size // k)
     regions0 = np.argmax(scores, axis=-1).ravel()
     votes = np.bincount((seg_k + regions0) * k + labels - 1, minlength=size)
     for field in (weights, votes):

@@ -37,14 +37,10 @@ from permlearn import (
     wasserstein1,
 )
 from permlearn import matching
-from permlearn.analysis import bounds, transport
-from permlearn.analysis.bounds import (
-    ESS_FLOOR,
-    _effective_sample_sizes,
-    _largest_stable_tilt,
-)
+from permlearn.analysis import bounds, gaps, transport
+from permlearn.analysis.bounds import ESS_FLOOR, _largest_stable_tilt
 from permlearn.analysis.transport import MAX_ATOMS, _optimal_coupling
-from permlearn.mixtures import _json_text
+from permlearn.mixtures import _TiltedLogSumExp, _json_text, _logsumexp
 
 
 def two_atom(mu, weights=(0.5, 0.5)):
@@ -233,6 +229,11 @@ CHERNOFF_MEASURES = {
 }
 
 
+def _effective_sample_sizes(log_w: np.ndarray) -> np.ndarray:
+    # (sum w)^2 / sum w^2, rows = grid points
+    return np.exp(2.0 * _logsumexp(log_w, axis=1) - _logsumexp(2.0 * log_w, axis=1))
+
+
 def full_grid_tilt(grid, v, floor, ess=None):
     """The largest stable tilt from ESS on every grid row at once.
 
@@ -289,14 +290,14 @@ class TestChernoffScan:
         grid, v = centred_grid(u)
         floor = min(ESS_FLOOR, n)
         assert full_grid_tilt(grid, v, floor) is None
-        assert _largest_stable_tilt(grid, v, floor) is None
+        assert _largest_stable_tilt(grid, _TiltedLogSumExp(v), floor) is None
         est = chernoff_exponent_from_scores(u, 0.5)
         assert est.diverged and est.value == 0.0
 
     def test_all_unstable_grid_matches_the_full_grid(self):
         grid, v = centred_grid(np.random.default_rng(1).pareto(1.2, 5_000))
         assert full_grid_tilt(grid, v, 5_000.0) is None
-        assert _largest_stable_tilt(grid, v, 5_000.0) is None
+        assert _largest_stable_tilt(grid, _TiltedLogSumExp(v), 5_000.0) is None
 
     def test_crossings_on_block_edges_match_the_full_grid(self):
         # every row is a scan step; heavy tails spread the ESS fall over many
@@ -309,7 +310,7 @@ class TestChernoffScan:
         for r in range(grid.size):
             for floor in (ess[r], np.nextafter(ess[r], np.inf)):
                 want = full_grid_tilt(grid, v, floor, ess)
-                assert _largest_stable_tilt(grid, v, floor) == want
+                assert _largest_stable_tilt(grid, _TiltedLogSumExp(v), floor) == want
         for r in crossing:
             assert full_grid_tilt(grid, v, ess[r], ess) == grid[r]
 
@@ -317,21 +318,21 @@ class TestChernoffScan:
         # a Gaussian log score has a bounded upper tail, so its top tilt keeps
         # enough effective samples and the scan stops there
         u = -np.random.default_rng(6).exponential(1.0, 100_000)
-        shapes = []
-        original = bounds._effective_sample_sizes
+        tilts = []
+        original = _TiltedLogSumExp.ess
 
-        def recorder(log_w):
-            shapes.append(log_w.shape)
-            return original(log_w)
+        def recorder(self, s):
+            tilts.append(s)
+            return original(self, s)
 
-        monkeypatch.setattr(bounds, "_effective_sample_sizes", recorder)
+        monkeypatch.setattr(_TiltedLogSumExp, "ess", recorder)
         grid, v = centred_grid(u)
-        assert _largest_stable_tilt(grid, v, ESS_FLOOR) == grid[-1]
-        assert shapes == [(1, u.size)]
-        shapes.clear()
+        assert _largest_stable_tilt(grid, _TiltedLogSumExp(v), ESS_FLOOR) == grid[-1]
+        assert tilts == [grid[-1]]
+        tilts.clear()
         est = chernoff_exponent_from_scores(u, 0.5)
         assert not est.diverged
-        assert shapes == [(1, u.size)]
+        assert tilts == [grid[-1]]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -345,7 +346,130 @@ class TestChernoffScan:
         if u.std() == 0.0:
             return
         grid, v = centred_grid(u)
-        assert _largest_stable_tilt(grid, v, floor) == full_grid_tilt(grid, v, floor)
+        want = full_grid_tilt(grid, v, floor)
+        assert _largest_stable_tilt(grid, _TiltedLogSumExp(v), floor) == want
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.float64(a), np.float64(b)
+    return bool(np.isnan(a) and np.isnan(b)) or a.tobytes() == b.tobytes()
+
+
+def assert_kernel_is_the_oracle(v, tilts):
+    """At every tilt the kernel gives ``_logsumexp(s * v)`` and the ESS row bit for bit."""
+    lse = _TiltedLogSumExp(v)
+    for s in tilts:
+        # an overflowing row warns in the oracle and in the kernel alike
+        with np.errstate(all="ignore"):
+            want = float(_logsumexp(s * v))
+            want_ess = _effective_sample_sizes(s * v[np.newaxis, :])[0]
+            assert same_bits(lse(s), want), s
+            assert same_bits(lse.ess(s), want_ess), s
+
+
+@st.composite
+def tilted_rows(draw):
+    """Centred heavy-tailed, rounded or near-constant scores and tilts for them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 2_000))
+    kind = draw(st.sampled_from(["normal", "exponential", "pareto", "t", "rounded", "flat"]))
+    if kind == "normal":
+        u = rng.normal(0.0, draw(st.sampled_from([1e-3, 1.0, 40.0])), n)
+    elif kind == "exponential":
+        u = -rng.exponential(1.0, n)
+    elif kind == "pareto":
+        u = rng.pareto(draw(st.sampled_from([0.8, 1.5, 3.0])), n)
+    elif kind == "t":
+        u = rng.standard_t(draw(st.sampled_from([1.0, 2.0])), n)
+    elif kind == "rounded":
+        # many lanes tie at the top, often more than 32
+        u = np.round(rng.normal(0.0, draw(st.sampled_from([0.3, 3.0])), n))
+    else:
+        # seven values a few ulps apart, each shared by many lanes
+        u = 7.0 + rng.integers(-3, 4, n) * np.spacing(7.0)
+    v = u - u.mean()
+    sd = float(v.std())
+    grid = np.geomspace(1e-3, 1e3, bounds._GRID_POINTS) / (sd if sd > 0.0 else 1.0)
+    picked = draw(st.lists(st.sampled_from(grid.tolist()), min_size=1, max_size=6))
+    # interior points of a bounded search up to some grid tilt
+    fractions = draw(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=6))
+    return v, picked + [f * draw(st.sampled_from(grid.tolist())) for f in fractions]
+
+
+class TestTiltedLogSumExp:
+    @settings(max_examples=150, deadline=None)
+    @given(tilted_rows())
+    def test_equals_the_oracle_at_grid_and_search_tilts(self, case):
+        v, tilts = case
+        assert_kernel_is_the_oracle(v, tilts)
+
+    def test_every_grid_tilt_of_a_chernoff_sample(self):
+        grid, v = centred_grid(np.random.default_rng(9).standard_t(3.0, 20_000))
+        assert_kernel_is_the_oracle(v, grid)
+
+    @pytest.mark.parametrize("tied", [32, 33, 40, 500])
+    def test_tied_maxima_beyond_the_sorted_lanes(self, tied):
+        # 33 or more ties at the top take the full == pass
+        v = np.random.default_rng(tied).normal(size=2_000)
+        v[:tied] = 10.0
+        grid, v = centred_grid(v)
+        assert np.count_nonzero(grid[0] * v == grid[0] * v.max()) == tied
+        assert_kernel_is_the_oracle(v, grid)
+
+    def test_rounding_ties_distinct_lanes(self):
+        # 40 distinct values one ulp apart tie at the top once scaled into
+        # the subnormal range
+        v = np.concatenate([1.0 + np.arange(40) * np.spacing(1.0), np.linspace(-5.0, 0.0, 900)])
+        tilts = [2.0**-1070, 3.0 * 2.0**-1071, 1.5, 1.9, 1.0]
+        assert np.count_nonzero(tilts[0] * v == tilts[0] * v.max()) == 40
+        assert_kernel_is_the_oracle(v, tilts)
+
+    def test_dead_lanes(self):
+        v = np.random.default_rng(4).normal(0.0, 300.0, 5_000)
+        tilts = [0.5, 1.0, 2.0, 9.0]
+        for s in tilts:
+            shifted = s * v - s * v.max()
+            assert (shifted < -746.0).any() and (shifted >= -746.0).sum() > 1
+        assert_kernel_is_the_oracle(v, tilts)
+
+    def test_subnormal_result_lanes(self):
+        # exp of these shifted lanes is subnormal or rounds to zero near -745
+        v = np.array([0.0, -709.0, -720.5, -740.0, -744.9, -745.1, -745.5, -746.0, -750.0])
+        assert_kernel_is_the_oracle(v, [1.0, 0.999, 1.0001, 0.5])
+        with np.errstate(under="ignore"):
+            assert (np.exp(v[2:5]) < np.finfo(float).tiny).all() and np.exp(v[4]) > 0.0
+
+    def test_zero_tilt(self):
+        assert_kernel_is_the_oracle(np.array([-1.5, 0.0, 0.25, 2.0]), [0.0])
+        assert_kernel_is_the_oracle(np.array([-0.0, 0.0]), [0.0])
+
+    @pytest.mark.parametrize(
+        "v, s",
+        [
+            ([1e300, -1e300, 0.0], 1e10),  # the top overflows to inf
+            ([1.0, -1e300, 0.0], 1e10),  # a lane overflows to -inf
+            ([5e307, -5e307, 0.0], 1.5),  # only the doubled row overflows
+            ([1.0, -6e307, 0.0], 1.0),  # the doubled shifted row overflows
+        ],
+    )
+    def test_overflowing_rows_fall_back(self, v, s):
+        assert_kernel_is_the_oracle(np.array(v), [s])
+
+    def test_exp_is_zero_below_the_dead_threshold(self):
+        # the kernel skips exp on these lanes; a numpy whose exp rounds any of
+        # them to a nonzero value must fail here
+        x = np.concatenate(
+            [
+                [np.nextafter(-746.0, -np.inf), -1e300, -np.finfo(float).max],
+                np.linspace(np.nextafter(-746.0, -np.inf), -760.0, 200_003),
+                -746.0 - np.geomspace(1e-9, 1e6, 1_001),
+            ]
+        )
+        with np.errstate(under="ignore"):
+            out = np.exp(x)
+            alone = [np.exp(xi) for xi in x[::997]]
+        assert (out == 0.0).all() and not np.signbit(out).any()
+        assert all(a == 0.0 and not np.signbit(a) for a in alone)
 
 
 class TestRecoveryBounds:
@@ -498,6 +622,25 @@ class TestGapEstimates:
             estimate_gaps(m2, m2, Permutation.identity(3))
         with pytest.raises(ValueError):
             estimate_gaps(m2, m2, Permutation.identity(2), which=set())
+
+    @pytest.mark.parametrize("negative_zero", [False, True])
+    def test_mle_half_width_from_one_flat_bincount(self, negative_zero):
+        # the per-column bincounts of squared scores give the bits of one
+        # bincount over flat (class, region) cells; with K = 2 every row of
+        # the true and rival assignments differs
+        n, k = 5_000, 2
+        rng = np.random.default_rng(5)
+        scores = rng.normal(-3.0, 2.0, (n, k))
+        labels = rng.integers(1, k + 1, n)
+        if negative_zero:
+            scores[rng.random(scores.shape) < 0.3] = -0.0
+        cells = (labels - 1)[:, np.newaxis] * k + np.arange(k)
+        cell_sq = np.bincount(cells.ravel(), weights=(scores**2).ravel(), minlength=k * k)
+        cell_mean = np.bincount(cells.ravel(), weights=scores.ravel(), minlength=k * k) / n
+        se = np.sqrt(np.maximum(cell_sq / n - cell_mean**2, 0.0) / n).reshape(k, k)
+        want = 3.0 * (float(se[0, 0] + se[0, 1]) + float(se[1, 1] + se[1, 0]))
+        rep = gaps._gaps_from_scores(scores, labels, Permutation.identity(k), {"mle"}, 0)
+        assert rep.mle_half_width == want
 
     @pytest.mark.parametrize("which", [{"mle", "mv"}, {"mle"}, {"mv"}], ids=["mle-mv", "mle", "mv"])
     def test_one_atom_has_no_wrong_assignment(self, which):

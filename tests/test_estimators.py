@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from permlearn.estimators import (
     _estimate,
     prefix_summaries,
 )
+from permlearn.analysis.gaps import _gaps_from_scores
 from permlearn.mixtures import _json_text
 
 
@@ -31,6 +33,20 @@ def separated(k=2, gap=30.0):
 
 def data_from(xs, ys):
     return LabeledData(np.asarray(xs, dtype=float).reshape(len(ys), -1), np.asarray(ys))
+
+
+def flat_bincount_weights(scores, labels, k, ns):
+    """The weights of prefix_summaries from one bincount over flat (sample,
+    column) keys, bin ((trial * len(ns) + segment) * k + row) * k + column."""
+    ns = np.asarray(ns)
+    n = ns[-1]
+    scores, labels = scores[..., :n, :], labels[..., :n]
+    t, g = labels.size // n, ns.size
+    seg_k = np.repeat(np.arange(t * g) * k, np.tile(np.diff(ns, prepend=0), t))
+    by_class = (seg_k + labels.ravel() - 1)[:, np.newaxis] * k + np.arange(k)
+    weights = np.bincount(by_class.ravel(), weights=scores.ravel(), minlength=t * g * k * k)
+    weights.reshape(t, g, -1).cumsum(axis=1, out=weights.reshape(t, g, -1))
+    return weights.reshape(-1, k, k)
 
 
 def loglik(s, perm):
@@ -84,6 +100,44 @@ class TestSummarize:
         cols = np.tile(np.arange(k), (t * len(ns), 1))
         stacked = np.concatenate([a.loglik(cols[: len(ns)]) for a in alone])
         assert np.array_equal(batch.loglik(cols), stacked)
+
+    @pytest.mark.parametrize("trials", [None, 1, 3])
+    @pytest.mark.parametrize("negative_zero", [False, True])
+    def test_weights_equal_one_flat_bincount(self, trials, negative_zero):
+        # the per-column bincounts add each bin's samples in sample order, as
+        # one bincount over flat (sample, column) keys does
+        k, n, ns = 5, 700, [1, 2, 40, 699]
+        rng = np.random.default_rng([k, n, trials or 0])
+        shape = (n,) if trials is None else (trials, n)
+        scores = rng.normal(0.0, 30.0, (*shape, k))
+        labels = rng.integers(1, k + 1, shape)
+        if negative_zero:
+            scores[rng.random(scores.shape) < 0.5] = -0.0
+            scores[..., 0] = -0.0
+        got = prefix_summaries(scores, labels, k, ns).weights
+        want = flat_bincount_weights(scores, labels, k, ns)
+        assert got.tobytes() == want.tobytes()
+
+    def test_scratch_memory_is_below_one_copy_of_the_scores(self):
+        # the binning allocates per-sample keys and one column at a time, never
+        # an (n, K) array beside the scores
+        n, k = 100_000, 9
+        rng = np.random.default_rng(0)
+        scores = rng.normal(size=(n, k))
+        labels = rng.integers(1, k + 1, n)
+        for call in (
+            lambda: prefix_summaries(scores, labels, k, [n]),
+            lambda: _gaps_from_scores(
+                scores, labels, Permutation.identity(k), {"mle", "mv"}, 0
+            ),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < n * k * 8
 
     def test_rejects_scores_that_do_not_match_the_trial_axis(self):
         with pytest.raises(ValueError, match="shape"):
