@@ -9,8 +9,6 @@ so single results can be reproduced without rerunning the whole grid.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import time
 from dataclasses import dataclass
@@ -97,10 +95,9 @@ _ESTIMATORS: tuple[tuple[str, Callable], ...] = (
 # Cell outcome codes: the rules' codes, with a successful permutation that
 # equals the true one recoded as _RECOVERED.
 _RECOVERED = len(FAILURES)
-# A chunk of trials (at least one) holds at most _CHUNK_SCORES points x K
-# scores and _CHUNK_SUMMARIES prefixes x K^2 summary entries.
-_CHUNK_SCORES = 2**14
-_CHUNK_SUMMARIES = 2**16
+# Entries a chunk of trials may hold (see run_recovery_experiment); it fits
+# the 10 trials of 4096 points at K = 2 and 5 of 99 points at K = 16.
+_CHUNK_ENTRIES = 2**17
 
 CSV_COLUMNS = (
     "family,K,dim,eta,perturbed,estimator,n,trials,recovered,"
@@ -336,34 +333,27 @@ class RecoveryCurve:
         )
 
     def csv_rows(self) -> list[list[str]]:
-        s = self.spec
-        rows = [list(CSV_COLUMNS)]
-        for p in self.points:
-            rows.append(
-                [
-                    s.family,
-                    str(s.k),
-                    str(s.dim),
-                    repr(float(s.eta)),
-                    str(int(s.perturbed)),
-                    p.estimator,
-                    str(p.n),
-                    str(p.trials),
-                    str(p.recovered),
-                    str(p.fail_empty),
-                    str(p.fail_tie),
-                    str(p.fail_nonbij),
-                    "" if p.mean_loglik is None else repr(p.mean_loglik),
-                    str(s.seed),
-                ]
-            )
-        return rows
+        """The fields of csv_text(), the header row first."""
+        return [line.split(",") for line in self.csv_text().splitlines()]
 
     def csv_text(self) -> str:
-        """CSV text of csv_rows(), one line per row ending in a newline."""
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(self.csv_rows())
-        return buf.getvalue()
+        """curves.csv: the header, then one line per point, each ending in a newline.
+
+        No field can hold a comma, quote or line break (family and estimator
+        names are fixed words, the rest numbers), so no field is quoted and
+        the text is what ``csv.writer`` writes for these rows.
+        """
+        s = self.spec
+        head = f"{s.family},{s.k},{s.dim},{float(s.eta)!r},{int(s.perturbed)},"
+        tail = f",{s.seed}\n"
+        lines = [",".join(CSV_COLUMNS) + "\n"]
+        lines += [
+            f"{head}{p.estimator},{p.n},{p.trials},{p.recovered},{p.fail_empty},"
+            f"{p.fail_tie},{p.fail_nonbij},"
+            f"{'' if p.mean_loglik is None else repr(p.mean_loglik)}{tail}"
+            for p in self.points
+        ]
+        return "".join(lines)
 
     def to_csv(self, path) -> None:
         """Write csv_text() to path."""
@@ -392,13 +382,12 @@ def _chunk_summaries(
         rng = np.random.default_rng([spec.seed, t])
         data = sample_labeled(truth, true_perm, n_max, rng)
         y = data.y
-        if k > 1:
-            # Draw the noise variables unconditionally so curves at different
-            # noise levels share the same underlying samples.
+        if k > 1 and spec.label_noise > 0.0:
+            # The noise draws end each trial's stream: every noise level
+            # shares the trial's points, and every positive level its flips.
             flip = rng.random(n_max) < spec.label_noise
             wrong = rng.integers(1, k, size=n_max)
-            if spec.label_noise > 0.0:
-                y = np.where(flip, (y - 1 + wrong) % k + 1, y)
+            y = np.where(flip, (y - 1 + wrong) % k + 1, y)
         xs.append(data.x)
         ys.append(y)
     scores = model.log_scores(np.concatenate(xs)).reshape(len(trials), n_max, k)
@@ -417,23 +406,46 @@ def resolve_model(spec: ExperimentSpec) -> tuple[MixingMeasure, Permutation, Mix
     return truth, true_perm, model
 
 
+def _cell_means(ok: np.ndarray, values: np.ndarray) -> list[float | None]:
+    """Per column, the mean of values over the rows where ok (None if none).
+
+    ok and values have shape (trials, cells). Cells with the same count c of
+    ok trials are reduced together along a contiguous length-c axis, which
+    gives each the pairwise-sum bits ``np.mean`` gives its c values alone.
+    """
+    ok, values = ok.T, values.T
+    counts = ok.sum(axis=1)
+    means = np.empty(counts.size)
+    for c in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == c)
+        picked = values[rows][ok[rows]].reshape(rows.size, c)
+        means[rows] = np.add.reduce(picked, axis=1) / c
+    return [m if c else None for c, m in zip(counts.tolist(), means.tolist())]
+
+
 def run_recovery_experiment(spec: ExperimentSpec, threads: int = 1) -> RecoveryCurve:
     """Run every estimator over the sample-size grid for spec.trials draws.
 
     Each trial draws once at the largest grid size. Per chunk of trials, one
     log_scores call scores the samples, one prefix_summaries call summarises
-    all grid prefixes and each rule runs once, giving the bits of one trial
-    at a time in bounded memory. ``threads`` must be >= 1 and is accepted for
-    compatibility only; results never depend on it.
+    all grid prefixes and each rule runs once; then every cell is counted
+    and averaged over all trials in a few array passes. A chunk holds as
+    many trials as fit in _CHUNK_ENTRIES entries, at n_max x K scores and
+    G x K^2 summary weights per trial (G grid sizes), and at least one, so
+    the cap bounds the memory of the chunk's scores and summaries. Neither
+    the chunking nor the array-built cells change a bit of the result: it
+    equals running the trials one at a time and each cell's np.mean.
+    ``threads`` must be >= 1 and is accepted for compatibility only; results
+    never depend on it.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     start = time.perf_counter()
     truth, true_perm, model = resolve_model(spec)
     k, n_max, sizes = spec.k, spec.n_grid[-1], len(spec.n_grid)
-    per_chunk = max(1, min(_CHUNK_SCORES // (n_max * k), _CHUNK_SUMMARIES // (sizes * k * k)))
+    per_chunk = max(1, _CHUNK_ENTRIES // (n_max * k + sizes * k * k))
     true_cols = np.asarray(true_perm.to_region) - 1
-    # outcome code and log-likelihood (NaN on failure) per trial and cell
+    # outcome code and log-likelihood per trial and cell
     codes = np.empty((spec.trials, len(_ESTIMATORS), sizes), dtype=np.int8)
     logliks = np.empty(codes.shape)
     for lo in range(0, spec.trials, per_chunk):
@@ -441,29 +453,17 @@ def run_recovery_experiment(spec: ExperimentSpec, threads: int = 1) -> RecoveryC
         prefixes = _chunk_summaries(spec, truth, true_perm, model, range(lo, hi))
         for e, (_, rule) in enumerate(_ESTIMATORS):
             rule_codes, cols = rule(prefixes)
-            ok = rule_codes == CODE_OK
-            recovered = ok & np.all(cols == true_cols, axis=1)
+            recovered = (rule_codes == CODE_OK) & np.all(cols == true_cols, axis=1)
             codes[lo:hi, e] = np.where(recovered, _RECOVERED, rule_codes).reshape(-1, sizes)
-            logliks[lo:hi, e] = np.where(ok, prefixes.loglik(cols), np.nan).reshape(-1, sizes)
-    # counts[e, g, code]: trials of cell (e, g) with that outcome code
-    counts = np.sum(codes[..., np.newaxis] == np.arange(_RECOVERED + 1), axis=0)
-
-    points = []
-    for e, (name, _) in enumerate(_ESTIMATORS):
-        for g, n in enumerate(spec.n_grid):
-            cell = counts[e, g]
-            ll = logliks[:, e, g]
-            ll = ll[~np.isnan(ll)]
-            points.append(
-                CurvePoint(
-                    estimator=name,
-                    n=n,
-                    trials=spec.trials,
-                    recovered=int(cell[_RECOVERED]),
-                    fail_empty=int(cell[CODE_EMPTY_REGION]),
-                    fail_tie=int(cell[CODE_MAJORITY_TIE]),
-                    fail_nonbij=int(cell[CODE_NON_BIJECTIVE]),
-                    mean_loglik=float(np.mean(ll)) if ll.size else None,
-                )
-            )
-    return RecoveryCurve(spec, tuple(points), time.perf_counter() - start)
+            logliks[lo:hi, e] = prefixes.loglik(cols).reshape(-1, sizes)
+    codes = codes.reshape(spec.trials, -1)
+    # per cell, its trials with each outcome, in CurvePoint's field order
+    outcomes = [_RECOVERED, CODE_EMPTY_REGION, CODE_MAJORITY_TIE, CODE_NON_BIJECTIVE]
+    tallies = np.sum(codes[..., np.newaxis] == outcomes, axis=0).tolist()
+    means = _cell_means((codes == CODE_OK) | (codes == _RECOVERED), logliks.reshape(codes.shape))
+    cells = [(name, n) for name, _ in _ESTIMATORS for n in spec.n_grid]
+    points = tuple(
+        CurvePoint(name, n, spec.trials, *tally, mean)
+        for (name, n), tally, mean in zip(cells, tallies, means)
+    )
+    return RecoveryCurve(spec, points, time.perf_counter() - start)

@@ -1056,22 +1056,7 @@ def mixture_from_dict(obj: dict) -> MixingMeasure:
     return measure
 
 
-def _plain(obj):
-    """obj as the JSON values ``_json_text`` writes."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    # before the dataclass rule: a permutation is written as its to_region list
-    if isinstance(obj, Permutation):
-        return list(obj.to_region)
-    if is_dataclass(obj):
-        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, dict):
-        return {key: _plain(val) for key, val in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return _plain(obj.tolist())
-    if isinstance(obj, (list, tuple)):
-        return [_plain(val) for val in obj]
-    return obj
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _json_text(obj) -> str:
@@ -1080,9 +1065,82 @@ def _json_text(obj) -> str:
     A ``Permutation`` becomes its ``to_region`` list, any other dataclass a
     dict of its fields, arrays and tuples lists, and NaN or infinite floats
     ``null``, so the text is strict JSON. Keys are sorted, the indent is two
-    spaces, and the text ends in a newline.
+    spaces, and the text ends in a newline. One recursive pass makes these
+    conversions and gives the text, or raises the error, of
+    ``json.dumps(converted, indent=2, sort_keys=True, allow_nan=False) + "\n"``.
     """
-    return json.dumps(_plain(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    encode = json.encoder.encode_basestring_ascii
+    parts: list[str] = []
+    write = parts.append
+
+    def value(obj, newline: str) -> None:
+        # newline: a line break and the indent of the line obj starts on
+        if isinstance(obj, str):
+            write(encode(obj))
+        elif isinstance(obj, float):
+            write(float.__repr__(obj) if math.isfinite(obj) else "null")
+        elif obj is None or obj is True or obj is False:
+            write(_JSON_CONSTANTS[obj])
+        elif isinstance(obj, int):
+            write(int.__repr__(obj))
+        elif isinstance(obj, (list, tuple)):
+            items(obj, newline)
+        elif isinstance(obj, dict):
+            members(obj, newline)
+        elif isinstance(obj, Permutation):  # before the dataclass rule
+            items(obj.to_region, newline)
+        elif is_dataclass(obj):
+            members({f.name: getattr(obj, f.name) for f in fields(obj)}, newline)
+        elif isinstance(obj, np.ndarray):
+            value(obj.tolist(), newline)
+        else:
+            raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+    def items(obj, newline: str) -> None:
+        if not obj:
+            write("[]")
+            return
+        inner = newline + "  "
+        write("[" + inner)
+        for i, item in enumerate(obj):
+            if i:
+                write("," + inner)
+            value(item, inner)
+        write(newline + "]")
+
+    def members(obj: dict, newline: str) -> None:
+        if not obj:
+            write("{}")
+            return
+        inner = newline + "  "
+        write("{" + inner)
+        for i, (key, item) in enumerate(sorted(obj.items())):
+            if isinstance(key, str):
+                pass
+            elif isinstance(key, float):
+                if not math.isfinite(key):
+                    raise ValueError(
+                        "Out of range float values are not JSON compliant: " + repr(key)
+                    )
+                key = float.__repr__(key)
+            elif key is None or key is True or key is False:
+                key = _JSON_CONSTANTS[key]
+            elif isinstance(key, int):
+                key = int.__repr__(key)
+            else:
+                raise TypeError(
+                    "keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}"
+                )
+            if i:
+                write("," + inner)
+            write(encode(key) + ": ")
+            value(item, inner)
+        write(newline + "}")
+
+    value(obj, "\n")
+    write("\n")
+    return "".join(parts)
 
 
 def save_mixture(measure: MixingMeasure, path: str | os.PathLike) -> None:

@@ -55,12 +55,13 @@ def test_criterion_01_matching_vs_enumeration():
     for k in range(2, 9):
         rng = np.random.default_rng([7, k])
         perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
-        rows = np.arange(k)
+        # flat index of entry (j, perm[j]) of a row-major k x k matrix
+        cells = np.arange(k) * k + perms
         for i in range(1000):
             w = rng.normal(size=(k, k))
             best = pl.max_weight_matching(w)
             second = _best_two(_as_weight_matrix(w))[1]
-            totals = w[rows, perms].sum(axis=1)
+            totals = np.take(w.ravel(), cells).sum(axis=1)
             assert best.total_weight == totals.max(), (k, i, "optimum")
             ridx = lehmer_rank(tuple(v - 1 for v in best.permutation.to_region))
             others = totals[np.arange(totals.size) != ridx]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq, linprog
-from scipy.stats import norm
+from scipy.stats import binom, norm
 
 from permlearn import (
     ComponentDensity,
@@ -814,6 +814,54 @@ class TestTvDistance:
         match = "supports Gaussian, GaussianMixture and KernelDensity atoms, not Laplace"
         with pytest.raises(ValueError, match=match):
             tv_distance(Laplace(), Gaussian([0.0], [[1.0]]))
+
+
+class TestTvCoverage:
+    """Monte-Carlo TV half-widths cover the exact value at their nominal rate.
+
+    f = f1 (x) h against g = g1 (x) h share one independent second
+    coordinate h, so TV(f, g) = TV(f1, g1) exactly: the closed form for two
+    Gaussians, the 1-d quadrature for two mixtures. A 3-SE interval misses
+    with probability 2 norm.sf(3) ~ 0.0027. The allowed miss count is the
+    0.999 quantile of the binomial at that rate over the fixed pairs, set
+    before the first run; the pairs and their seeds are never redrawn.
+    """
+
+    PAIRS = 200
+    SAMPLES = 20_000
+
+    @staticmethod
+    def _pair(i):
+        """(f1, g1, f, g) of pair i; every fourth pair is two-part mixtures."""
+        rng = np.random.default_rng([4, i])
+        h_mean, h_var = rng.normal(), rng.uniform(0.25, 4.0)
+
+        def line_and_plane():
+            parts = 2 if i % 4 == 3 else 1
+            weights = rng.dirichlet(np.ones(parts))
+            means, variances = rng.normal(0.0, 1.5, parts), rng.uniform(0.25, 4.0, parts)
+            line = [Gaussian([m], [[v]]) for m, v in zip(means, variances)]
+            plane = [
+                Gaussian([m, h_mean], np.diag([v, h_var])) for m, v in zip(means, variances)
+            ]
+            if parts == 1:
+                return line[0], plane[0]
+            return GaussianMixture(weights, line), GaussianMixture(weights, plane)
+
+        (f1, f), (g1, g) = line_and_plane(), line_and_plane()
+        return f1, g1, f, g
+
+    def test_three_se_intervals_miss_at_most_the_binomial_tail(self):
+        allowed = int(binom.ppf(0.999, self.PAIRS, 2.0 * norm.sf(3.0)))
+        misses = []
+        for i in range(self.PAIRS):
+            f1, g1, f, g = self._pair(i)
+            exact = tv_distance(f1, g1)
+            est = tv_distance(f, g, mc_samples=self.SAMPLES, seed=i)
+            assert est.method == "mc" and exact.half_width < 1e-9
+            if abs(est.value - exact.value) > est.half_width + exact.half_width:
+                misses.append(i)
+        assert len(misses) <= allowed, (misses, allowed)
 
 
 class TestTransportationSimplex:

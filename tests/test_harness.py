@@ -1,7 +1,10 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permlearn import (
     ExperimentSpec,
@@ -328,6 +331,9 @@ def _two_atoms(mu, weights=(0.5, 0.5)):
     )
 
 
+# criterion 04's grid of 48 sizes from 4 to 4096
+_K2_FINE_GRID = tuple(int(v) for v in np.unique(np.rint(np.geomspace(4, 4096, 49))))
+
 _SINGLE = MixingMeasure([1.0], [Gaussian([0.0], [[1.0]])])
 
 
@@ -410,7 +416,11 @@ class TestBatchedEngineMatchesLibrary:
 
 
 def _trial_at_a_time(spec):
-    """curves.csv text of spec, each trial scored, summarised and ruled alone."""
+    """Points of spec, each trial scored, summarised and ruled alone.
+
+    Every trial draws its label noise even when spec.label_noise is 0, and
+    every cell takes its own np.mean.
+    """
     truth, perm, model = resolve_model(spec)
     true_cols = np.asarray(perm.to_region) - 1
     per_trial = []
@@ -446,14 +456,42 @@ def _trial_at_a_time(spec):
                     mean_loglik=float(np.mean(ll)) if ll.size else None,
                 )
             )
-    return RecoveryCurve(spec, tuple(points), 0.0).csv_text()
+    return tuple(points)
+
+
+def _csv_writer_text(spec, points):
+    """curves.csv of points as csv.writer writes their fields."""
+    rows = [list(CSV_COLUMNS)]
+    for p in points:
+        rows.append(
+            [
+                spec.family,
+                str(spec.k),
+                str(spec.dim),
+                repr(float(spec.eta)),
+                str(int(spec.perturbed)),
+                p.estimator,
+                str(p.n),
+                str(p.trials),
+                str(p.recovered),
+                str(p.fail_empty),
+                str(p.fail_tie),
+                str(p.fail_nonbij),
+                "" if p.mean_loglik is None else repr(p.mean_loglik),
+                str(spec.seed),
+            ]
+        )
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 class TestChunkedEngineMatchesTrialAtATime:
     """Trials scored and summarised in chunks give the bytes of one at a time.
 
-    The chunk caps are set so that a chunk holds one trial, about half the
-    trials (so the last chunk is ragged) or every trial.
+    The chunk cap is set so that a chunk holds one trial, about half the
+    trials (so the last chunk is ragged) or every trial. The oracle draws
+    label noise at rho = 0 too, which the engine skips.
     """
 
     @pytest.mark.parametrize("spec", _ENGINE_SPECS, ids=_ENGINE_IDS)
@@ -461,8 +499,8 @@ class TestChunkedEngineMatchesTrialAtATime:
     def test_csv_bytes_equal(self, spec, per_chunk, monkeypatch):
         n_chunk = {"one": 1, "ragged": spec.trials // 2 + 1, "all": spec.trials}[per_chunk]
         k, sizes = spec.k, len(spec.n_grid)
-        monkeypatch.setattr(harness, "_CHUNK_SCORES", n_chunk * spec.n_grid[-1] * k)
-        monkeypatch.setattr(harness, "_CHUNK_SUMMARIES", n_chunk * sizes * k * k)
+        per_trial = spec.n_grid[-1] * k + sizes * k * k
+        monkeypatch.setattr(harness, "_CHUNK_ENTRIES", n_chunk * per_trial)
         calls = []
 
         def counted(scores, *args):
@@ -473,7 +511,71 @@ class TestChunkedEngineMatchesTrialAtATime:
         text = run_recovery_experiment(spec).csv_text()
         chunks = -(-spec.trials // n_chunk)
         assert calls == [n_chunk] * (chunks - 1) + [spec.trials - n_chunk * (chunks - 1)]
-        assert text == _trial_at_a_time(spec)
+        assert text == _csv_writer_text(spec, _trial_at_a_time(spec))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ExperimentSpec(
+                "custom", true_mixture=_two_atoms(0.2), model_mixture=_two_atoms(0.2),
+                n_grid=_K2_FINE_GRID, trials=10, seed=5,
+            ),
+            small_spec(k=16, eta=0.5, n_grid=DEFAULT_N_GRID, trials=5),
+        ],
+        ids=["recovery_k2_fine", "recovery_k16"],
+    )
+    def test_benchmark_sized_experiments_run_as_one_chunk(self, spec, monkeypatch):
+        scored, summarised = [], []
+        log_scores = MixingMeasure.log_scores
+
+        def count_scores(self, x):
+            scored.append(len(x))
+            return log_scores(self, x)
+
+        def count_summaries(scores, *args):
+            summarised.append(len(scores))
+            return prefix_summaries(scores, *args)
+
+        monkeypatch.setattr(MixingMeasure, "log_scores", count_scores)
+        monkeypatch.setattr(harness, "prefix_summaries", count_summaries)
+        run_recovery_experiment(spec)
+        assert scored == [spec.trials * spec.n_grid[-1]]
+        assert summarised == [spec.trials]
+
+
+class TestCellsFromArrays:
+    """Cells counted and averaged over all trials at once, bit for bit."""
+
+    @pytest.mark.parametrize("trials", [1, 7, 8, 9, 16])
+    def test_points_and_csv_equal_the_per_cell_oracle(self, trials):
+        # n = 1 and 2 leave regions empty and votes tied, so every cell mixes
+        # failures with successes at some trial count
+        spec = small_spec(n_grid=(1, 2, 3, 5, 9, 17), trials=trials, label_noise=0.3)
+        curve = run_recovery_experiment(spec)
+        expected = _trial_at_a_time(spec)
+        assert [repr(p) for p in curve.points] == [repr(p) for p in expected]
+        assert curve.csv_text() == _csv_writer_text(spec, expected)
+        if trials >= 7:
+            failed = [p.fail_empty + p.fail_tie + p.fail_nonbij for p in expected]
+            assert any(0 < f < trials for f in failed)
+            assert any(p.mean_loglik is None for p in expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        trials=st.integers(1, 20),
+        cells=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        ok_rate=st.sampled_from([0.1, 0.5, 0.9, 1.0]),
+    )
+    def test_cell_means_equal_np_mean_per_cell(self, trials, cells, seed, ok_rate):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(-1.0, 10.0, (trials, cells)) * 10.0 ** rng.integers(-3, 4, (trials, cells))
+        ok = rng.random((trials, cells)) < ok_rate
+        expected = [
+            float(np.mean(values[ok[:, j], j])) if ok[:, j].any() else None
+            for j in range(cells)
+        ]
+        assert repr(harness._cell_means(ok, values)) == repr(expected)
 
 
 class TestCsvFormat:

@@ -1,7 +1,7 @@
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -947,3 +947,99 @@ def test_json_text_of_a_nested_result():
         "  }\n"
         "}\n"
     )
+
+
+def _plain(obj):
+    """obj as the JSON values _json_text writes: the oracle's conversions."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, Permutation):
+        return list(obj.to_region)
+    if is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {key: _plain(val) for key, val in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return _plain(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return [_plain(val) for val in obj]
+    return obj
+
+
+def _dumps_text(obj) -> str:
+    """The writer's oracle: json.dumps of obj's plain values."""
+    return json.dumps(_plain(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+@dataclass
+class _Pair:
+    first: object
+    second: object
+
+
+_SPECIAL_FLOATS = [-0.0, 0.0, 1e-05, 1e-07, 1e16, 1e22, 0.1, -2.5e-300, math.nan, math.inf, -math.inf]
+_JSON_TEXT = st.text() | st.text(st.characters(max_codepoint=0x2FF)) | st.sampled_from(
+    ["", "\x00\x1f\x7f", '"\\/', "\u2028\u00e9", "\U0001F600", "\ud800"]
+)
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**80), 2**80),
+    st.floats(),
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.floats().map(np.float64),
+    _JSON_TEXT,
+    st.permutations(range(1, 5)).map(lambda p: Permutation(tuple(p))),
+    st.lists(st.floats() | st.sampled_from(_SPECIAL_FLOATS), max_size=4).map(np.array),
+    st.lists(st.floats(), min_size=6, max_size=6).map(lambda v: np.reshape(v, (2, 3))),
+    st.lists(st.integers(-(2**62), 2**62), max_size=3).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.booleans(), max_size=3).map(np.array),
+    st.floats().map(np.array),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_JSON_TEXT, inner, max_size=4),
+        st.dictionaries(st.integers() | st.booleans(), inner, max_size=3),
+        st.dictionaries(st.floats(allow_nan=False, allow_infinity=False), inner, max_size=3),
+        st.dictionaries(st.none(), inner, max_size=1),
+        st.builds(_Pair, inner, inner),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_json_text_equals_json_dumps_of_the_plain_values(obj):
+    assert _json_text(obj) == _dumps_text(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {1, 2},
+        [np.int64(3)],
+        {"a": np.float32(1.0)},
+        np.array([1j]),
+        np.bool_(True),
+        {(1, 2): 3},
+        {"a": 1, 2: 3},
+        {math.nan: 1},
+        {np.float64(-math.inf): 1},
+        _Pair(object(), 1),
+    ],
+    ids=[
+        "set", "np-int", "np-float32", "complex", "np-bool", "tuple-key", "mixed-keys",
+        "nan-key", "inf-key", "object-field",
+    ],
+)
+def test_json_text_raises_what_json_dumps_raises(obj):
+    with pytest.raises(Exception) as expected:
+        _dumps_text(obj)
+    with pytest.raises(expected.type) as got:
+        _json_text(obj)
+    assert str(got.value) == str(expected.value)
