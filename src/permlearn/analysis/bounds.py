@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ..mixtures import MixingMeasure, Permutation, _TiltedLogSumExp, sample_labeled
 
@@ -106,6 +105,8 @@ def chernoff_exponent_from_scores(
 
     def objective(s: float) -> float:
         return -(s * t - (lse(s) - log_n))
+
+    from scipy.optimize import minimize_scalar
 
     res = minimize_scalar(objective, bounds=(0.0, s_hi), method="bounded")
     value = max(-float(res.fun), 0.0)

@@ -41,9 +41,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-# quad is not called here; perfbench/layers.py and its tests patch this name
-from scipy.integrate import IntegrationWarning, quad  # noqa: F401
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from ..mixtures import ComponentDensity, Gaussian, MixingMeasure
@@ -57,6 +54,20 @@ __all__ = [
 ]
 
 MAX_ATOMS = 64
+
+
+def __getattr__(name: str):
+    # quad is not called here; perfbench/layers.py and its tests patch this
+    # name. scipy.integrate loads only when one of these names is looked up,
+    # and the first lookup stores it in the module __dict__, where the
+    # tracer's patch reads the original. quad can go once perfbench/layers.py
+    # drops _counting_quad.
+    if name in ("quad", "IntegrationWarning"):
+        import scipy.integrate
+
+        value = globals()[name] = getattr(scipy.integrate, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -231,6 +242,82 @@ def _gk21(f: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return value, np.maximum(50.0 * np.finfo(float).eps * value, err)
 
 
+def _div(num: float, den: float) -> float:
+    """num / den with C's IEEE result for a zero divisor: signed inf, or nan."""
+    if den != 0.0:
+        return num / den
+    if num == 0.0 or math.isnan(num):
+        return math.nan
+    return math.copysign(math.inf, num) * math.copysign(1.0, den)
+
+
+def _brentq(
+    f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4.0 * math.ulp(1.0),
+    maxiter: int = 100,
+) -> float:
+    """A root of f in [a, b] by Brent's method, bit for bit as scipy's brentq.
+
+    A line-for-line port of scipy's ``brentq.c`` with its defaults, so 1-d TV
+    needs no scipy.optimize. f is called with Python floats; a nan value
+    raises ``ValueError``, as do values of one sign at the ends, and no
+    convergence within ``maxiter`` iterations raises ``RuntimeError``.
+    """
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
+            else:
+                # extrapolate
+                dpre = _div(fpre - fcur, xpre - xcur)
+                dblk = _div(fblk - fcur, xblk - xcur)
+                stry = _div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            limit = abs(spre) if abs(spre) < 3 * abs(sbis) - delta else 3 * abs(sbis) - delta
+            if 2 * abs(stry) < limit:
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}")
+
+
 def _root(fn, a: float, b: float) -> float:
     """A root of fn between two nodes whose values have opposite signs.
 
@@ -239,7 +326,7 @@ def _root(fn, a: float, b: float) -> float:
     """
     fa, fb = fn(a), fn(b)
     if fa * fb < 0.0:
-        return brentq(fn, a, b)
+        return _brentq(fn, a, b)
     return a if abs(fa) <= abs(fb) else b
 
 
@@ -309,6 +396,8 @@ def _integrate_abs(fn, a: float, b: float, points: list[float]):
             cut[i] = _root(fn, u[i, k], u[i, k + 1])
         lo, hi = np.concatenate([lo[split], cut]), np.concatenate([cut, hi[split]])
     if capped:
+        from scipy.integrate import IntegrationWarning
+
         warnings.warn(
             f"TV quadrature reached its limit of {cap} subintervals; "
             "the half-width carries the remaining error estimate",

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq, linprog
+from scipy.optimize import brentq, linear_sum_assignment, linprog
 from scipy.stats import binom, norm
 
 from permlearn import (
     ComponentDensity,
+    ExperimentSpec,
     Gaussian,
     GaussianMixture,
     KernelDensity,
@@ -32,6 +33,7 @@ from permlearn import (
     mv_recovery_bound,
     perturb_mixture,
     required_sample_size,
+    run_recovery_experiment,
     sample_labeled,
     tv_distance,
     wasserstein1,
@@ -816,6 +818,107 @@ class TestTvDistance:
             tv_distance(Laplace(), Gaussian([0.0], [[1.0]]))
 
 
+def _brentq_battery(rng: np.random.Generator, per_family: int):
+    """Seeded (f, a, b, maxiter) brackets for comparing root finders.
+
+    Families: cubics scaled from 1e-200 to 1e200, signed Gaussian sums written
+    as _tv_quadrature's integrand, steep tanh, sines, staircases whose flat
+    steps make Brent's divisors 0, tiny-valued steps whose products
+    underflow, and a function that turns nan past a point. Most brackets
+    straddle a root; a random one may not, and one in ten runs at most 5
+    iterations, so both of brentq's errors come up.
+    """
+
+    def cubic():
+        r0, r1, r2 = np.sort(rng.normal(size=3) * 3).tolist()
+        s = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-200, 200))
+        return lambda x: s * (x - r0) * (x - r1) * (x - r2)
+
+    def gaussian_sum():
+        mu = rng.normal(size=5) * 2
+        sds = 10.0 ** rng.uniform(-2, 0.5, size=5)
+        weights = rng.dirichlet(np.ones(5)) * rng.choice([-1.0, 1.0], size=5)
+        coef = weights / (sds * math.sqrt(2.0 * math.pi))
+        scale = 1.0 / (sds * math.sqrt(2.0))
+        return lambda x: float(np.exp(-(((x - mu) * scale) ** 2)) @ coef)
+
+    def steep_tanh():
+        c, k = float(rng.normal()), float(10.0 ** rng.uniform(0, 4))
+        return lambda x: math.tanh(k * (x - c))
+
+    def sine():
+        w, phase = float(rng.uniform(0.5, 20.0)), float(rng.uniform(0.0, 2 * math.pi))
+        return lambda x: math.sin(w * x + phase)
+
+    def staircase():
+        c, k = float(rng.normal()), float(rng.uniform(1, 8))
+        off = float(rng.choice([0.0, 0.25, 0.5]))
+        return lambda x: math.floor(k * (x - c)) + off
+
+    def tiny_step():
+        c, level = float(rng.normal()), float(10.0 ** rng.uniform(-320, -290))
+        return lambda x: (level if x > c else -2.0 * level) * (1.0 + abs(x - c))
+
+    def nan_beyond():
+        c, cut = float(rng.normal()), float(rng.normal() + 1.0)
+        return lambda x: x - c if x < cut else math.nan
+
+    def straddles(f, a, b):
+        return math.copysign(1.0, f(a)) != math.copysign(1.0, f(b))
+
+    for family in (cubic, gaussian_sum, steep_tanh, sine, staircase, tiny_step, nan_beyond):
+        for i in range(per_family):
+            f = family()
+            a, b = (float(v) for v in rng.normal(size=2) * 4)
+            for _ in range(20 if rng.random() < 0.8 else 0):
+                if straddles(f, a, b):
+                    break
+                centre = float(rng.normal())
+                a, b = centre - float(rng.exponential(2)), centre + float(rng.exponential(2))
+            yield f, a, b, int(rng.integers(1, 6)) if i % 10 == 0 else 100
+
+
+def _root_outcome(solver, f, a, b, maxiter):
+    """The root's bits, or the type of the error the solver raised."""
+    try:
+        return float(solver(f, a, b, maxiter=maxiter)).hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__
+
+
+class TestBrentq:
+    def test_matches_scipy_bit_for_bit(self, monkeypatch):
+        zero_divisors = []
+        div = transport._div
+        monkeypatch.setattr(
+            transport, "_div", lambda num, den: zero_divisors.append(den == 0.0) or div(num, den)
+        )
+        outcomes = {}
+        for f, a, b, maxiter in _brentq_battery(np.random.default_rng(2024), 1_500):
+            want = _root_outcome(brentq, f, a, b, maxiter)
+            assert _root_outcome(transport._brentq, f, a, b, maxiter) == want, (a, b, maxiter)
+            kind = want if want.endswith("Error") else "root"
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+        assert sum(outcomes.values()) == 10_500
+        assert outcomes["root"] > 5_000
+        assert outcomes["ValueError"] > 500 and outcomes["RuntimeError"] > 500
+        # the flat steps reached Brent's divisions with a zero divisor
+        assert sum(zero_divisors) > 1_000
+
+    def test_defaults_and_errors_match_scipy(self):
+        f = lambda x: x**3 - 2.0 * x - 5.0
+        assert transport._brentq(f, 2.0, 3.0) == brentq(f, 2.0, 3.0)
+        assert transport._brentq(f, 2.0, 3.0, xtol=1e-3) == brentq(f, 2.0, 3.0, xtol=1e-3)
+        with pytest.raises(ValueError, match="different signs"):
+            transport._brentq(f, 3.0, 4.0)
+        with pytest.raises(ValueError, match="NaN"):
+            transport._brentq(lambda x: math.nan, 0.0, 1.0)
+        with pytest.raises(RuntimeError, match="converge"):
+            transport._brentq(f, 2.0, 3.0, maxiter=2)
+        # a zero at an end is returned without iterating
+        assert transport._brentq(lambda x: x - 1.0, 1.0, 4.0) == 1.0
+
+
 class TestTvCoverage:
     """Monte-Carlo TV half-widths cover the exact value at their nominal rate.
 
@@ -1189,6 +1292,36 @@ def test_mle_gap_makes_one_runner_up_search(monkeypatch):
     # the optimum is the true assignment: one solve plus one per forbidden edge
     assert len(solves) == 3 + 1
     assert rep == expected
+
+
+def test_scipy_solvers_are_patchable_module_names(monkeypatch):
+    # the first lookup loads the name into the module __dict__, where a
+    # tracer's patch reads the original binding
+    for module, name, original in (
+        (matching, "linear_sum_assignment", linear_sum_assignment),
+        (transport, "quad", quad),
+        (transport, "IntegrationWarning", IntegrationWarning),
+    ):
+        assert getattr(module, name) is original
+        assert vars(module)[name] is original
+    for module in (matching, transport):
+        assert not hasattr(module, "no_such_solver")
+        with pytest.raises(AttributeError, match="no_such_solver"):
+            module.no_such_solver
+
+    # the recovery path calls the patched solver: one solve per MLE prefix
+    solves = []
+
+    def counted(cost):
+        solves.append(1)
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(matching, "linear_sum_assignment", counted)
+    spec = ExperimentSpec("gaussian_grid", k=3, dim=2, n_grid=(5, 10, 20), trials=4, seed=1)
+    curve = run_recovery_experiment(spec)
+    assert len(solves) == spec.trials * len(spec.n_grid)
+    monkeypatch.undo()
+    assert run_recovery_experiment(spec).points == curve.points
 
 
 def compose(p, q):

@@ -474,3 +474,50 @@ def test_the_cached_parser_carries_nothing_between_calls(tmp_path):
                       for side in ("in_process", "fresh"))
         got.pop("wall_time_s"), fresh.pop("wall_time_s")
         assert got == fresh
+
+
+_SOLVER_IMPORTS = """
+import json, sys
+from permlearn import cli
+from permlearn.analysis import transport
+
+roots = []
+brentq = transport._brentq
+transport._brentq = lambda *args: roots.append(1) or brentq(*args)
+w1_code = cli.main(["analyze", "--w1", *sys.argv[1:3], "--out-dir", "w1"])
+after_w1 = sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules)
+exp_code = cli.main(["experiment", "--family", "gaussian-grid", "--k", "3", "--n-grid", "4,8",
+                     "--trials", "2", "--out-dir", "exp"])
+print(json.dumps([w1_code, len(roots), after_w1, exp_code, "scipy.optimize" in sys.modules]))
+"""
+
+
+def test_1d_w1_loads_no_scipy_solver_and_an_experiment_loads_optimize(tmp_path):
+    def mixture(weights, means, sds):
+        return {"type": "gaussian_mixture", "components": [
+            {"weight": w, "mean": [m], "cov": [[s * s]]} for w, m, s in zip(weights, means, sds)
+        ]}
+
+    measures = {
+        "a.json": [(0.5, mixture([0.3, 0.7], [-1.0, 0.5], [0.4, 1.1])),
+                   (0.5, mixture([0.5, 0.5], [2.0, 3.5], [0.6, 0.3]))],
+        "b.json": [(0.4, mixture([0.6, 0.4], [-0.8, 1.2], [0.5, 0.9])),
+                   (0.6, mixture([0.2, 0.8], [2.4, 3.0], [0.2, 0.7]))],
+    }
+    for name, atoms in measures.items():
+        (tmp_path / name).write_text(json.dumps(
+            {"dim": 1, "atoms": [{"weight": w, "density": d} for w, d in atoms]}
+        ))
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SOLVER_IMPORTS, "a.json", "b.json"],
+        cwd=tmp_path, env=env, check=True, capture_output=True, text=True,
+    )
+    w1_code, roots, after_w1, exp_code, optimize_loaded = json.loads(proc.stdout.splitlines()[-1])
+    # the mixture pairs are integrated and root-found, without scipy's solvers
+    assert (w1_code, after_w1) == (0, [])
+    assert roots > 0
+    # a K = 3 experiment's matching MLE loads scipy.optimize at its first solve
+    assert (exp_code, optimize_loaded) == (0, True)
