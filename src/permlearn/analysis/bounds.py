@@ -159,9 +159,9 @@ def mle_recovery_bound(k: int, class_counts, exponent: float) -> float:
     ``exponent`` is the worst-atom large-deviation exponent; +inf is accepted
     and gives a bound of 1 when every class was observed.
     """
-    if k < 1:
+    if not k >= 1:
         raise ValueError("k must be >= 1")
-    if exponent < 0:
+    if not exponent >= 0.0:
         raise ValueError("exponent must be >= 0")
     min_n = _min_count(class_counts)
     rate = 0.0 if (min_n == 0.0 or exponent == 0.0) else min_n * exponent
@@ -174,7 +174,7 @@ def mv_recovery_bound(k: int, region_counts, gap: float) -> float:
     ``1 - 2 k^2 exp(-2 gap^2 min(region_counts) / 9)`` clamped into [0, 1],
     where ``gap`` is the worst-region vote margin.
     """
-    if k < 1:
+    if not k >= 1:
         raise ValueError("k must be >= 1")
     if not 0.0 <= gap <= 1.0:
         raise ValueError("gap must lie in [0, 1]")
@@ -189,7 +189,7 @@ def required_sample_size(k: int, delta: float, method: str, value: float) -> int
     'mv'). Returns ``ceil(k log(k/delta) (1 + 4/value))`` respectively
     ``ceil(k log(k/delta) (1 + 18/value^2))``.
     """
-    if k < 1:
+    if not k >= 1:
         raise ValueError("k must be >= 1")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -213,9 +213,9 @@ def min_count_probability(n: int, probs, m: int) -> float:
     ``1 - sum_k exp(-2 (n p_k - m)^2 / (n p_k))``, where classes with
     ``n p_k <= m`` contribute a full unit (no guarantee for them).
     """
-    if n < 1:
+    if not n >= 1:
         raise ValueError("n must be >= 1")
-    if m < 0:
+    if not m >= 0:
         raise ValueError("m must be >= 0")
     p = np.asarray(probs, dtype=float).ravel()
     if p.size == 0 or np.any(p < 0) or not np.all(np.isfinite(p)):

@@ -1,9 +1,10 @@
 """Distances between mixing measures: total variation and optimal transport.
 
-Total variation (TV) between two component densities takes its route from
-their dimension: deterministic in one (method label ``"quadrature"``), and in
-more by importance sampling from the balanced mixture of the two densities,
-whose integrand is bounded by 2 (label ``"mc"``). In one dimension:
+Total variation (TV) between two atoms (``Gaussian``, ``GaussianMixture`` or
+``KernelDensity``; no other atom is taken) takes its route from their
+dimension: deterministic in one (method label ``"quadrature"``), and in more
+by importance sampling from the balanced mixture of the two densities, whose
+integrand is bounded by 2 (label ``"mc"``). In one dimension:
 
 * identical atoms give exactly 0;
 * two Gaussians have a closed form: the densities cross at the roots of a
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from ..mixtures import ComponentDensity, Gaussian, MixingMeasure
+from ..mixtures import ComponentDensity, Gaussian, MixingMeasure, _check_atoms
 
 __all__ = [
     "TvEstimate",
@@ -129,13 +130,7 @@ def _tv_gaussians(f: Gaussian, g: Gaussian) -> float:
 
 def _gaussian_parts(d: ComponentDensity) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A 1-d atom as a Gaussian mixture: (weights, means, standard deviations)."""
-    table = d._table
-    if table is None:
-        raise ValueError(
-            "1-d TV supports Gaussian, GaussianMixture and KernelDensity atoms, "
-            f"not {type(d).__name__}"
-        )
-    return table.weights, table.means[:, 0], table.chol[:, 0, 0]
+    return d._table.weights, d._table.means[:, 0], d._table.chol[:, 0, 0]
 
 
 def _breakpoints(centres: np.ndarray, spacing: float) -> list[float]:
@@ -494,7 +489,9 @@ def tv_distance(
     """Total-variation distance between two component densities.
 
     ``mc_samples`` and ``seed`` serve only the Monte Carlo route, beyond 1-d.
+    An atom of a type other than the three is refused in every dimension.
     """
+    _check_atoms(f, g)
     if f.dim != g.dim:
         raise ValueError("densities must share one dimension")
     if f.dim == 1:

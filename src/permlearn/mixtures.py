@@ -13,12 +13,13 @@ arithmetic of ``scipy.special.logsumexp`` in plain numpy, bit for bit, without
 its array-API dispatch and copies. Its in-place 1-d case, ``_TiltedLogSumExp``,
 gives the same bits for many tilts ``s * v`` of one vector in reused buffers.
 
-Every built-in atom is a Gaussian mixture: a ``Gaussian`` of one part, a
-``GaussianMixture`` of P parts, a ``KernelDensity`` of m isotropic parts. One
-private kernel, ``_score``, scores a table of parts built once per atom:
+There are three atom types, and every atom is a Gaussian mixture: a
+``Gaussian`` of one part, a ``GaussianMixture`` of P parts, a ``KernelDensity``
+of m isotropic parts. A mixing measure takes no other atom. One private
+kernel, ``_score``, scores a table of parts built once per atom:
 ``MixingMeasure.log_scores`` all its atoms' parts in one pass, an atom's
-``log_density`` its own, with the same bits per atom. A built-in atom scores a
-point with the same bits alone as anywhere inside a batch.
+``log_density`` its own, with the same bits per atom. An atom scores a point
+with the same bits alone as anywhere inside a batch.
 
 Query points must be finite. Every atom's ``log_density``, ``log_scores`` and
 everything built on them refuse NaN or infinite coordinates with the same
@@ -347,31 +348,15 @@ def _sample_groups(
 class ComponentDensity:
     """A strictly positive, sampleable probability density on R^d.
 
-    Its interface is ``dim``, ``log_density`` and ``sample``. Concrete variants:
-    :class:`Gaussian`, :class:`GaussianMixture`, :class:`KernelDensity`. All
-    are immutable after construction and safe to share across threads;
-    sampling takes an explicit generator. An atom of another subclass has no
-    Gaussian parts: ``log_scores`` calls its ``log_density``, and TV with it
-    is sampled in 2-d and up and refused in 1-d.
+    The base of the three atom types, :class:`Gaussian`,
+    :class:`GaussianMixture` and :class:`KernelDensity`, the only atoms there
+    are. Each has ``dim``, ``log_density``, ``sample`` and a table of its
+    Gaussian parts. All are immutable after construction and safe to share
+    across threads; sampling takes an explicit generator.
     """
-
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
-
-    def log_density(self, x: ArrayLike) -> NDArray[np.float64] | float:
-        """Log density at a point (d,) or batch (n, d); returns float or (n,)."""
-        raise NotImplementedError
 
     def density(self, x: ArrayLike) -> NDArray[np.float64] | float:
         return np.exp(self.log_density(x))
-
-    def sample(self, rng: np.random.Generator, n: int) -> NDArray[np.float64]:
-        """Draw n points, shape (n, dim)."""
-        raise NotImplementedError
-
-    # the atom's Gaussian parts, read by _score and by 1-d TV
-    _table: _Parts | None = None
 
 
 class Gaussian(ComponentDensity):
@@ -576,6 +561,12 @@ class KernelDensity(ComponentDensity):
         )
 
 
+def _check_atoms(*atoms: ComponentDensity) -> None:
+    """Refuse any atom that is not a Gaussian, GaussianMixture or KernelDensity."""
+    if not all(isinstance(a, (Gaussian, GaussianMixture, KernelDensity)) for a in atoms):
+        raise ValueError("atoms must be Gaussian, GaussianMixture or KernelDensity instances")
+
+
 class MixingMeasure:
     """K weighted density atoms: the statistical parameter of the model.
 
@@ -598,8 +589,7 @@ class MixingMeasure:
             raise ValueError("weights must be finite and strictly positive")
         if abs(float(weights.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError("weights must sum to 1 within 1e-12")
-        if not all(isinstance(c, ComponentDensity) for c in components):
-            raise ValueError("components must be ComponentDensity instances")
+        _check_atoms(*components)
         dims = {c.dim for c in components}
         if len(dims) != 1:
             raise ValueError("components must all share one dimension")
@@ -644,17 +634,13 @@ class MixingMeasure:
         the shared primitive behind densities, regions and likelihoods.
         """
         pts, squeeze = _as_points(x, self.dim)
-        if self._table is None:
-            scores = np.stack([c.log_density(pts) for c in self._components], axis=1)
-        else:
-            scores = _score(self._table, pts)
+        scores = _score(self._table, pts)
         scores += self._log_weights
         return scores[0] if squeeze else scores
 
     @cached_property
-    def _table(self) -> _Parts | None:
-        tables = [c._table for c in self._components]
-        return None if any(t is None for t in tables) else _join(tables)
+    def _table(self) -> _Parts:
+        return _join([c._table for c in self._components])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MixingMeasure):
@@ -852,9 +838,9 @@ def region_of(measure: MixingMeasure, x: ArrayLike):
     """Index of the decision region containing x (1-based).
 
     Region b is where weight_b f_b dominates every other atom; exact ties go
-    to the lowest index so the map is total. The built-in atoms score a point
-    with the same bits alone as inside a batch, so it lands in the same
-    region either way.
+    to the lowest index so the map is total. Every atom scores a point with
+    the same bits alone as inside a batch, so it lands in the same region
+    either way.
     """
     return _region_from_scores(measure.log_scores(x))
 
@@ -929,13 +915,12 @@ def _density_to_dict(density: ComponentDensity) -> dict:
                 for w, p in zip(density.weights, density.parts)
             ],
         }
-    if isinstance(density, KernelDensity):
-        return {
-            "type": "kde",
-            "points": density.points.tolist(),
-            "bandwidth": density.bandwidth,
-        }
-    raise ValueError(f"unsupported density type {type(density).__name__}")
+    # a KernelDensity, the one atom type left
+    return {
+        "type": "kde",
+        "points": density.points.tolist(),
+        "bandwidth": density.bandwidth,
+    }
 
 
 def _scalar(value, kind=numbers.Real):
@@ -1064,10 +1049,11 @@ def _json_text(obj) -> str:
 
     A ``Permutation`` becomes its ``to_region`` list, any other dataclass a
     dict of its fields, arrays and tuples lists, and NaN or infinite floats
-    ``null``, so the text is strict JSON. Keys are sorted, the indent is two
-    spaces, and the text ends in a newline. One recursive pass makes these
-    conversions and gives the text, or raises the error, of
-    ``json.dumps(converted, indent=2, sort_keys=True, allow_nan=False) + "\n"``.
+    ``null``, so the text is strict JSON. Keys are strings, sorted; the indent
+    is two spaces, and the text ends in a newline. One recursive pass makes
+    these conversions and gives the text, or raises the error, of
+    ``json.dumps(converted, indent=2, sort_keys=True, allow_nan=False) + "\n"``,
+    but a key that is not a ``str`` raises ``TypeError``.
     """
     encode = json.encoder.encode_basestring_ascii
     parts: list[str] = []
@@ -1115,23 +1101,8 @@ def _json_text(obj) -> str:
         inner = newline + "  "
         write("{" + inner)
         for i, (key, item) in enumerate(sorted(obj.items())):
-            if isinstance(key, str):
-                pass
-            elif isinstance(key, float):
-                if not math.isfinite(key):
-                    raise ValueError(
-                        "Out of range float values are not JSON compliant: " + repr(key)
-                    )
-                key = float.__repr__(key)
-            elif key is None or key is True or key is False:
-                key = _JSON_CONSTANTS[key]
-            elif isinstance(key, int):
-                key = int.__repr__(key)
-            else:
-                raise TypeError(
-                    "keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}"
-                )
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
             if i:
                 write("," + inner)
             write(encode(key) + ": ")

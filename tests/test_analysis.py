@@ -12,7 +12,6 @@ from scipy.optimize import brentq, linear_sum_assignment, linprog
 from scipy.stats import binom, norm
 
 from permlearn import (
-    ComponentDensity,
     ExperimentSpec,
     Gaussian,
     GaussianMixture,
@@ -539,6 +538,31 @@ class TestRecoveryBounds:
             required_sample_size(3, 0.1, "nope", 0.5)
 
 
+# Each bound function with valid arguments, and the positions of its numeric
+# ones; a list argument gets NaN in one entry.
+_BOUND_CALLS = {
+    "mle_recovery_bound": (mle_recovery_bound, (2, [50, 60], 0.3), (0, 1, 2)),
+    "mv_recovery_bound": (mv_recovery_bound, (2, [200, 300], 0.5), (0, 1, 2)),
+    "required_sample_size": (required_sample_size, (3, 0.1, "mle", 0.25), (0, 1, 3)),
+    "min_count_probability": (min_count_probability, (200, [0.3, 0.3, 0.4], 40), (0, 1, 2)),
+}
+
+
+@pytest.mark.parametrize(
+    "name,position",
+    [(name, i) for name, (_, _, numeric) in _BOUND_CALLS.items() for i in numeric],
+)
+def test_a_nan_argument_raises_the_argument_check(name, position):
+    fn, args, _ = _BOUND_CALLS[name]
+    args = list(args)
+    if isinstance(args[position], list):
+        args[position] = [math.nan, *args[position][1:]]
+    else:
+        args[position] = math.nan
+    with pytest.raises(ValueError, match=" must "):
+        fn(*args)
+
+
 class TestMinCountProbability:
     def test_formula_value(self):
         n, p, m = 200, np.array([0.3, 0.3, 0.4]), 40
@@ -806,17 +830,6 @@ class TestTvDistance:
         est = tv_distance(Gaussian([0.0], [[1.0]]), Gaussian([100.0], [[1.0]]))
         assert est.value == pytest.approx(1.0, abs=1e-9)
 
-    def test_quadrature_needs_gaussian_parts(self):
-        class Laplace(ComponentDensity):
-            dim = 1
-
-            def log_density(self, x):
-                return -np.abs(np.asarray(x, dtype=float)).ravel() - math.log(2.0)
-
-        match = "supports Gaussian, GaussianMixture and KernelDensity atoms, not Laplace"
-        with pytest.raises(ValueError, match=match):
-            tv_distance(Laplace(), Gaussian([0.0], [[1.0]]))
-
 
 def _brentq_battery(rng: np.random.Generator, per_family: int):
     """Seeded (f, a, b, maxiter) brackets for comparing root finders.
@@ -963,6 +976,57 @@ class TestTvCoverage:
             est = tv_distance(f, g, mc_samples=self.SAMPLES, seed=i)
             assert est.method == "mc" and exact.half_width < 1e-9
             if abs(est.value - exact.value) > est.half_width + exact.half_width:
+                misses.append(i)
+        assert len(misses) <= allowed, (misses, allowed)
+
+
+class TestW1Coverage:
+    """W1 half-widths against the exact W1 of product-form 2-d measures.
+
+    Atoms N((m_i, 0), diag(v_i, 1)) share their second coordinate, so each
+    Monte-Carlo cost c^ estimates the exact TV c of the first coordinates
+    (the 1-d closed form), and the exact W1 is W = <pi*, c> for the optimal
+    plan pi* of c. Where every cost is covered, |c^ - c| <= hw, the reported
+    W^ = <pi^, c^> obeys W - W^ <= <pi^, hw> = total_half_width, but
+    W^ - W <= <pi*, hw> only: the total half-width is guaranteed on one side.
+    A cost misses with probability 2 norm.sf(3), and the K^2 costs of an
+    instance are drawn apart, so an instance has an uncovered cost with
+    probability 1 - (1 - 2 norm.sf(3))^(K^2). The allowed count of instances
+    with |W^ - W| > total_half_width is the 0.999 quantile of the binomial at
+    that rate, set before the first run; the instances and their seeds are
+    never redrawn.
+    """
+
+    INSTANCES = 100
+    K = 2
+    SAMPLES = 20_000
+
+    @staticmethod
+    def _measure(rng, k):
+        """k random 1-d Gaussians, and the 2-d measure of their products."""
+        means, variances = rng.normal(0.0, 1.5, k), rng.uniform(0.25, 4.0, k)
+        line = [Gaussian([m], [[v]]) for m, v in zip(means, variances)]
+        plane = [Gaussian([m, 0.0], np.diag([v, 1.0])) for m, v in zip(means, variances)]
+        return line, MixingMeasure(rng.dirichlet(np.ones(k)), plane)
+
+    def test_total_half_width_covers_the_exact_w1(self):
+        rate = 1.0 - (1.0 - 2.0 * norm.sf(3.0)) ** (self.K**2)
+        allowed = int(binom.ppf(0.999, self.INSTANCES, rate))
+        misses = []
+        for i in range(self.INSTANCES):
+            rng = np.random.default_rng([22, i])
+            (line_a, a), (line_b, b) = self._measure(rng, self.K), self._measure(rng, self.K)
+            cost = np.array([[transport._tv_gaussians(f, g) for g in line_b] for f in line_a])
+            best, exact = transport._optimal_coupling(cost, a.weights, b.weights)
+            value, plan = wasserstein1(a, b, mc_samples=self.SAMPLES, seed=i)
+            assert plan.method == "mc"
+            hw = plan.cost_half_widths
+            if np.all(np.abs(plan.cost_matrix - cost) <= hw):
+                # 1e-12 holds both simplex stops, each within 1e-13 of its
+                # optimum per unit mass, and the rounding of the sums
+                assert exact - value <= plan.total_half_width + 1e-12
+                assert value - exact <= float((best * hw).sum()) + 1e-12
+            if abs(value - exact) > plan.total_half_width:
                 misses.append(i)
         assert len(misses) <= allowed, (misses, allowed)
 

@@ -291,6 +291,12 @@ class TestAnalyze:
         assert "nothing requested" in capsys.readouterr().err
         assert not (out / "analysis.json").exists()
 
+    def test_a_nan_exponent_is_refused(self, out, capsys):
+        argv = ["analyze", "--mle-bound", "--k", "3", "--counts", "5,5,5", "--exponent", "nan"]
+        assert run([*argv, "--out-dir", out]) == 1
+        assert capsys.readouterr().err == "error: exponent must be >= 0\n"
+        assert not (out / "analysis.json").exists()
+
     def test_missing_dependency_flag(self, out, capsys):
         assert run(["analyze", "--required-n", "mv", "--k", "4", "--out-dir", out]) == 1
         assert "--delta" in capsys.readouterr().err

@@ -30,6 +30,7 @@ from permlearn import (
     save_mixture,
 )
 from permlearn import mixtures
+from permlearn.analysis import tv_distance
 from permlearn.mixtures import _categorical, _json_text, _logsumexp
 
 
@@ -335,17 +336,27 @@ class TestMixingMeasure:
                 [0.5, 0.5], [Gaussian([0.0], [[1.0]]), Gaussian([0.0, 0.0], np.eye(2))]
             )
 
-    def test_an_atom_without_gaussian_parts_scores_by_its_own_density(self):
+    # a working density of another type: refused for its type, in every
+    # dimension, where a mixing measure or TV takes an atom
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("taker", ["measure", "tv"])
+    def test_an_atom_of_another_type_is_refused(self, taker, d):
         class Laplace(ComponentDensity):
-            dim = 1
+            dim = d
 
             def log_density(self, x):
-                return -np.abs(np.asarray(x, dtype=float)).ravel() - math.log(2.0)
+                return -np.abs(np.asarray(x, dtype=float)).sum(axis=-1) - d * math.log(2.0)
 
-        m = MixingMeasure([0.25, 0.75], [Laplace(), Gaussian([1.0], [[2.0]])])
-        x = np.linspace(-3.0, 3.0, 7).reshape(-1, 1)
-        expected = np.column_stack([c.log_density(x) for c in m.components]) + m.log_weights
-        assert np.array_equal(m.log_scores(x), expected)
+            def sample(self, rng, n):
+                return rng.laplace(size=(n, d))
+
+        gaussian = Gaussian(np.zeros(d), np.eye(d))
+        message = "^atoms must be Gaussian, GaussianMixture or KernelDensity instances$"
+        with pytest.raises(ValueError, match=message):
+            if taker == "measure":
+                MixingMeasure([0.25, 0.75], [gaussian, Laplace()])
+            else:
+                tv_distance(Laplace(), gaussian, mc_samples=100)
 
     def test_log_scores_shape_and_value(self):
         m = two_atom()
@@ -425,10 +436,13 @@ class TestAloneEqualsBatch:
     def test_a_point_scores_alike_alone_and_in_a_batch(self, case):
         m, x = case
         batch = [c.log_density(x) for c in m.components]
+        scores = m.log_scores(x)
+        assert np.array_equal(scores, np.column_stack(batch) + m.log_weights)
         regions = region_of(m, x)
         for i in range(len(x)):
-            for c, scores in zip(m.components, batch):
-                assert c.log_density(x[i]) == scores[i]
+            for c, column in zip(m.components, batch):
+                assert c.log_density(x[i]) == column[i]
+            assert np.array_equal(m.log_scores(x[i]), scores[i])
             assert region_of(m, x[i]) == regions[i]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -1003,9 +1017,6 @@ _JSON_VALUES = st.recursive(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(_JSON_TEXT, inner, max_size=4),
-        st.dictionaries(st.integers() | st.booleans(), inner, max_size=3),
-        st.dictionaries(st.floats(allow_nan=False, allow_infinity=False), inner, max_size=3),
-        st.dictionaries(st.none(), inner, max_size=1),
         st.builds(_Pair, inner, inner),
     ),
     max_leaves=24,
@@ -1026,16 +1037,10 @@ def test_json_text_equals_json_dumps_of_the_plain_values(obj):
         {"a": np.float32(1.0)},
         np.array([1j]),
         np.bool_(True),
-        {(1, 2): 3},
         {"a": 1, 2: 3},
-        {math.nan: 1},
-        {np.float64(-math.inf): 1},
         _Pair(object(), 1),
     ],
-    ids=[
-        "set", "np-int", "np-float32", "complex", "np-bool", "tuple-key", "mixed-keys",
-        "nan-key", "inf-key", "object-field",
-    ],
+    ids=["set", "np-int", "np-float32", "complex", "np-bool", "mixed-keys", "object-field"],
 )
 def test_json_text_raises_what_json_dumps_raises(obj):
     with pytest.raises(Exception) as expected:
@@ -1043,3 +1048,18 @@ def test_json_text_raises_what_json_dumps_raises(obj):
     with pytest.raises(expected.type) as got:
         _json_text(obj)
     assert str(got.value) == str(expected.value)
+
+
+# json.dumps converts int, float, bool and None keys to strings; the writer
+# converts none, since no file it writes has one.
+@pytest.mark.parametrize(
+    "key",
+    [(1, 2), math.nan, np.float64(-math.inf), 1, 2.5, True, None, np.int64(3), b"a"],
+    ids=["tuple-key", "nan-key", "inf-key", "int-key", "float-key", "bool-key", "none-key",
+         "np-int-key", "bytes-key"],
+)
+def test_json_text_refuses_a_key_that_is_not_a_str(key):
+    message = f"^keys must be str, not {type(key).__name__}$"
+    for obj in ({key: 1}, [{"a": {key: [1.5]}}]):
+        with pytest.raises(TypeError, match=message):
+            _json_text(obj)
