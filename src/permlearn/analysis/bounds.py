@@ -22,6 +22,7 @@ which reduces each tilt in reused buffers with the bits of a fresh
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,11 +141,24 @@ def chernoff_exponent(
 
 
 def _clamp01(x: float) -> float:
+    if math.isnan(x):
+        raise ValueError("the bound is undefined (NaN) at these arguments")
     return float(min(1.0, max(0.0, x)))
 
 
+def _check_count(name: str, value, low: int) -> None:
+    """Raise a ValueError naming ``name`` unless low <= value <= the largest float."""
+    if not value >= low:
+        raise ValueError(f"{name} must be >= {low}")
+    if not value <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite float")
+
+
 def _min_count(counts) -> float:
-    arr = np.asarray(counts, dtype=float).ravel()
+    try:
+        arr = np.asarray(counts, dtype=float).ravel()
+    except OverflowError:  # an int too large for a float
+        raise ValueError("counts must be finite and >= 0") from None
     if arr.size == 0:
         raise ValueError("counts must be nonempty")
     if np.any(arr < 0) or np.any(~np.isfinite(arr)):
@@ -159,8 +173,7 @@ def mle_recovery_bound(k: int, class_counts, exponent: float) -> float:
     ``exponent`` is the worst-atom large-deviation exponent; +inf is accepted
     and gives a bound of 1 when every class was observed.
     """
-    if not k >= 1:
-        raise ValueError("k must be >= 1")
+    _check_count("k", k, 1)
     if not exponent >= 0.0:
         raise ValueError("exponent must be >= 0")
     min_n = _min_count(class_counts)
@@ -174,8 +187,7 @@ def mv_recovery_bound(k: int, region_counts, gap: float) -> float:
     ``1 - 2 k^2 exp(-2 gap^2 min(region_counts) / 9)`` clamped into [0, 1],
     where ``gap`` is the worst-region vote margin.
     """
-    if not k >= 1:
-        raise ValueError("k must be >= 1")
+    _check_count("k", k, 1)
     if not 0.0 <= gap <= 1.0:
         raise ValueError("gap must lie in [0, 1]")
     min_m = _min_count(region_counts)
@@ -189,21 +201,20 @@ def required_sample_size(k: int, delta: float, method: str, value: float) -> int
     'mv'). Returns ``ceil(k log(k/delta) (1 + 4/value))`` respectively
     ``ceil(k log(k/delta) (1 + 18/value^2))``.
     """
-    if not k >= 1:
-        raise ValueError("k must be >= 1")
+    _check_count("k", k, 1)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if not value > 0.0:
         raise ValueError("value must be > 0")
-    if method == "mle":
-        factor = 1.0 + 4.0 / value
-    elif method == "mv":
-        if value > 1.0:
-            raise ValueError("a vote margin cannot exceed 1")
-        factor = 1.0 + 18.0 / value**2
-    else:
+    if method not in ("mle", "mv"):
         raise ValueError("method must be 'mle' or 'mv'")
-    return math.ceil(k * math.log(k / delta) * factor)
+    if method == "mv" and value > 1.0:
+        raise ValueError("a vote margin cannot exceed 1")
+    try:
+        factor = 1.0 + 4.0 / value if method == "mle" else 1.0 + 18.0 / value**2
+        return math.ceil(k * math.log(k / delta) * factor)
+    except (OverflowError, ZeroDivisionError):  # a tiny value or delta, or a huge k
+        raise ValueError("k, delta and value give a sample size too large for a float") from None
 
 
 def min_count_probability(n: int, probs, m: int) -> float:
@@ -213,10 +224,8 @@ def min_count_probability(n: int, probs, m: int) -> float:
     ``1 - sum_k exp(-2 (n p_k - m)^2 / (n p_k))``, where classes with
     ``n p_k <= m`` contribute a full unit (no guarantee for them).
     """
-    if not n >= 1:
-        raise ValueError("n must be >= 1")
-    if not m >= 0:
-        raise ValueError("m must be >= 0")
+    _check_count("n", n, 1)
+    _check_count("m", m, 0)
     p = np.asarray(probs, dtype=float).ravel()
     if p.size == 0 or np.any(p < 0) or not np.all(np.isfinite(p)):
         raise ValueError("probs must be a probability vector")

@@ -141,7 +141,9 @@ def _gaps_from_scores(
     margins = margin_hws = None
     empty: tuple[int, ...] = ()
     if "mle" in which:
-        mle_gap, mle_hw = _mle_part(summary.weights[0], scores, labels, true_perm)
+        # a score whose square overflows leaves the half-width inf or NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            mle_gap, mle_hw = _mle_part(summary.weights[0], scores, labels, true_perm)
     if "mv" in which:
         mv_gap, mv_hw, margins, margin_hws, empty = _mv_part(
             summary.votes[0], summary.region_counts[0], true_perm

@@ -19,6 +19,7 @@ from ..mixtures import (
     _label_from_scores,
     sample_labeled,
 )
+from .gaps import _check_pair
 
 __all__ = ["RiskEstimate", "misclassification_rate"]
 
@@ -50,9 +51,8 @@ def _check_risk(
     true_perm: Permutation,
     samples: int,
 ) -> None:
-    if model.n_atoms != truth.n_atoms or model.dim != truth.dim:
-        raise ValueError("model and truth must share atom count and dimension")
-    if perm.size != model.n_atoms or true_perm.size != truth.n_atoms:
+    _check_pair(model, truth, true_perm)
+    if perm.size != model.n_atoms:
         raise ValueError("permutation size does not match the measures")
     if samples < 1:
         raise ValueError("samples must be >= 1")

@@ -451,6 +451,9 @@ def _tv_quadrature(f: ComponentDensity, g: ComponentDensity) -> TvEstimate:
 
     # the mass beyond 10 standard deviations of every part is ~1e-23
     lo, hi = float((mu - 10.0 * sds).min()), float((mu + 10.0 * sds).max())
+    # the rule resolves parts down to 1e-12 of the envelope and 1e-15 of its ends
+    if float(sds.min()) < 1e-12 * max(hi - lo, 1e-3 * max(-lo, hi)):
+        raise ValueError("1-d TV cannot resolve a part this narrow against the others")
     kept = _breakpoints(mu, float(sds.min()))
     pieces, start = [], lo
     for c, offsets in _narrow_windows(kept, lo, hi, mu, sds).items():

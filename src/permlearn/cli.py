@@ -33,6 +33,7 @@ from .analysis.gaps import _check_gaps, _gaps_from_scores
 from .analysis.risk import _check_risk, _risk_from_scores
 from .estimators import _estimate, summarize
 from .harness import (
+    _SPEC_FIELDS,
     FAMILIES,
     ExperimentSpec,
     _spec_fields,
@@ -53,6 +54,8 @@ __all__ = ["main"]
 
 OUT_DIR_ENV = "PERMLEARN_OUT_DIR"
 _DATA_STREAM = 0
+# the gen flags that pin a synthetic truth, as ExperimentSpec arguments
+_GEN_SPEC = ("family", "k", "dim", "eta", "seed")
 
 
 def _number(kind, ok, rule: str):
@@ -174,7 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--eta", type=_positive_float, default=None)
     exp.add_argument("--n-grid", type=_int_list, default=None)
     exp.add_argument("--trials", type=_positive_int, default=None)
-    exp.add_argument("--rho", type=_unit_float, default=None, help="label-noise rate")
+    exp.add_argument("--rho", type=_unit_float, default=None, dest="label_noise",
+                     metavar="RHO", help="label-noise rate")
     exp.add_argument("--seed", type=_nonneg_int, default=None)
     exp.add_argument("--threads", type=_positive_int, default=1,
                      help="accepted for compatibility; changes neither output nor speed")
@@ -225,9 +229,8 @@ def _write_artifacts(
 
 
 def _cmd_gen(args, out_dir: Path, started: float) -> list[str]:
-    spec = ExperimentSpec(
-        family=args.family, k=args.k, dim=args.dim, eta=args.eta, seed=args.seed
-    )
+    config = {key: getattr(args, key) for key in (*_GEN_SPEC, "samples")}
+    spec = ExperimentSpec(**{key: config[key] for key in _GEN_SPEC})
     if spec.family == "custom":
         raise ValueError("gen supports only the synthetic families")
     truth, true_perm, model = resolve_model(spec)
@@ -242,14 +245,6 @@ def _cmd_gen(args, out_dir: Path, started: float) -> list[str]:
         )
         texts["data.csv"] = data.csv_text()
         seeds["data_stream"] = [args.seed, _DATA_STREAM]
-    config = {
-        "family": spec.family,
-        "k": spec.k,
-        "dim": spec.dim,
-        "eta": spec.eta,
-        "seed": args.seed,
-        "samples": args.samples,
-    }
     return _write_artifacts(out_dir, "gen", config, seeds, texts, started)
 
 
@@ -259,20 +254,28 @@ def _cmd_estimate(args, out_dir: Path, started: float) -> list[str]:
     summary = summarize(measure, data)
     wanted = ("mle", "mv", "greedy") if args.method == "all" else (args.method,)
     result = {name: _estimate(name, summary) for name in wanted}
-    config = {
-        "mixture": str(args.mixture),
-        "data": str(args.data),
-        "method": args.method,
-        "n": data.n,
-    }
+    config = {**{key: getattr(args, key) for key in ("mixture", "data", "method")}, "n": data.n}
     texts = {"estimate.json": _json_text(result)}
     return _write_artifacts(out_dir, "estimate", config, {}, texts, started)
 
 
-def _require(flag: str, value, needed_by: str):
-    if value is None:
-        raise ValueError(f"{needed_by} requires {flag}")
-    return value
+def _require(args, request: str, flags) -> dict:
+    """The values of the flags (by dest) that ``request`` reads, in order;
+    the first one missing raises a ValueError naming it."""
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise ValueError(f"{request} requires --{flag}")
+    return {flag: getattr(args, flag) for flag in flags}
+
+
+# analyze's bound formulas: result key (the request flag's dest) -> the
+# function and the flags it reads, in argument order; each result echoes
+# those flags and adds "value"
+_FORMULAS = {
+    "mle_bound": (mle_recovery_bound, ("k", "counts", "exponent")),
+    "mv_bound": (mv_recovery_bound, ("k", "counts", "gap")),
+    "min_count": (min_count_probability, ("n", "probs", "m")),
+}
 
 
 def _cmd_analyze(args, out_dir: Path, started: float) -> list[str]:
@@ -300,8 +303,7 @@ def _cmd_analyze(args, out_dir: Path, started: float) -> list[str]:
         data = sample_labeled(truth, true_perm, args.mc, args.seed)
         scores = model.log_scores(data.x)
         if which:
-            report = _gaps_from_scores(scores, data.y, true_perm, which, args.seed)
-            results["gaps"] = report
+            results["gaps"] = _gaps_from_scores(scores, data.y, true_perm, which, args.seed)
         if args.risk:
             est = _risk_from_scores(scores, data, model, perm, truth, true_perm, args.seed)
             results["risk"] = est
@@ -310,10 +312,9 @@ def _cmd_analyze(args, out_dir: Path, started: float) -> list[str]:
         a, b = (load_mixture(p) for p in args.tv)
         if a.n_atoms != 1 or b.n_atoms != 1:
             raise ValueError("--tv expects single-atom mixtures; use --w1 otherwise")
-        est = tv_distance(
+        results["tv"] = tv_distance(
             a.components[0], b.components[0], mc_samples=args.mc, seed=args.seed
         )
-        results["tv"] = est
 
     if args.w1 is not None:
         a, b = (load_mixture(p) for p in args.w1)
@@ -321,46 +322,15 @@ def _cmd_analyze(args, out_dir: Path, started: float) -> list[str]:
         results["w1"] = {"value": value, "plan": plan}
 
     if args.required_n is not None:
-        k = _require("--k", args.k, "--required-n")
-        delta = _require("--delta", args.delta, "--required-n")
-        value = _require("--value", args.value, "--required-n")
+        inputs = _require(args, "--required-n", ("k", "delta", "value"))
+        k, delta, value = inputs.values()
         n = required_sample_size(k, delta, args.required_n, value)
-        results["required_n"] = {
-            "method": args.required_n, "k": k, "delta": delta, "value": value, "n": n,
-        }
+        results["required_n"] = {"method": args.required_n, **inputs, "n": n}
 
-    if args.mle_bound:
-        k = _require("--k", args.k, "--mle-bound")
-        counts = _require("--counts", args.counts, "--mle-bound")
-        exponent = _require("--exponent", args.exponent, "--mle-bound")
-        results["mle_bound"] = {
-            "k": k,
-            "counts": list(counts),
-            "exponent": exponent,
-            "value": mle_recovery_bound(k, counts, exponent),
-        }
-
-    if args.mv_bound:
-        k = _require("--k", args.k, "--mv-bound")
-        counts = _require("--counts", args.counts, "--mv-bound")
-        gap = _require("--gap", args.gap, "--mv-bound")
-        results["mv_bound"] = {
-            "k": k,
-            "counts": list(counts),
-            "gap": gap,
-            "value": mv_recovery_bound(k, counts, gap),
-        }
-
-    if args.min_count:
-        n = _require("--n", args.n, "--min-count")
-        probs = _require("--probs", args.probs, "--min-count")
-        m = _require("--m", args.m, "--min-count")
-        results["min_count"] = {
-            "n": n,
-            "probs": list(probs),
-            "m": m,
-            "value": min_count_probability(n, probs, m),
-        }
+    for key, (formula, flags) in _FORMULAS.items():
+        if getattr(args, key):
+            inputs = _require(args, "--" + key.replace("_", "-"), flags)
+            results[key] = {**inputs, "value": formula(*inputs.values())}
 
     if not results:
         raise ValueError("analyze: nothing requested; pass at least one computation flag")
@@ -379,16 +349,7 @@ def _cmd_analyze(args, out_dir: Path, started: float) -> list[str]:
 
 
 def _cmd_experiment(args, out_dir: Path, started: float) -> list[str]:
-    overrides = {
-        "family": args.family,
-        "k": args.k,
-        "dim": args.dim,
-        "eta": args.eta,
-        "n_grid": args.n_grid,
-        "trials": args.trials,
-        "label_noise": args.rho,
-        "seed": args.seed,
-    }
+    overrides = {key: getattr(args, key) for key in ("family", *_SPEC_FIELDS)}
     flags = {key: val for key, val in overrides.items() if val is not None}
     fields: dict = {}
     if args.spec is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -154,8 +154,8 @@ class ExperimentSpec:
                 raise ValueError("synthetic families need k >= 2")
             if self.dim < 2:
                 raise ValueError("grid families need dim >= 2")
-            if not self.eta > 0.0:
-                raise ValueError("separation eta must be > 0")
+            if not 0.0 < self.eta < math.inf:
+                raise ValueError("separation eta must be finite and > 0")
         if self.k == 1 and self.label_noise > 0.0:
             raise ValueError("label noise is meaningless with a single class")
 
@@ -164,22 +164,12 @@ class ExperimentSpec:
         return self.family.endswith("_perturbed")
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "k": self.k,
-            "dim": self.dim,
-            "eta": self.eta,
-            "n_grid": list(self.n_grid),
-            "trials": self.trials,
-            "label_noise": self.label_noise,
-            "seed": self.seed,
-            "true_mixture": (
-                None if self.true_mixture is None else mixture_to_dict(self.true_mixture)
-            ),
-            "model_mixture": (
-                None if self.model_mixture is None else mixture_to_dict(self.model_mixture)
-            ),
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["n_grid"] = list(self.n_grid)
+        for key in ("true_mixture", "model_mixture"):
+            if d[key] is not None:
+                d[key] = mixture_to_dict(d[key])
+        return d
 
 
 def _spec_fields(d: dict) -> dict:

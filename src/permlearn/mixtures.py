@@ -515,8 +515,9 @@ class KernelDensity(ComponentDensity):
         if not np.all(np.isfinite(points)):
             raise ValueError("points must be finite")
         bandwidth = float(bandwidth)
-        if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
-            raise ValueError("bandwidth must be a positive finite scalar")
+        # each kernel is N(point, bandwidth^2 I): its variance must be a positive float
+        if not (bandwidth > 0.0 and 0.0 < bandwidth * bandwidth < math.inf):
+            raise ValueError("bandwidth must be positive with a finite positive square")
         self._points = _frozen(points.copy())
         self._bandwidth = bandwidth
 
@@ -965,7 +966,7 @@ def _json_field(obj: dict, key: str, kind: str):
         raise ValueError(f"missing field '{key}'")
     try:
         return _JSON_KINDS[kind](obj[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"'{key}' must be {kind}") from None
 
 

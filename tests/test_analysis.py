@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq, linear_sum_assignment, linprog
+from scipy.special import ndtr
 from scipy.stats import binom, norm
 
 from permlearn import (
@@ -563,6 +564,47 @@ def test_a_nan_argument_raises_the_argument_check(name, position):
         fn(*args)
 
 
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (min_count_probability, (math.inf, [0.5, 0.5], 1), "n must be a finite float"),
+        (min_count_probability, (10, [0.5, 0.5], math.inf), "m must be a finite float"),
+        (min_count_probability, (10**400, [0.5, 0.5], 1), "n must be a finite float"),
+        (min_count_probability, (10, [0.5, 0.5], 10**400), "m must be a finite float"),
+        (mle_recovery_bound, (math.inf, [50, 60], 0.3), "k must be a finite float"),
+        (mle_recovery_bound, (10**400, [50, 60], 0.3), "k must be a finite float"),
+        (mle_recovery_bound, (3, [10**400, 60], 0.3), "counts must be finite"),
+        (mv_recovery_bound, (math.inf, [50, 60], 0.3), "k must be a finite float"),
+        (required_sample_size, (math.inf, 0.1, "mle", 0.3), "k must be a finite float"),
+        (required_sample_size, (3, 0.1, "mle", 1e-320), "sample size too large"),
+        (required_sample_size, (3, 0.1, "mv", 1e-200), "sample size too large"),
+        (required_sample_size, (3, 5e-324, "mle", 0.3), "sample size too large"),
+    ],
+)
+def test_an_argument_beyond_the_floats_raises_its_check(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
+
+
+def test_a_nan_bound_raises_instead_of_reading_0():
+    with pytest.raises(ValueError, match="NaN"):
+        bounds._clamp01(math.nan)
+    # 2 k^2 overflows to inf and exp(-inf) is 0: the product is NaN
+    with pytest.raises(ValueError, match="NaN"):
+        mle_recovery_bound(10**200, [1e300], math.inf)
+    # an infinite exponent stays a bound of 1 when every class was seen
+    assert mle_recovery_bound(3, [5, 5, 5], math.inf) == 1.0
+
+
+def test_a_model_score_whose_square_overflows_leaves_a_nan_half_width():
+    truth = MixingMeasure([0.5, 0.5], [Gaussian([0.0, 0.0], np.eye(2)),
+                                       Gaussian([3.0, 0.0], np.eye(2))])
+    model = MixingMeasure([0.5, 0.5], [Gaussian([0.0, 0.0], np.diag([1e-300, 1.0])),
+                                       Gaussian([3.0, 0.0], np.eye(2))])
+    report = estimate_gaps(model, truth, Permutation.identity(2), 2000, seed=0)
+    assert report.mle_gap > 1e299 and math.isnan(report.mle_half_width)
+
+
 class TestMinCountProbability:
     def test_formula_value(self):
         n, p, m = 200, np.array([0.3, 0.3, 0.4]), 40
@@ -676,6 +718,23 @@ class TestGapEstimates:
 
 
 class TestTvDistance:
+    @pytest.mark.parametrize(
+        "f, g",
+        [
+            # a kernel at 1e300 and one at 0: no float lies 10 bandwidths past 1e300
+            (KernelDensity([[1e300], [0.0]], 0.14), Gaussian([0.0], [[1.0 / 3.0]])),
+            # a part 1e150 wide beside parts 1 wide
+            (GaussianMixture([0.5, 0.5], [Gaussian([0.0], [[1e300]]), Gaussian([0.0], [[1.0]])]),
+             Gaussian([1.0], [[1.0]])),
+            # a part 1e-160 wide beside a part 1 wide
+            (GaussianMixture([0.5, 0.5], [Gaussian([0.0], [[1e-320]]), Gaussian([1.0], [[1.0]])]),
+             Gaussian([1.0], [[1.0]])),
+        ],
+    )
+    def test_a_part_the_rule_cannot_resolve_is_refused(self, f, g):
+        with pytest.raises(ValueError, match="1-d TV cannot resolve"):
+            tv_distance(f, g)
+
     @pytest.mark.parametrize("delta", [0.25, 1.0, 3.0])
     def test_quadrature_matches_closed_form(self, delta):
         est = tv_distance(Gaussian([0.0], [[1.0]]), Gaussian([delta], [[1.0]]))
@@ -1029,6 +1088,123 @@ class TestW1Coverage:
             if abs(value - exact) > plan.total_half_width:
                 misses.append(i)
         assert len(misses) <= allowed, (misses, allowed)
+
+
+class TestGapsAndRiskCoverage1d:
+    """Half-widths of ``estimate_gaps`` and ``misclassification_rate`` against
+    exact values on 1-d Gaussian truth/model pairs.
+
+    In 1-d the decision regions of w_b N(m_b, s_b^2) are unions of the
+    intervals between the real roots of the pairwise quadratics
+    log w_a f_a - log w_b f_b, so the truth's joint mass of (class c,
+    region r) is a sum of ``ndtr`` differences. The Bayes rate, the plug-in
+    rate, the excess and every region's vote margin follow from those masses,
+    and the MLE cell means are w_c E_{f_c}[log w^_r f^_r(X)], a Gaussian
+    expectation of a quadratic. Each of those values is one check of a 3-SE
+    half-width; a check misses with probability about 2 norm.sf(3), so the
+    allowed misses are the 0.999 binomial quantile over all checks, set before
+    the first run. Instances come from seeds [23, i]; one is dropped, by a
+    rule fixed before the first run, when a model region holds less than 5%
+    of the truth's mass, where its margin's normal approximation is poor. The
+    instances and seeds are never redrawn.
+    """
+
+    INSTANCES = 60
+    SAMPLES = 20_000
+
+    @staticmethod
+    def _regions(weights, means, sds):
+        """Interval edges (-inf first, inf last) and the region of each interval."""
+        roots = []
+        for a, b in itertools.combinations(range(len(weights)), 2):
+            va, vb = sds[a] ** 2, sds[b] ** 2
+            quadratic = [
+                0.5 / vb - 0.5 / va,
+                means[a] / va - means[b] / vb,
+                math.log(weights[a] / sds[a]) - math.log(weights[b] / sds[b])
+                - 0.5 * means[a] ** 2 / va + 0.5 * means[b] ** 2 / vb,
+            ]
+            roots += [r.real for r in np.roots(quadratic) if r.imag == 0.0]
+        edges = [-math.inf, *sorted(roots), math.inf]
+        inner = [x for x in edges if math.isfinite(x)] or [0.0]
+        mids = [
+            inner[0] - 1.0 if lo == -math.inf else inner[-1] + 1.0 if hi == math.inf
+            else 0.5 * (lo + hi)
+            for lo, hi in zip(edges, edges[1:])
+        ]
+        scores = [np.log(weights) + norm.logpdf(x, means, sds) for x in mids]
+        return edges, [int(np.argmax(row)) for row in scores]
+
+    @classmethod
+    def _joint_mass(cls, truth, regions_of):
+        """(class c, region r) -> P(atom c of truth, X in region r of regions_of)."""
+        edges, owner = cls._regions(*regions_of)
+        w, m, s = truth
+        mass = np.zeros((len(w), len(w)))
+        for (lo, hi), r in zip(zip(edges, edges[1:]), owner):
+            mass[:, r] += w * (ndtr((hi - m) / s) - ndtr((lo - m) / s))
+        return mass
+
+    @staticmethod
+    def _parameters(measure):
+        means = np.array([c.mean[0] for c in measure.components])
+        sds = np.array([math.sqrt(c.cov[0, 0]) for c in measure.components])
+        return measure.weights, means, sds
+
+    def _instances(self):
+        i = 0
+        while True:
+            rng = np.random.default_rng([23, i])
+            i += 1
+            k = 2 + int(rng.integers(0, 2))
+            means = 2.0 * np.arange(k) + rng.normal(0.0, 0.3, k)
+            sds = rng.uniform(0.6, 1.4, k)
+            atoms = [Gaussian([m], [[v * v]]) for m, v in zip(means, sds)]
+            truth = MixingMeasure(rng.dirichlet(np.full(k, 4.0)), atoms)
+            model = perturb_mixture(truth, rng)
+            exact = self._parameters(truth), self._parameters(model)
+            if self._joint_mass(*exact).sum(axis=0).min() >= 0.05:
+                yield truth, model, self._exact(*exact)
+
+    def _exact(self, truth, model):
+        k = len(truth[0])
+        bayes = 1.0 - np.trace(self._joint_mass(truth, truth))
+        plugin_mass = self._joint_mass(truth, model)
+        rate = 1.0 - np.trace(plugin_mass)
+        rivals = plugin_mass.copy()
+        np.fill_diagonal(rivals, -np.inf)
+        margins = (np.diag(plugin_mass) - rivals.max(axis=0)) / plugin_mass.sum(axis=0)
+        (w, m, s), (w_hat, m_hat, s_hat) = truth, model
+        cell = w[:, None] * (
+            np.log(w_hat) - 0.5 * np.log(2.0 * math.pi * s_hat**2)
+            - (s[:, None] ** 2 + (m[:, None] - m_hat) ** 2) / (2.0 * s_hat**2)
+        )
+        values = {p: cell[np.arange(k), list(p)].sum() for p in itertools.permutations(range(k))}
+        identity = tuple(range(k))
+        rival = max(v for p, v in values.items() if p != identity)
+        return {"bayes": bayes, "rate": rate, "excess": rate - bayes, "margins": margins,
+                "mle_gap": values[identity] - rival}
+
+    def test_half_widths_cover_the_exact_values(self):
+        instances = list(itertools.islice(self._instances(), self.INSTANCES))
+        checks = sum(4 + len(exact["margins"]) for *_, exact in instances)
+        allowed = int(binom.ppf(0.999, checks, 2.0 * norm.sf(3.0)))
+        misses = []
+        for i, (truth, model, exact) in enumerate(instances):
+            perm = Permutation.identity(truth.n_atoms)
+            risk = misclassification_rate(model, perm, truth, perm, self.SAMPLES, seed=i)
+            gap = estimate_gaps(model, truth, perm, self.SAMPLES, seed=i)
+            pairs = [
+                ("bayes", risk.bayes_rate, risk.bayes_half_width, exact["bayes"]),
+                ("rate", risk.rate, risk.half_width, exact["rate"]),
+                ("excess", risk.excess, risk.excess_half_width, exact["excess"]),
+                ("mle_gap", gap.mle_gap, gap.mle_half_width, exact["mle_gap"]),
+                *(("margin", *got, want) for got, want in zip(
+                    zip(gap.region_margins, gap.margin_half_widths), exact["margins"]
+                )),
+            ]
+            misses += [(i, name) for name, got, hw, want in pairs if abs(got - want) > hw]
+        assert len(misses) <= allowed, (misses, allowed, checks)
 
 
 class TestTransportationSimplex:

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permlearn import (
     ExperimentSpec,
@@ -21,7 +27,7 @@ from permlearn import (
 from permlearn import cli
 from permlearn.analysis import gaps as gaps_module, risk as risk_module
 from permlearn.cli import main
-from permlearn.harness import resolve_model
+from permlearn.harness import FAMILIES, resolve_model
 from permlearn.mixtures import _json_text
 
 
@@ -172,6 +178,15 @@ def test_malformed_json_exits_1_naming_the_field(
     assert list(out.iterdir()) == []
 
 
+def test_an_int_beyond_the_floats_in_a_mixture_file_is_named(tmp_path, out, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_one_atom({"type": "gaussian", "mean": [10**400], "cov": [[1.0]]})))
+    assert run(["analyze", "--w1", bad, bad, "--out-dir", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: atoms[0].density: 'mean' must be an array of numbers\n"
+    )
+
+
 def test_a_bad_mixture_file_is_named(tmp_path, out, capsys):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text(json.dumps(_one_atom()))
@@ -232,6 +247,16 @@ class TestEstimate:
         assert run(["estimate", "--mixture", out / "nope.json",
                     "--data", out / "nope.csv", "--out-dir", out]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+# each analyze bound request and the flags it reads, in argument order, with
+# values it takes
+_REQUESTS = {
+    ("--required-n", "mle"): {"--k": "3", "--delta": "0.1", "--value": "0.3"},
+    ("--mle-bound",): {"--k": "2", "--counts": "50,60", "--exponent": "0.3"},
+    ("--mv-bound",): {"--k": "2", "--counts": "50,60", "--gap": "0.5"},
+    ("--min-count",): {"--n": "100", "--probs": "0.5,0.5", "--m": "10"},
+}
 
 
 class TestAnalyze:
@@ -300,6 +325,44 @@ class TestAnalyze:
     def test_missing_dependency_flag(self, out, capsys):
         assert run(["analyze", "--required-n", "mv", "--k", "4", "--out-dir", out]) == 1
         assert "--delta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, missing",
+        [(command, flag) for command, flags in _REQUESTS.items() for flag in flags],
+    )
+    def test_a_request_without_a_flag_it_reads_exits_1(self, command, missing, out, capsys):
+        present = [part for flag, value in _REQUESTS[command].items() if flag != missing
+                   for part in (flag, value)]
+        assert run(["analyze", *command, *present, "--out-dir", out]) == 1
+        assert capsys.readouterr().err == f"error: {command[0]} requires {missing}\n"
+        assert not (out / "analysis.json").exists()
+
+    def test_the_first_missing_flag_in_argument_order_is_named(self, out, capsys):
+        for command, flags in _REQUESTS.items():
+            assert run(["analyze", *command, "--out-dir", out]) == 1
+            assert capsys.readouterr().err == f"error: {command[0]} requires {next(iter(flags))}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--required-n", "mle", "--k", "3", "--delta", "0.1", "--value", "1e-320"],
+             "k, delta and value give a sample size too large for a float"),
+            (["--required-n", "mv", "--k", "3", "--delta", "0.1", "--value", "1e-200"],
+             "k, delta and value give a sample size too large for a float"),
+            (["--mle-bound", "--k", "1" + "0" * 400, "--counts", "5,5", "--exponent", "0.3"],
+             "k must be a finite float"),
+            (["--mv-bound", "--k", "2", "--counts", "1" + "0" * 400, "--gap", "0.3"],
+             "counts must be finite and >= 0"),
+            (["--min-count", "--n", "1" + "0" * 400, "--probs", "0.5,0.5", "--m", "1"],
+             "n must be a finite float"),
+            (["--min-count", "--n", "10", "--probs", "0.5,0.5", "--m", "1" + "0" * 400],
+             "m must be a finite float"),
+        ],
+    )
+    def test_a_number_beyond_the_floats_exits_1(self, argv, message, out, capsys):
+        assert run(["analyze", *argv, "--out-dir", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "analysis.json").exists()
 
     @pytest.mark.parametrize("flag", ["--gap-mle", "--gap-mv"])
     def test_gaps_of_one_atom_exit_1_with_message(self, out, tmp_path, capsys, flag):
@@ -527,3 +590,250 @@ def test_1d_w1_loads_no_scipy_solver_and_an_experiment_loads_optimize(tmp_path):
     assert roots > 0
     # a K = 3 experiment's matching MLE loads scipy.optimize at its first solve
     assert (exp_code, optimize_loaded) == (0, True)
+
+
+# The fuzzer: malformed mixture JSON, spec JSON, data CSV and analyze numbers
+# make every command exit 1 with an error line (2 with argparse's usage line),
+# never with a traceback. Sizes stay small: K <= 5, dim <= 3, trials <= 3 and
+# n_grid entries <= 50.
+
+
+def _exit_of(argv):
+    """main's exit code and stderr; argparse's SystemExit gives its code."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _assert_exits_cleanly(argv):
+    code, err = _exit_of(argv)
+    if code == 0:
+        assert err == "", err
+    elif code == 1:
+        assert err.startswith("error: "), err
+    else:
+        assert code == 2 and ": error: " in err, (code, err)
+
+
+def _mostly(good, bad):
+    """``good`` eleven times in twelve, else ``bad``."""
+    return st.sampled_from([good] * 11 + [bad]).flatmap(lambda strategy: strategy)
+
+
+# Numbers a JSON field may hold: the edges of the floats and an int no float holds.
+_EDGES = st.sampled_from([0.0, -1.0, 1e-320, 1e-300, 1e300, math.nan, math.inf, -math.inf,
+                          10**400])
+_JUNK = (
+    st.none() | st.booleans() | st.text(max_size=3) | st.builds(list) | st.builds(dict)
+    | st.lists(st.integers(-2, 2), max_size=2) | st.builds(lambda: [[1.0], [2.0, 3.0]])
+)
+
+
+def _paths(obj):
+    """Every (container, key) pair inside a JSON value."""
+    if isinstance(obj, dict):
+        items = list(obj.items())
+    else:
+        items = list(enumerate(obj)) if isinstance(obj, list) else []
+    out = []
+    for key, value in items:
+        out.append((obj, key))
+        out.extend(_paths(value))
+    return out
+
+
+@st.composite
+def _mutated(draw, base):
+    """A drawn JSON value, with up to two members deleted or replaced by junk."""
+    obj = draw(base)
+    for _ in range(draw(_mostly(st.just(0), st.integers(1, 2)))):
+        paths = _paths(obj)
+        if not paths:
+            break
+        parent, key = draw(st.sampled_from(paths))
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(_JUNK)
+    return obj
+
+
+@st.composite
+def _vector(draw, dim, entries=_mostly(st.floats(-3.0, 3.0), _EDGES)):
+    size = draw(_mostly(st.just(dim), st.sampled_from([dim - 1, dim + 1])))
+    return draw(st.lists(entries, min_size=size, max_size=size))
+
+
+@st.composite
+def _cov(draw, dim):
+    if draw(_mostly(st.just(True), st.just(False))):
+        var = draw(_vector(dim, _mostly(st.floats(0.05, 4.0), _EDGES)))
+        return np.diag(var).tolist() if var else []
+    return [draw(_vector(dim)) for _ in range(draw(st.integers(0, dim + 1)))]
+
+
+def _weights(k):
+    return _mostly(st.just([1.0 / k] * k), st.lists(_EDGES, min_size=k, max_size=k))
+
+
+@st.composite
+def _density(draw, dim):
+    kind = draw(_mostly(st.sampled_from(["gaussian", "gaussian_mixture", "kde"]),
+                        st.sampled_from(["other", 1])))
+    if kind == "kde":
+        count = draw(_mostly(st.integers(1, 3), st.just(0)))
+        points = [draw(_vector(dim)) for _ in range(count)]
+        return {"type": kind, "points": points,
+                "bandwidth": draw(_mostly(st.floats(0.1, 2.0), _EDGES))}
+    parts = [{"mean": draw(_vector(dim)), "cov": draw(_cov(dim))}
+             for _ in range(draw(_mostly(st.integers(1, 3), st.just(0))))]
+    if kind == "gaussian" and parts:
+        return {"type": kind, **parts[0]}
+    weights = draw(_weights(len(parts))) if parts else []
+    return {"type": kind, "components": [{"weight": w, **p} for w, p in zip(weights, parts)]}
+
+
+@st.composite
+def _mixture(draw, dim, k):
+    k = draw(_mostly(st.just(k), st.integers(0, 5)))
+    weights = draw(_weights(k)) if k else []
+    obj = {"atoms": [{"weight": w, "density": draw(_density(dim))} for w in weights]}
+    if draw(st.booleans()):
+        obj["dim"] = draw(_mostly(st.just(dim), st.integers(0, 4)))
+    if draw(_mostly(st.just(False), st.just(True))):
+        obj["labels"] = draw(st.lists(st.text(max_size=2) | st.integers(0, 3), max_size=4))
+    return obj
+
+
+@settings(max_examples=70, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), k=st.integers(1, 3))
+def test_fuzzed_mixture_files_exit_cleanly(data, dim, k):
+    a, b = (data.draw(_mutated(_mixture(dim, k)), label) for label in "ab")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, obj in (("a.json", a), ("b.json", b)):
+            paths.append(Path(tmp, name))
+            paths[-1].write_text(json.dumps(obj))
+        out = Path(tmp, "out")
+        for argv in (
+            ["analyze", "--w1", *paths],
+            ["analyze", "--tv", *paths],
+            ["analyze", "--truth", paths[0], "--model", paths[1], "--gap-mle", "--gap-mv",
+             "--risk"],
+        ):
+            _assert_exits_cleanly([*argv, "--mc", "64", "--out-dir", out])
+
+
+@st.composite
+def _spec(draw):
+    family = draw(_mostly(st.sampled_from(FAMILIES), st.sampled_from(["gaussian-grid", "", 3])))
+    spec = {
+        "family": family,
+        "k": draw(_mostly(st.integers(2, 5), st.integers(-1, 1))),
+        "dim": draw(_mostly(st.integers(2, 3), st.integers(-1, 1))),
+        "eta": draw(_mostly(st.floats(0.1, 3.0), _EDGES)),
+        "n_grid": draw(_mostly(st.lists(st.integers(1, 50), min_size=1, max_size=4, unique=True)
+                               .map(sorted), st.lists(st.integers(-2, 50), max_size=4))),
+        "trials": draw(_mostly(st.integers(1, 3), st.integers(-1, 0))),
+        "label_noise": draw(_mostly(st.floats(0.0, 0.9), _EDGES)),
+        "seed": draw(_mostly(st.integers(0, 2**32), st.sampled_from([-1, 2**64, 10**400]))),
+    }
+    if family == "custom":
+        dim, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        spec["true_mixture"], spec["model_mixture"] = (
+            draw(_mixture(dim, k)) for _ in range(2)
+        )
+    return spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_mutated(_spec()))
+def test_fuzzed_spec_files_exit_cleanly(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "spec.json")
+        path.write_text(json.dumps(spec))
+        argv = ["experiment", "--spec", path, "--out-dir", Path(tmp, "out")]
+        # a field the spec lacks takes a small flag, not its large default
+        for key, flag in (("trials", "--trials=2"), ("n_grid", "--n-grid=3,6")):
+            if not isinstance(spec.get(key), (int, list)):
+                argv.append(flag)
+        _assert_exits_cleanly(argv)
+
+
+_BAD_CELLS = ["", " 1", "x", "nan", "inf", "-inf", "1e400", "1.5", "0", "-1", "3",
+              "1" + "0" * 400, "x_1", "y"]
+
+
+@st.composite
+def _csv(draw, dim):
+    """Data CSV text of ``dim`` columns, with up to two cells replaced,
+    dropped or added."""
+    dim = draw(_mostly(st.just(dim), st.integers(0, 3)))
+    rows = [[f"x_{j + 1}" for j in range(dim)] + ["y"]]
+    for _ in range(draw(_mostly(st.integers(1, 6), st.just(0)))):
+        rows.append([repr(draw(st.floats(-3.0, 3.0))) for _ in range(dim)]
+                    + [str(draw(st.integers(1, 2)))])
+    for _ in range(draw(_mostly(st.just(0), st.integers(1, 2)))):
+        row = draw(st.sampled_from(rows))
+        at = draw(st.integers(0, len(row)))
+        action = draw(st.sampled_from(["replace", "drop", "add"]))
+        if action == "add" or at == len(row):
+            row.insert(at, draw(st.sampled_from(_BAD_CELLS)))
+        elif action == "drop":
+            del row[at]
+        else:
+            row[at] = draw(st.sampled_from(_BAD_CELLS))
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 2))
+def test_fuzzed_data_files_exit_cleanly(data, dim):
+    text = data.draw(_mostly(_csv(dim), st.text(max_size=20)))
+    two = MixingMeasure([0.5, 0.5], [Gaussian(np.zeros(dim), np.eye(dim)),
+                                     Gaussian(np.ones(dim), np.eye(dim))])
+    with tempfile.TemporaryDirectory() as tmp:
+        mixture, data_file = Path(tmp, "mixture.json"), Path(tmp, "data.csv")
+        mixture.write_text(json.dumps(mixture_to_dict(two)))
+        data_file.write_text(text)
+        _assert_exits_cleanly(["estimate", "--mixture", mixture, "--data", data_file,
+                               "--out-dir", Path(tmp, "out")])
+
+
+_BAD_NUMBERS = st.sampled_from(["-1", "0", "nan", "inf", "-inf", "1e-320", "1e-200", "1e400",
+                                "x", "", "1" + "0" * 400, "1,-1", "nan,0.5", "0.5,inf"])
+_INTS = st.lists(st.integers(0, 200), min_size=1, max_size=5).map(
+    lambda v: ",".join(map(str, v))
+)
+# each analyze number flag: a value it takes, else an edge or a malformed one
+_ANALYZE_NUMBERS = {
+    "k": st.integers(1, 10).map(str),
+    "delta": st.floats(0.001, 0.5).map(repr),
+    "value": st.floats(0.01, 1.0).map(repr),
+    "counts": _INTS,
+    "exponent": st.floats(0.0, 2.0).map(repr),
+    "gap": st.floats(0.0, 1.0).map(repr),
+    "n": st.integers(1, 500).map(str),
+    "probs": st.sampled_from(["1.0", "0.5,0.5", "0.2,0.3,0.5"]),
+    "m": st.integers(0, 50).map(str),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzzed_analyze_numbers_exit_cleanly(data):
+    argv = ["analyze"]
+    if data.draw(st.booleans(), "--required-n"):
+        argv.append("--required-n=" + data.draw(_mostly(st.sampled_from(["mle", "mv"]),
+                                                         st.just("both"))))
+    argv += data.draw(st.lists(st.sampled_from(["--mle-bound", "--mv-bound", "--min-count"]),
+                               unique=True), "requests")
+    for name, good in _ANALYZE_NUMBERS.items():
+        if data.draw(_mostly(st.just(True), st.just(False)), name):
+            argv.append(f"--{name}=" + data.draw(_mostly(good, _BAD_NUMBERS), name))
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_exits_cleanly([*argv, "--out-dir", tmp])

@@ -73,6 +73,7 @@ class TestSpecValidation:
             dict(family="gaussian_grid", trials=0),
             dict(family="gaussian_grid", label_noise=1.0),
             dict(family="custom"),
+            dict(family="gaussian_grid", eta=float("inf")),
         ],
     )
     def test_rejects(self, kw):

@@ -292,6 +292,13 @@ class TestKernelDensity:
         total, _ = quad(lambda x: float(kd.density(np.array([[x]]))[0]), -5.0, 6.0)
         assert total == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "bandwidth", [0.0, -1.0, float("inf"), float("nan"), 1e-320, 1e-170, 1e200]
+    )
+    def test_a_bandwidth_whose_square_is_no_positive_float_is_refused(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            KernelDensity([[0.0]], bandwidth)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_agrees_with_the_cdist_formula(self, d):
         rng = np.random.default_rng(d)
