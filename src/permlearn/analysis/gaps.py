@@ -5,7 +5,8 @@ score of the true assignment minus that of the best wrong assignment; the
 vote margin is, per decision region, the conditional frequency of the true
 class minus the strongest rival class, with the overall gap the worst region's
 margin. Both are estimated from one labeled draw out of the true model and
-reported with half-widths at three standard errors.
+reported with half-widths at three standard errors. The plug-in risk of
+``risk.misclassification_rate`` reads the same draw, which this module owns.
 """
 
 from __future__ import annotations
@@ -15,9 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..estimators import prefix_summaries
+from ..estimators import _mle_weights, prefix_summaries
 from ..matching import _as_weight_matrix, _best_two
-from ..mixtures import MixingMeasure, Permutation, sample_labeled
+from ..mixtures import (
+    LabeledData,
+    MixingMeasure,
+    Permutation,
+    _label_from_scores,
+    sample_labeled,
+)
 
 __all__ = ["GapReport", "estimate_gaps"]
 
@@ -43,18 +50,41 @@ class GapReport:
     seed: int | None
 
 
-def _check_pair(model: MixingMeasure, truth: MixingMeasure, perm: Permutation):
+@dataclass(frozen=True)
+class RiskEstimate:
+    """Error rates with half-widths at three standard errors."""
+
+    rate: float
+    half_width: float
+    bayes_rate: float
+    bayes_half_width: float
+    excess: float
+    excess_half_width: float
+    samples_used: int
+    seed: int | None
+
+
+def _check_draw(model, truth, true_perm, samples, which, perm) -> None:
+    """Raise the first fault; which None asks for no gaps, perm None for no risk."""
     if model.n_atoms != truth.n_atoms:
         raise ValueError("model and truth must have the same number of atoms")
     if model.dim != truth.dim:
         raise ValueError("model and truth must share one dimension")
-    if perm.size != truth.n_atoms:
+    if true_perm.size != truth.n_atoms:
         raise ValueError("permutation size does not match the measures")
+    if which is not None and truth.n_atoms < 2:
+        raise ValueError("gaps need K >= 2 atoms: with one atom no wrong assignment exists")
+    if perm is not None and perm.size != model.n_atoms:
+        raise ValueError("permutation size does not match the measures")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if which is not None and (not which or set(which) - {"mle", "mv"}):
+        raise ValueError("which must be a nonempty subset of {'mle','mv'}")
 
 
 def _mle_part(weights: np.ndarray, scores, labels, true_perm):
     n, k = scores.shape
-    cell_mean = weights / n
+    cell_mean = _mle_weights(weights) / n
     # per-class sums of squared scores, the second moment behind the
     # half-width: one bincount per region column, added in sample order
     rows = labels - 1
@@ -68,7 +98,7 @@ def _mle_part(weights: np.ndarray, scores, labels, true_perm):
         cols = np.asarray(perm.to_region) - 1
         return float(cell_mean[np.arange(k), cols].sum())
 
-    # K >= 2 (_check_gaps), so one search yields the optimum and the runner-up
+    # K >= 2 (_check_draw), so one search yields the optimum and the runner-up
     best, second = _best_two(_as_weight_matrix(cell_mean))
     rival = (second if best.permutation == true_perm else best).permutation
     gap = value(true_perm) - value(rival)
@@ -109,23 +139,6 @@ def _mv_part(votes: np.ndarray, mass: np.ndarray, true_perm):
     return gap, gap_hw, tuple(margins), tuple(hws), tuple(empty)
 
 
-def _check_gaps(
-    model: MixingMeasure,
-    truth: MixingMeasure,
-    true_perm: Permutation,
-    samples: int,
-    which: frozenset[str] | set[str],
-) -> None:
-    _check_pair(model, truth, true_perm)
-    if truth.n_atoms < 2:
-        raise ValueError("gaps need K >= 2 atoms: with one atom no wrong assignment exists")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    unknown = set(which) - {"mle", "mv"}
-    if unknown or not which:
-        raise ValueError(f"which must be a nonempty subset of {{'mle','mv'}}")
-
-
 def _gaps_from_scores(
     scores: np.ndarray,
     labels: np.ndarray,
@@ -161,6 +174,71 @@ def _gaps_from_scores(
     )
 
 
+def _rate_hw(errors: np.ndarray) -> tuple[float, float]:
+    n = errors.size
+    p = float(errors.mean())
+    return p, 3.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+def _risk_from_scores(
+    scores: np.ndarray,
+    data: LabeledData,
+    model: MixingMeasure,
+    perm: Permutation,
+    truth: MixingMeasure,
+    true_perm: Permutation,
+    seed: int | np.random.Generator,
+) -> RiskEstimate:
+    """``misclassification_rate`` on the draw ``data``, given the model's scores of it."""
+    errs = (_label_from_scores(scores, perm) != data.y).astype(float)
+    if model == truth and perm == true_perm:
+        bayes_errs = errs
+    else:
+        truth_scores = scores if truth == model else truth.log_scores(data.x)
+        bayes_errs = (_label_from_scores(truth_scores, true_perm) != data.y).astype(float)
+    rate, hw = _rate_hw(errs)
+    bayes_rate, bayes_hw = _rate_hw(bayes_errs)
+    diff = errs - bayes_errs
+    return RiskEstimate(
+        rate=rate,
+        half_width=hw,
+        bayes_rate=bayes_rate,
+        bayes_half_width=bayes_hw,
+        excess=float(diff.mean()),
+        excess_half_width=3.0 * float(diff.std(ddof=0)) / math.sqrt(errs.size),
+        samples_used=errs.size,
+        seed=seed if isinstance(seed, int) else None,
+    )
+
+
+def _gaps_and_risk(
+    model: MixingMeasure,
+    truth: MixingMeasure,
+    true_perm: Permutation,
+    samples: int,
+    seed: int | np.random.Generator,
+    which: frozenset[str] | set[str] | None = None,
+    perm: Permutation | None = None,
+) -> tuple[GapReport | None, RiskEstimate | None]:
+    """The margins in ``which`` and the risk of the pair (model, perm), each
+    None when not asked for, from one draw scored once under the model.
+
+    The draw is ``sample_labeled(truth, true_perm, samples, seed)``, and this
+    is its one owner: ``estimate_gaps``, ``misclassification_rate`` and
+    ``analyze`` each make one call here, so ``analyze`` draws and scores once
+    for both and reports the values the two functions return.
+    """
+    _check_draw(model, truth, true_perm, samples, which, perm)
+    data = sample_labeled(truth, true_perm, samples, seed)
+    scores = model.log_scores(data.x)
+    gaps = risk = None
+    if which is not None:
+        gaps = _gaps_from_scores(scores, data.y, true_perm, which, seed)
+    if perm is not None:
+        risk = _risk_from_scores(scores, data, model, perm, truth, true_perm, seed)
+    return gaps, risk
+
+
 def estimate_gaps(
     model: MixingMeasure,
     truth: MixingMeasure,
@@ -172,11 +250,7 @@ def estimate_gaps(
     """Estimate the likelihood and/or vote margins of ``model`` in one draw.
 
     Samples (X, Y) from the true model, scores X under every atom of
-    ``model`` once, and reads both margins off one summary of the scores.
-    The draw is ``sample_labeled(truth, true_perm, samples, seed)``, the same
-    one ``misclassification_rate`` makes, so ``analyze`` draws and scores once
-    for both and reports the values the two functions return.
+    ``model`` once, and reads both margins off one summary of the scores
+    (the draw of ``_gaps_and_risk``).
     """
-    _check_gaps(model, truth, true_perm, samples, which)
-    data = sample_labeled(truth, true_perm, samples, seed)
-    return _gaps_from_scores(model.log_scores(data.x), data.y, true_perm, which, seed)
+    return _gaps_and_risk(model, truth, true_perm, samples, seed, which=which)[0]

@@ -29,8 +29,7 @@ from .analysis import (
     tv_distance,
     wasserstein1,
 )
-from .analysis.gaps import _check_gaps, _gaps_from_scores
-from .analysis.risk import _check_risk, _risk_from_scores
+from .analysis.gaps import _gaps_and_risk
 from .estimators import _estimate, summarize
 from .harness import (
     _SPEC_FIELDS,
@@ -292,21 +291,11 @@ def _cmd_analyze(args, out_dir: Path, started: float) -> list[str]:
             else Permutation.identity(truth.n_atoms)
         )
         which = {name for name, on in (("mle", args.gap_mle), ("mv", args.gap_mv)) if on}
-        if which:
-            _check_gaps(model, truth, true_perm, args.mc, which)
+        perm = None
         if args.risk:
-            chosen = args.perm or args.true_perm
-            perm = Permutation(chosen) if chosen else Permutation.identity(model.n_atoms)
-            _check_risk(model, perm, truth, true_perm, args.mc)
-        # estimate_gaps and misclassification_rate make this same draw; share
-        # it and the model's scores between them.
-        data = sample_labeled(truth, true_perm, args.mc, args.seed)
-        scores = model.log_scores(data.x)
-        if which:
-            results["gaps"] = _gaps_from_scores(scores, data.y, true_perm, which, args.seed)
-        if args.risk:
-            est = _risk_from_scores(scores, data, model, perm, truth, true_perm, args.seed)
-            results["risk"] = est
+            perm = Permutation(args.perm) if args.perm else true_perm
+        found = _gaps_and_risk(model, truth, true_perm, args.mc, args.seed, which or None, perm)
+        results.update((key, val) for key, val in zip(("gaps", "risk"), found) if val is not None)
 
     if args.tv is not None:
         a, b = (load_mixture(p) for p in args.tv)

@@ -178,12 +178,20 @@ def _codes(empty: np.ndarray, tie: np.ndarray, cols: np.ndarray) -> np.ndarray:
     )
 
 
+def _mle_weights(weights: np.ndarray) -> np.ndarray:
+    """weights as the MLE and its gap read them. A model score of -inf makes a
+    class's sum -inf, which is refused here in the model's terms."""
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("the model gives some sample a log score of -inf")
+    return weights
+
+
 def mle_prefixes(p: PrefixSummaries) -> tuple[np.ndarray, np.ndarray]:
     """Matching MLE of every prefix: outcome codes (all CODE_OK) and columns.
 
     Unlike mle_estimate it makes no runner-up solve, so it has no tie flag.
     """
-    cols = max_weight_assignments(p.weights)
+    cols = max_weight_assignments(_mle_weights(p.weights))
     return np.full(p.ns.size, CODE_OK), cols
 
 
@@ -216,7 +224,7 @@ def _estimate(method: str, p: PrefixSummaries) -> EstimateOutcome:
     """
     unique = None
     if method == "mle":
-        result = max_weight_matching(p.weights[0])
+        result = max_weight_matching(_mle_weights(p.weights[0]))
         code, unique = CODE_OK, result.is_unique
         cols = np.array(result.permutation.to_region) - 1
     else:

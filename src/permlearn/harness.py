@@ -138,6 +138,8 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if not 0.0 <= self.label_noise < 1.0:
             raise ValueError("label_noise must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.family == "custom":
             if self.true_mixture is None or self.model_mixture is None:
                 raise ValueError("custom experiments need true and model measures")

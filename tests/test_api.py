@@ -205,3 +205,46 @@ def test_no_function_binds_a_local_it_never_reads():
                 for line, name in unread_locals(func):
                     offenders.append(f"{path.name}:{line} {func.name}: {name}")
     assert offenders == []
+
+
+# importer -> module -> the private names it imports from that module, for
+# every permlearn module (package prefix dropped). A new reach-in into another
+# module's private names shows up as an edit here.
+_PRIVATE_IMPORTS = {
+    "analysis.bounds": {"mixtures": ["_TiltedLogSumExp"]},
+    "analysis.gaps": {
+        "estimators": ["_mle_weights"],
+        "matching": ["_as_weight_matrix", "_best_two"],
+        "mixtures": ["_label_from_scores"],
+    },
+    "analysis.risk": {"analysis.gaps": ["_gaps_and_risk"]},
+    "analysis.transport": {"mixtures": ["_check_atoms"]},
+    "cli": {
+        "analysis.gaps": ["_gaps_and_risk"],
+        "estimators": ["_estimate"],
+        "harness": ["_SPEC_FIELDS", "_spec_fields"],
+        "mixtures": ["_json_text", "_read_json"],
+    },
+    "harness": {"mixtures": ["_json_field"]},
+}
+
+
+def test_every_cross_module_private_import_is_listed():
+    package = Path(permlearn.__file__).parent
+    found: dict = {}
+    for path in sorted(package.rglob("*.py")):
+        dotted = path.relative_to(package.parent).with_suffix("").parts
+        home = dotted[:-1]  # relative imports resolve against this package
+        importer = ".".join(dotted[1:] if path.stem != "__init__" else home[1:])
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            base = home[: len(home) - node.level + 1] if node.level else ()
+            module = ".".join(base + ((node.module,) if node.module else ()))
+            if module != "permlearn" and not module.startswith("permlearn."):
+                continue
+            for name in (alias.name for alias in node.names):
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    names = found.setdefault(importer, {})
+                    names.setdefault(module.removeprefix("permlearn."), []).append(name)
+    assert found == _PRIVATE_IMPORTS

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -25,7 +26,7 @@ from permlearn import (
     sample_labeled,
 )
 from permlearn import cli
-from permlearn.analysis import gaps as gaps_module, risk as risk_module
+from permlearn.analysis import gaps as gaps_module
 from permlearn.cli import main
 from permlearn.harness import FAMILIES, resolve_model
 from permlearn.mixtures import _json_text
@@ -217,6 +218,14 @@ def test_a_bad_value_from_a_flag_carries_no_file_name(tmp_path, out, capsys):
     assert capsys.readouterr().err == "error: n_grid must be strictly increasing\n"
     assert run(["experiment", "--spec", spec, "--k", "1", "--out-dir", out]) == 1
     assert capsys.readouterr().err == "error: synthetic families need k >= 2\n"
+
+
+def test_a_negative_seed_in_a_spec_file_is_refused_by_name(tmp_path, out, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"family": "gaussian_grid", "seed": -1, "trials": 1,
+                                "n_grid": [3]}))
+    assert run(["experiment", "--spec", spec, "--out-dir", out]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
 
 
 class TestEstimate:
@@ -428,7 +437,7 @@ class TestAnalyzeOneDraw:
             scorings.append(len(x))
             return original_scores(measure, x)
 
-        for module in (cli, gaps_module, risk_module):
+        for module in (cli, gaps_module):
             monkeypatch.setattr(module, "sample_labeled", counted_draw)
         monkeypatch.setattr(MixingMeasure, "log_scores", counted_scores)
         self._analyze(out, files[0], [])
@@ -436,6 +445,97 @@ class TestAnalyzeOneDraw:
         draws.clear(), scorings.clear()
         self._analyze(out, files[0], ["--model", files[1]])
         assert len(draws) == 1 and scorings == [self.MC, self.MC]
+
+
+def _measure(*means):
+    atoms = [Gaussian(np.atleast_1d(m), np.eye(np.size(m))) for m in means]
+    return MixingMeasure([1.0 / len(atoms)] * len(atoms), atoms)
+
+
+_TWO = _measure(0.0, 3.0)
+# fault -> (the inputs it changes, the message, the callers that can receive it);
+# analyze cannot pass 0 samples (argparse refuses --mc 0) or choose which
+_DRAW_FAULTS = {
+    "atoms": (dict(model=_measure(0.0, 3.0, 6.0)),
+              "model and truth must have the same number of atoms", "gaps risk cli"),
+    "dim": (dict(model=_measure([0.0, 0.0], [3.0, 0.0])),
+            "model and truth must share one dimension", "gaps risk cli"),
+    "true_perm": (dict(true_perm=Permutation.identity(3)),
+                  "permutation size does not match the measures", "gaps risk cli"),
+    "one_atom": (dict(model=_measure(0.0), truth=_measure(0.0),
+                      true_perm=Permutation.identity(1), perm=Permutation.identity(1)),
+                 "gaps need K >= 2 atoms: with one atom no wrong assignment exists",
+                 "gaps cli"),
+    "perm": (dict(perm=Permutation((2, 3, 1))),
+             "permutation size does not match the measures", "risk cli"),
+    "samples": (dict(samples=0), "samples must be >= 1", "gaps risk"),
+    "unknown_which": (dict(which={"mle", "vote"}),
+                      "which must be a nonempty subset of {'mle','mv'}", "gaps"),
+    "empty_which": (dict(which=set()),
+                    "which must be a nonempty subset of {'mle','mv'}", "gaps"),
+}
+
+
+@pytest.mark.parametrize(
+    "fault, caller",
+    [(f, c) for f, (_, _, callers) in _DRAW_FAULTS.items() for c in callers.split()],
+)
+def test_one_fault_gets_its_message_from_every_caller(fault, caller, tmp_path, out, capsys):
+    changes, message, _ = _DRAW_FAULTS[fault]
+    a = dict(model=_TWO, truth=_TWO, true_perm=Permutation((2, 1)),
+             perm=Permutation((2, 1)), samples=200, which={"mle", "mv"})
+    a.update(changes)
+    if caller == "gaps":
+        call = functools.partial(estimate_gaps, a["model"], a["truth"], a["true_perm"],
+                                 samples=a["samples"], seed=0, which=a["which"])
+    elif caller == "risk":
+        call = functools.partial(misclassification_rate, a["model"], a["perm"], a["truth"],
+                                 a["true_perm"], samples=a["samples"], seed=0)
+    else:
+        argv = ["analyze", "--gap-mle", "--gap-mv", "--risk", "--mc", a["samples"]]
+        for flag in ("model", "truth"):
+            path = tmp_path / f"{flag}.json"
+            path.write_text(json.dumps(mixture_to_dict(a[flag])))
+            argv += [f"--{flag}", path]
+        for flag in ("true_perm", "perm"):
+            argv += ["--" + flag.replace("_", "-"), ",".join(map(str, a[flag].to_region))]
+        assert run([*argv, "--out-dir", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        return
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+class TestMinusInfModelScores:
+    """A model that scores a far point -inf stops the MLE and its gap with a
+    message about the model; majority vote and the risk do not read the
+    MLE's weights and still run."""
+
+    FAR = ["--family", "gaussian-grid", "--eta", "1e300"]
+    MESSAGE = "error: the model gives some sample a log score of -inf\n"
+
+    @pytest.fixture()
+    def files(self, out):
+        assert run(["gen", *self.FAR, "--k", "2", "--samples", "5", "--out-dir", out]) == 0
+        return out / "mixture.json", out / "data.csv"
+
+    def test_experiment(self, out, capsys):
+        argv = ["experiment", *self.FAR, "--trials", "1", "--n-grid", "3"]
+        assert run([*argv, "--out-dir", out]) == 1
+        assert capsys.readouterr().err == self.MESSAGE
+
+    def test_estimate(self, files, tmp_path, capsys):
+        argv = ["estimate", "--mixture", files[0], "--data", files[1]]
+        assert run([*argv, "--method", "mle", "--out-dir", tmp_path / "mle"]) == 1
+        assert capsys.readouterr().err == self.MESSAGE
+        assert run([*argv, "--method", "mv", "--out-dir", tmp_path / "mv"]) == 0
+
+    def test_analyze(self, files, tmp_path, capsys):
+        argv = ["analyze", "--truth", files[0], "--mc", "1000"]
+        assert run([*argv, "--gap-mle", "--out-dir", tmp_path / "mle"]) == 1
+        assert capsys.readouterr().err == self.MESSAGE
+        assert run([*argv, "--gap-mv", "--risk", "--out-dir", tmp_path / "mv"]) == 0
 
 
 class TestExperiment:

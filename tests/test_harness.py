@@ -74,6 +74,7 @@ class TestSpecValidation:
             dict(family="gaussian_grid", label_noise=1.0),
             dict(family="custom"),
             dict(family="gaussian_grid", eta=float("inf")),
+            dict(family="gaussian_grid", seed=-1),
         ],
     )
     def test_rejects(self, kw):
@@ -414,6 +415,31 @@ class TestBatchedEngineMatchesLibrary:
         )
         assert regions_full > 0
         assert cell.fail_empty == absent_class
+
+    @pytest.mark.parametrize("spec", _ENGINE_SPECS, ids=_ENGINE_IDS)
+    def test_an_mv_or_greedy_recovery_saw_every_class(self, spec, monkeypatch):
+        # per trial and grid prefix: a class with no sample cannot be placed
+        # by a vote or a row argmax, so a recovery implies none is absent
+        true_cols = np.asarray(resolve_model(spec)[1].to_region) - 1
+        recovered = {"mv": 0, "greedy": 0}
+
+        def checked(name, rule):
+            def run(p):
+                codes, cols = rule(p)
+                hit = (codes == CODE_OK) & np.all(cols == true_cols, axis=1)
+                assert np.all(p.class_counts[hit] > 0), name
+                recovered[name] += int(hit.sum())
+                return codes, cols
+
+            return run
+
+        monkeypatch.setattr(harness, "_ESTIMATORS", tuple(
+            (name, checked(name, rule) if name in recovered else rule)
+            for name, rule in _ESTIMATORS
+        ))
+        curve = run_recovery_experiment(spec)
+        for name, count in recovered.items():
+            assert count == sum(p.recovered for p in curve.points if p.estimator == name)
 
 
 def _trial_at_a_time(spec):

@@ -216,3 +216,11 @@ def test_tie_flag_is_invariant_to_scaling(parts, eps):
         assert runner_up(scaled).is_unique == fast.is_unique
         assert brute_force_matching(scaled).is_unique == fast.is_unique
     assert len(flags) == 1
+
+
+def test_a_direct_solve_names_the_weight_matrix():
+    # the estimators refuse a model's -inf scores first, in their own words
+    w = np.array([[0.0, -np.inf], [1.0, 2.0]])
+    for solve, weights in ((max_weight_matching, w), (max_weight_assignments, w[np.newaxis])):
+        with pytest.raises(ValueError, match="^weight matrix entries must be finite$"):
+            solve(weights)
