@@ -15,8 +15,8 @@ grid row at a time, from the top, and the scan stops at the first stable row.
 That row is the largest stable tilt of the whole grid, whatever the shape of
 the ESS curve, and on typical scores it is the top row itself. The scan and
 the search share one ``mixtures._TiltedLogSumExp`` of the centred scores,
-which reduces each tilt in reused buffers with the bits of a fresh
-``_logsumexp``.
+which reduces one tilt per pass in one reused n-buffer with the bits of a
+fresh ``_logsumexp``.
 """
 
 from __future__ import annotations

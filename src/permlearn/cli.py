@@ -279,12 +279,19 @@ _FORMULAS = {
 
 def _cmd_analyze(args, out_dir: Path, started: float) -> list[str]:
     results: dict = {}
-    truth = load_mixture(args.truth) if args.truth else None
-    model = load_mixture(args.model) if args.model else truth
+    draw = args.gap_mle or args.gap_mv or args.risk
+    # refuse the draw's inputs when no request reads them, before any file is read
+    if args.perm is not None and not args.risk:
+        raise ValueError("--perm requires --risk")
+    for flag in ("truth", "model", "true_perm"):
+        if getattr(args, flag) is not None and not draw:
+            raise ValueError(f"--{flag.replace('_', '-')} requires --gap-mle, --gap-mv or --risk")
 
-    if args.gap_mle or args.gap_mv or args.risk:
-        if truth is None:
+    if draw:
+        if args.truth is None:
             raise ValueError("--gap-mle/--gap-mv/--risk require --truth")
+        truth = load_mixture(args.truth)
+        model = load_mixture(args.model) if args.model else truth
         true_perm = (
             Permutation(args.true_perm)
             if args.true_perm

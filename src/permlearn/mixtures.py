@@ -11,7 +11,7 @@ in the log domain to survive high dimensions, and every log-sum-exp in the
 package goes through the one private kernel ``_logsumexp`` here: the real-input
 arithmetic of ``scipy.special.logsumexp`` in plain numpy, bit for bit, without
 its array-API dispatch and copies. Its in-place 1-d case, ``_TiltedLogSumExp``,
-gives the same bits for many tilts ``s * v`` of one vector in reused buffers.
+gives the same bits for each tilt ``s * v`` of one vector in one reused buffer.
 
 There are three atom types, and every atom is a Gaussian mixture: a
 ``Gaussian`` of one part, a ``GaussianMixture`` of P parts, a ``KernelDensity``
@@ -139,59 +139,47 @@ _EXP_DEAD = -746.0
 class _TiltedLogSumExp:
     """``float(_logsumexp(s * v))`` of one finite 1-d ``v`` at many tilts ``s``.
 
-    ``_logsumexp``'s in-place 1-d case, bit for bit, in reused n-buffers. For
-    s > 0 the top is ``s * max(v)``, as rounding is monotone, and the lanes tied
-    with it lead v's 32 largest entries (a full ``==`` pass runs when all 32
-    tie). Lanes shifted below ``_EXP_DEAD`` are masked to exp(0) and back to
-    +0.0. ``ess(s)`` has the bits of ``exp(2 L(s v) - L(2 s v))`` on a (1, n)
-    row, since doubling the shifted row is exact. Where s <= 0 or a result is
+    ``_logsumexp``'s in-place 1-d case, bit for bit, one tilt per pass in one
+    reused n-buffer. For s > 0 the top is ``s * max(v)``, as rounding is
+    monotone, and its ties are the lanes shifted to exactly 0. Lanes shifted
+    below ``_EXP_DEAD`` are masked to exp(0) and back to +0.0. ``ess(s)`` has
+    the bits of ``exp(2 L(s v) - L(2 s v))`` on a (1, n) row, as (2s) * v is
+    2 * (s * v) while the products stay normal. Where s <= 0 or a result is
     not finite, ``_logsumexp`` reduces the materialised row.
     """
 
     def __init__(self, v: NDArray[np.float64]):
-        self.v, self._low = v, v.min()
-        top = np.argpartition(v, max(v.size - 32, 0))[-32:]
-        self._top = top[np.argsort(v[top])[::-1]]
-        self._top_v = v[self._top]
-        self._buf, self._buf2 = np.empty_like(v), np.empty_like(v)
+        self.v, self._low, self._high = v, v.min(), v.max()
+        self._buf = np.empty_like(v)
         self._keep = np.empty(v.shape, dtype=bool)
 
-    def _log_sums(self, s: float, scales: tuple[float, ...]) -> list[NDArray[np.float64]]:
-        """``_logsumexp(c * s * v)`` as a one-element array for each c (1 or 2)."""
+    def _log_sum(self, s: float) -> NDArray[np.float64]:
+        """``_logsumexp(s * v)`` as a one-element array."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if s > 0.0:
-                d = np.multiply(self.v, s, out=self._buf)
-                top = s * self._top_v[0]
-                d -= top
-                count = np.count_nonzero(s * self._top_v == top)
-                full = count == self._top.size < d.size
-                ties = np.flatnonzero(d == 0.0) if full else self._top[:count]
+                top = s * self._high
+                e = np.multiply(self.v, s, out=self._buf)
+                e -= top
+                ties = np.flatnonzero(np.equal(e, 0.0, out=self._keep))
+                dead = s * self._low - top < _EXP_DEAD
+                if dead:
+                    e *= np.greater_equal(e, _EXP_DEAD, out=self._keep)
+                np.exp(e, out=e)
+                if dead:
+                    e *= self._keep
+                e[ties] = 0.0
                 m = np.full(1, float(ties.size))
-                sums = []
-                # a doubled row comes first: it reads d before d is overwritten
-                for c in scales:
-                    e = d if c == 1.0 else np.multiply(d, c, out=self._buf2)
-                    dead = c * (s * self._low - top) < _EXP_DEAD
-                    if dead:
-                        e *= np.greater_equal(e, _EXP_DEAD, out=self._keep)
-                    np.exp(e, out=e)
-                    if dead:
-                        e *= self._keep
-                    e[ties] = 0.0
-                    out = np.sum(e, keepdims=True) / m
-                    sums.append(np.log1p(out) + np.log(m) + c * top)
-                if all(np.isfinite(x[0]) for x in sums):
-                    return sums
-            row = s * self.v
-            return [np.atleast_1d(_logsumexp(c * row)) for c in scales]
+                out = np.log1p(np.sum(e, keepdims=True) / m) + np.log(m) + top
+                if np.isfinite(out[0]):
+                    return out
+            return np.atleast_1d(_logsumexp(s * self.v))
 
     def __call__(self, s: float) -> float:
-        return float(self._log_sums(s, (1.0,))[0][0])
+        return float(self._log_sum(s)[0])
 
     def ess(self, s: float) -> np.float64:
         """``(sum w)^2 / sum w^2`` of the weights ``w = exp(s * v)``."""
-        doubled, single = self._log_sums(s, (2.0, 1.0))
-        return np.exp(2.0 * single - doubled)[0]
+        return np.exp(2.0 * self._log_sum(s) - self._log_sum(2.0 * s))[0]
 
 
 class _Parts(NamedTuple):

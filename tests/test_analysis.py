@@ -42,7 +42,7 @@ from permlearn import matching
 from permlearn.analysis import bounds, gaps, transport
 from permlearn.analysis.bounds import ESS_FLOOR, _largest_stable_tilt
 from permlearn.analysis.transport import MAX_ATOMS, _optimal_coupling
-from permlearn.mixtures import _TiltedLogSumExp, _json_text, _logsumexp
+from permlearn.mixtures import _EXP_DEAD, _TiltedLogSumExp, _json_text, _logsumexp
 
 
 def two_atom(mu, weights=(0.5, 0.5)):
@@ -411,7 +411,7 @@ class TestTiltedLogSumExp:
 
     @pytest.mark.parametrize("tied", [32, 33, 40, 500])
     def test_tied_maxima_beyond_the_sorted_lanes(self, tied):
-        # 33 or more ties at the top take the full == pass
+        # 32 to 500 lanes tie at the top, and the one == 0.0 pass must find them all
         v = np.random.default_rng(tied).normal(size=2_000)
         v[:tied] = 10.0
         grid, v = centred_grid(v)
@@ -472,6 +472,44 @@ class TestTiltedLogSumExp:
             alone = [np.exp(xi) for xi in x[::997]]
         assert (out == 0.0).all() and not np.signbit(out).any()
         assert all(a == 0.0 and not np.signbit(a) for a in alone)
+
+
+
+@pytest.mark.parametrize(
+    "x", [_EXP_DEAD, np.nextafter(_EXP_DEAD, -np.inf), -1000.0, -1e308, -np.inf]
+)
+def test_exp_gives_plus_zero_from_the_kernel_mask_down(x):
+    # the kernel masks lanes below _EXP_DEAD to +0.0 without exp; the bits
+    # hold only while exp gives +0.0 there, on 64 lanes and on a scalar alike
+    with np.errstate(under="ignore"):
+        lanes, alone = np.exp(np.full(64, x)), np.exp(np.float64(x))
+    assert (lanes == 0.0).all() and not np.signbit(lanes).any()
+    assert alone == 0.0 and not np.signbit(alone)
+
+
+def test_exp_is_positive_just_above_the_kernel_mask():
+    # the mask sits just past float64's underflow edge
+    with np.errstate(under="ignore"):
+        assert np.exp(-745.0) > 0.0 and (np.exp(np.full(64, -745.0)) > 0.0).all()
+
+
+# chernoff_exponent at t = 0.05 on 20,000 samples, seed 40 + atom: (value,
+# s_star) as float.hex() and diverged, recorded before the one-tilt kernel
+_CHERNOFF_PINS = {
+    ("gaussian", 1): ("0x1.0605db99fbb6ep-11", "0x1.4a28c7ade8d24p-6", False),
+    ("gaussian", 2): ("0x1.acb4be3b59798p-14", "0x1.0dd64a7f67f5fp-8", False),
+    ("kde", 1): ("0x1.5cde00be91bb2p-16", "0x1.b5f6cdfd9b14fp-11", False),
+    ("kde", 2): ("0x1.edaf28f31251ap-16", "0x1.36134844ddb98p-10", False),
+    ("nested_mixture", 1): ("0x1.0b267e8e33b42p-16", "0x1.4e2d7e83b0509p-11", False),
+    ("nested_mixture", 2): ("0x1.25e7b3bf71a6ap-15", "0x1.6fcfe4793f082p-10", False),
+    ("nested_mixture", 3): ("0x1.8a41e2a8263f8p-15", "0x1.ed8b1578ffe7bp-10", False),
+}
+
+
+@pytest.mark.parametrize("kind, atom", sorted(_CHERNOFF_PINS))
+def test_chernoff_values_are_pinned_bit_for_bit(kind, atom):
+    est = chernoff_exponent(CHERNOFF_MEASURES[kind](), atom, 0.05, samples=20_000, seed=40 + atom)
+    assert (est.value.hex(), est.s_star.hex(), est.diverged) == _CHERNOFF_PINS[kind, atom]
 
 
 class TestRecoveryBounds:

@@ -257,6 +257,28 @@ class TestEstimate:
                     "--data", out / "nope.csv", "--out-dir", out]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, where, message",
+        [
+            ("", "", "empty file"),
+            ("x,y\n1.0,1\n", "", "header must be x_1,...,x_d,y; got ['x', 'y']"),
+            ("x_1,y\n", "", "no data rows"),
+            ("x_1,y\n1.0,1\n2.0\n", ":3", "expected 2 fields"),
+            ("x_1,y\n1.0,b\n", ":2", "malformed row"),
+            ("x_1,y\nnan,1\n", ":2", "non-finite coordinate"),
+            ("x_1,y\n1.0,0\n", ":2", "label must be >= 1"),
+            ("x_1,y\n1.0,1\n\n1.0,1.5\n", ":4", "malformed row"),
+        ],
+    )
+    def test_a_bad_data_file_is_named_with_its_line(self, text, where, message, tmp_path,
+                                                   out, capsys):
+        mixture = tmp_path / "mixture.json"
+        mixture.write_text(json.dumps(_one_atom()))
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        assert run(["estimate", "--mixture", mixture, "--data", data, "--out-dir", out]) == 1
+        assert capsys.readouterr().err == f"error: {data}{where}: {message}\n"
+
 
 # each analyze bound request and the flags it reads, in argument order, with
 # values it takes
@@ -329,6 +351,28 @@ class TestAnalyze:
         argv = ["analyze", "--mle-bound", "--k", "3", "--counts", "5,5,5", "--exponent", "nan"]
         assert run([*argv, "--out-dir", out]) == 1
         assert capsys.readouterr().err == "error: exponent must be >= 0\n"
+        assert not (out / "analysis.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--truth", "missing.json", "--gap-mv", "--perm", "9,9"], "--perm requires --risk"),
+            (["--gap-mle", "--gap-mv", "--perm", "1,2"], "--perm requires --risk"),
+            (["--truth", "missing.json", "--model", "missing.json", "--true-perm", "2,1"],
+             "--truth requires --gap-mle, --gap-mv or --risk"),
+            (["--model", "missing.json", "--true-perm", "2,1"],
+             "--model requires --gap-mle, --gap-mv or --risk"),
+            (["--true-perm", "2,1"], "--true-perm requires --gap-mle, --gap-mv or --risk"),
+        ],
+    )
+    def test_draw_inputs_without_a_request_that_reads_them_exit_1(
+        self, argv, message, tmp_path, out, capsys
+    ):
+        # no file is read: every mixture path here is missing
+        bound = ["--mle-bound", "--k", "2", "--counts", "3,4", "--exponent", "0.5"]
+        argv = [tmp_path / a if a == "missing.json" else a for a in argv]
+        assert run(["analyze", *argv, *bound, "--mc", "100", "--out-dir", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "analysis.json").exists()
 
     def test_missing_dependency_flag(self, out, capsys):
@@ -601,6 +645,17 @@ class TestOutDirResolution:
         run(["gen", "--family", "gaussian-grid", "--samples", "10", "--out-dir", out])
         leftovers = [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
         assert leftovers == []
+
+    def test_a_failed_write_leaves_the_directory_as_it_was(self, out, capsys):
+        # the manifest's temp file cannot be written over a directory
+        (out / ".manifest.json.tmp").mkdir(parents=True)
+        sentinel = out / "mixture.json"
+        sentinel.write_bytes(b"sentinel")
+        argv = ["gen", "--family", "gaussian-grid", "--k", "2", "--samples", "5"]
+        assert run([*argv, "--out-dir", out]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sentinel.read_bytes() == b"sentinel"
+        assert sorted(p.name for p in out.iterdir()) == [".manifest.json.tmp", "mixture.json"]
 
 
 def test_the_cached_parser_carries_nothing_between_calls(tmp_path):
