@@ -42,7 +42,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..mixtures import ComponentDensity, Gaussian, MixingMeasure, _check_atoms
 
@@ -123,6 +122,8 @@ def _tv_gaussians(f: Gaussian, g: Gaussian) -> float:
     c = v1 * (d * d - v2 * log_ratio)
     q = -(b + math.copysign(s1 * s2 * math.sqrt(d * d + (v1 - v2) * log_ratio), b))
     lo, hi = sorted((q / (v1 - v2), c / q))
+    from scipy.special import ndtr
+
     mass_f = ndtr(hi / s1) - ndtr(lo / s1)
     mass_g = ndtr((hi - d) / s2) - ndtr((lo - d) / s2)
     return abs(float(mass_f - mass_g))
@@ -477,6 +478,8 @@ def _tv_quadrature(f: ComponentDensity, g: ComponentDensity) -> TvEstimate:
     roots = np.sort(np.concatenate([
         x[h == 0.0], [_root(signed, x[k], x[k + 1]) for k in cross], _dip_roots(signed, x, h)
     ]))
+    from scipy.special import ndtr
+
     cdf = ndtr((roots[:, np.newaxis] - mu) / sds) @ weights
     exact = float(np.abs(np.diff(cdf, prepend=0.0, append=weights.sum())).sum())
     value = min(1.0, max(0.0, 0.5 * max(integral, exact)))

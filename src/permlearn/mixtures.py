@@ -779,9 +779,10 @@ class LabeledData:
                     f"{path}: header must be x_1,...,x_d,y; got {header}"
                 )
             xs, ys = [], []
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
+                lineno = reader.line_num  # the physical line the row ends on
                 if len(row) != dim + 1:
                     raise ValueError(f"{path}:{lineno}: expected {dim + 1} fields")
                 try:
@@ -1030,77 +1031,45 @@ def mixture_from_dict(obj: dict) -> MixingMeasure:
     return measure
 
 
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+def _plain(obj):
+    """obj as the JSON values ``_json_text`` writes.
+
+    A ``Permutation`` becomes its ``to_region`` list, any other dataclass a
+    dict of its fields, arrays and tuples lists, and NaN or infinite floats
+    ``None``. Dict items are taken in sorted order and each key is checked
+    before its value, so the first error raised is the one the output order
+    meets: a key that is not a ``str`` raises ``TypeError``, and so does any
+    value json cannot encode.
+    """
+    if isinstance(obj, (str, int)) or obj is None:
+        return obj
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, (list, tuple)):
+        return [_plain(item) for item in obj]
+    if isinstance(obj, dict):
+        plain = {}
+        for key, item in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            plain[key] = _plain(item)
+        return plain
+    if isinstance(obj, Permutation):  # before the dataclass rule
+        return list(obj.to_region)
+    if is_dataclass(obj):
+        return _plain({f.name: getattr(obj, f.name) for f in fields(obj)})
+    if isinstance(obj, np.ndarray):
+        return _plain(obj.tolist())
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def _json_text(obj) -> str:
     """The text of every JSON file the package writes: mixtures and results.
 
-    A ``Permutation`` becomes its ``to_region`` list, any other dataclass a
-    dict of its fields, arrays and tuples lists, and NaN or infinite floats
-    ``null``, so the text is strict JSON. Keys are strings, sorted; the indent
-    is two spaces, and the text ends in a newline. One recursive pass makes
-    these conversions and gives the text, or raises the error, of
-    ``json.dumps(converted, indent=2, sort_keys=True, allow_nan=False) + "\n"``,
-    but a key that is not a ``str`` raises ``TypeError``.
+    ``json.dumps`` of ``_plain(obj)``: strict JSON with string keys, sorted,
+    a two-space indent and a final newline.
     """
-    encode = json.encoder.encode_basestring_ascii
-    parts: list[str] = []
-    write = parts.append
-
-    def value(obj, newline: str) -> None:
-        # newline: a line break and the indent of the line obj starts on
-        if isinstance(obj, str):
-            write(encode(obj))
-        elif isinstance(obj, float):
-            write(float.__repr__(obj) if math.isfinite(obj) else "null")
-        elif obj is None or obj is True or obj is False:
-            write(_JSON_CONSTANTS[obj])
-        elif isinstance(obj, int):
-            write(int.__repr__(obj))
-        elif isinstance(obj, (list, tuple)):
-            items(obj, newline)
-        elif isinstance(obj, dict):
-            members(obj, newline)
-        elif isinstance(obj, Permutation):  # before the dataclass rule
-            items(obj.to_region, newline)
-        elif is_dataclass(obj):
-            members({f.name: getattr(obj, f.name) for f in fields(obj)}, newline)
-        elif isinstance(obj, np.ndarray):
-            value(obj.tolist(), newline)
-        else:
-            raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-
-    def items(obj, newline: str) -> None:
-        if not obj:
-            write("[]")
-            return
-        inner = newline + "  "
-        write("[" + inner)
-        for i, item in enumerate(obj):
-            if i:
-                write("," + inner)
-            value(item, inner)
-        write(newline + "]")
-
-    def members(obj: dict, newline: str) -> None:
-        if not obj:
-            write("{}")
-            return
-        inner = newline + "  "
-        write("{" + inner)
-        for i, (key, item) in enumerate(sorted(obj.items())):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
-            if i:
-                write("," + inner)
-            write(encode(key) + ": ")
-            value(item, inner)
-        write(newline + "}")
-
-    value(obj, "\n")
-    write("\n")
-    return "".join(parts)
+    return json.dumps(_plain(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def save_mixture(measure: MixingMeasure, path: str | os.PathLike) -> None:

@@ -1245,6 +1245,60 @@ class TestGapsAndRiskCoverage1d:
         assert len(misses) <= allowed, (misses, allowed, checks)
 
 
+class TestExcessRiskIsControlledByW1:
+    """The paper's link between the plug-in classifier's excess risk and W1.
+
+    Let p_b = l_b f_b (truth) and q_b = l^_b f^_b (model), and let the plug-in
+    rule use the correct assignment. Where it picks c and the Bayes rule a,
+    p_a - p_c <= |p_a - q_a| + |q_c - p_c|, so excess <= sum_b int |p_b - q_b|
+    <= sum_b (2 l_b TV_b + |l_b - l^_b|), TV_b = TV(f_b, f^_b). With W1's
+    optimal coupling under TV costs, M its off-diagonal mass and c the least
+    off-diagonal cost, sum_b l_b TV_b <= W1 + M, sum_b |l_b - l^_b| <= 2 M and
+    M <= W1 / c, so excess <= 2 W1 (1 + 2 / c) whenever c > 0.
+
+    Truths are 1-d Gaussian mixtures from seeds [31, i], each moved along
+    one fixed path (means + t d, log-sds + 0.3 t e, weights (1 - t) l + t l').
+    The excess is exact, from ``TestGapsAndRiskCoverage1d``'s ``ndtr`` sums,
+    and W1 is the deterministic 1-d ``wasserstein1``.
+    """
+
+    TRUTHS = 40
+    STEPS = (0.02, 0.05, 0.1, 0.2, 0.4)
+
+    @staticmethod
+    def _path(i):
+        rng = np.random.default_rng([31, i])
+        k = 2 + int(rng.integers(0, 3))
+        means = 2.0 * np.arange(k) + rng.normal(0.0, 0.3, k)
+        sds = rng.uniform(0.6, 1.4, k)
+        weights = rng.dirichlet(np.full(k, 4.0))
+        d, e, moved = rng.normal(size=k), rng.normal(size=k), rng.dirichlet(np.full(k, 4.0))
+        for t in TestExcessRiskIsControlledByW1.STEPS:
+            yield (weights, means, sds), ((1.0 - t) * weights + t * moved, means + t * d,
+                                          sds * np.exp(0.3 * t * e))
+
+    @staticmethod
+    def _measure(weights, means, sds):
+        return MixingMeasure(weights, [Gaussian([m], [[s * s]]) for m, s in zip(means, sds)])
+
+    def test_excess_is_at_most_2_w1_times_1_plus_2_over_c(self):
+        joint = TestGapsAndRiskCoverage1d._joint_mass
+        broken = []
+        for i in range(self.TRUTHS):
+            for truth, model in self._path(i):
+                excess = np.trace(joint(truth, truth)) - np.trace(joint(truth, model))
+                w1, plan = wasserstein1(self._measure(*truth), self._measure(*model))
+                cost, off = plan.cost_matrix, ~np.eye(len(plan.matrix), dtype=bool)
+                c, m = cost[off].min(), plan.matrix[off].sum()
+                assert plan.method == "quadrature" and c > 0.0
+                elementary = (2.0 * truth[0] * np.diag(cost) + abs(truth[0] - model[0])).sum()
+                chain = [excess, elementary, 2.0 * w1 + 4.0 * m, 2.0 * w1 * (1.0 + 2.0 / c)]
+                # each bound of the chain is at most every later one
+                if any(a > b + 1e-12 for a, b in itertools.combinations(chain, 2)):
+                    broken.append((i, chain))
+        assert broken == []
+
+
 class TestTransportationSimplex:
     """``_optimal_coupling``: the transportation simplex behind ``wasserstein1``.
 

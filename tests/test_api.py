@@ -145,10 +145,10 @@ def test_results_have_no_hand_written_encoders():
 
 def test_one_json_writer():
     # mixtures._json_text writes every JSON file: it is the only top-level
-    # function or method that encodes a JSON string, and nothing calls
-    # json.dump or json.dumps
+    # function or method that calls json.dumps, and nothing calls json.dump or
+    # encodes a JSON string by hand
     package = Path(permlearn.__file__).parent
-    writers, dumps = [], []
+    calls = []
     for path in sorted(package.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         tops = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
@@ -157,12 +157,9 @@ def test_one_json_writer():
         for func in tops:
             for node in ast.walk(func):
                 name = getattr(node, "attr", getattr(node, "id", None))
-                if name == "encode_basestring_ascii":
-                    writers.append(f"{path.name}:{func.name}")
-                if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps"):
-                    dumps.append(f"{path.name}:{func.name}")
-    assert writers == ["mixtures.py:_json_text"]
-    assert dumps == []
+                if name in ("dump", "dumps", "encode_basestring_ascii"):
+                    calls.append(f"{path.name}:{func.name}:{name}")
+    assert calls == ["mixtures.py:_json_text:dumps"]
 
 
 def unread_locals(func):

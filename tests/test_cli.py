@@ -268,6 +268,7 @@ class TestEstimate:
             ("x_1,y\nnan,1\n", ":2", "non-finite coordinate"),
             ("x_1,y\n1.0,0\n", ":2", "label must be >= 1"),
             ("x_1,y\n1.0,1\n\n1.0,1.5\n", ":4", "malformed row"),
+            ('x_1,y\n"1.0\n",1\n2.0,x\n', ":4", "malformed row"),
         ],
     )
     def test_a_bad_data_file_is_named_with_its_line(self, text, where, message, tmp_path,
@@ -700,23 +701,52 @@ def test_the_cached_parser_carries_nothing_between_calls(tmp_path):
         assert got == fresh
 
 
-_SOLVER_IMPORTS = """
+_SCIPY_IMPORTS = """
 import json, sys
+
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
 from permlearn import cli
 from permlearn.analysis import transport
 
+steps = [[0, loaded()]]
 roots = []
 brentq = transport._brentq
 transport._brentq = lambda *args: roots.append(1) or brentq(*args)
-w1_code = cli.main(["analyze", "--w1", *sys.argv[1:3], "--out-dir", "w1"])
-after_w1 = sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules)
-exp_code = cli.main(["experiment", "--family", "gaussian-grid", "--k", "3", "--n-grid", "4,8",
-                     "--trials", "2", "--out-dir", "exp"])
-print(json.dumps([w1_code, len(roots), after_w1, exp_code, "scipy.optimize" in sys.modules]))
+for argv in json.loads(sys.argv[1]):
+    steps.append([cli.main(argv), loaded()])
+print(json.dumps([steps, len(roots)]))
 """
 
+# One process runs these in order, from the fewest scipy modules loaded to the
+# most. Each row gives the scipy modules loaded once it has run: None for no
+# scipy module at all, else (modules it has loaded, modules it has not).
+_SCIPY_STEPS = [
+    ("import permlearn.cli", None, None),
+    ("gen", ["gen", "--family", "gaussian-grid", "--k", "3", "--samples", "30", "--seed", "1",
+             "--out-dir", "gen"], None),
+    ("estimate --method mv", ["estimate", "--mixture", "gen/mixture.json", "--data",
+                              "gen/data.csv", "--method", "mv", "--out-dir", "mv"], None),
+    ("analyze --gap-mv", ["analyze", "--truth", "gen/mixture.json", "--gap-mv", "--mc", "500",
+                          "--out-dir", "gap-mv"], None),
+    ("analyze --risk", ["analyze", "--truth", "gen/mixture.json", "--risk", "--mc", "500",
+                        "--out-dir", "risk"], None),
+    ("analyze --mle-bound", ["analyze", "--mle-bound", "--k", "2", "--counts", "50,60",
+                             "--exponent", "0.3", "--out-dir", "bound"], None),
+    # the 1-d mixture pairs are integrated and root-found without scipy's
+    # solvers; their CDF differences load scipy.special
+    ("1-d --w1", ["analyze", "--w1", "a.json", "b.json", "--out-dir", "w1"],
+     ({"scipy.special"}, {"scipy.optimize", "scipy.integrate"})),
+    # a K = 3 experiment's matching MLE loads scipy.optimize at its first solve
+    ("experiment --k 3", ["experiment", "--family", "gaussian-grid", "--k", "3", "--n-grid",
+                          "4,8", "--trials", "2", "--out-dir", "exp"], ({"scipy.optimize"}, set())),
+]
 
-def test_1d_w1_loads_no_scipy_solver_and_an_experiment_loads_optimize(tmp_path):
+
+def test_each_command_loads_only_the_scipy_modules_it_needs(tmp_path):
     def mixture(weights, means, sds):
         return {"type": "gaussian_mixture", "components": [
             {"weight": w, "mean": [m], "cov": [[s * s]]} for w, m, s in zip(weights, means, sds)
@@ -735,16 +765,22 @@ def test_1d_w1_loads_no_scipy_solver_and_an_experiment_loads_optimize(tmp_path):
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    commands = [argv for _, argv, _ in _SCIPY_STEPS[1:]]
     proc = subprocess.run(
-        [sys.executable, "-c", _SOLVER_IMPORTS, "a.json", "b.json"],
+        [sys.executable, "-c", _SCIPY_IMPORTS, json.dumps(commands)],
         cwd=tmp_path, env=env, check=True, capture_output=True, text=True,
     )
-    w1_code, roots, after_w1, exp_code, optimize_loaded = json.loads(proc.stdout.splitlines()[-1])
-    # the mixture pairs are integrated and root-found, without scipy's solvers
-    assert (w1_code, after_w1) == (0, [])
+    steps, roots = json.loads(proc.stdout.splitlines()[-1])
+    assert len(steps) == len(_SCIPY_STEPS)
+    for (name, _, expected), (code, loaded) in zip(_SCIPY_STEPS, steps):
+        assert code == 0, name
+        if expected is None:
+            assert loaded == [], name
+        else:
+            present, absent = expected
+            assert present <= set(loaded) and not absent & set(loaded), (name, loaded)
+    # the 1-d TV between mixtures found its sign changes with the brentq port
     assert roots > 0
-    # a K = 3 experiment's matching MLE loads scipy.optimize at its first solve
-    assert (exp_code, optimize_loaded) == (0, True)
 
 
 # The fuzzer: malformed mixture JSON, spec JSON, data CSV and analyze numbers
