@@ -3,7 +3,8 @@
 Entry (k, b) of a weight matrix scores assigning class k to region b; a
 permutation is a perfect matching of classes to regions. The solver runs as
 a min-cost assignment on negated weights, so tie tolerances below refer to
-total weights of whole permutations.
+total weights of whole permutations. At K = 2 a closed form follows scipy's
+solver decision for decision, exact ties included, and loads no scipy.
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ def _as_weight_matrix(weights: ArrayLike, ndim: int = 2) -> np.ndarray:
 
 
 def __getattr__(name: str):
-    # scipy.optimize loads at the first solve, not at import. The first lookup
-    # stores the solver in the module __dict__, so tests and perfbench's
-    # tracer patch and restore it as an imported name.
+    # scipy.optimize loads at the first K >= 3 solve, not at import. The
+    # first lookup stores the solver in the module __dict__, so tests and
+    # perfbench's tracer patch and restore it as an imported name.
     if name == "linear_sum_assignment":
         from scipy.optimize import linear_sum_assignment
 
@@ -78,9 +79,27 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _lsa():
-    """The solver bound to ``linear_sum_assignment`` now, loaded on first use."""
-    return globals().get("linear_sum_assignment") or __getattr__("linear_sum_assignment")
+def _columns(w: np.ndarray) -> np.ndarray:
+    """scipy's min-cost columns for the costs -w of a (G, K, K) stack, K >= 2.
+
+    A weight of -inf forbids its edge. At K = 2 the swap below is the solver's
+    two shortest augmenting paths in closed form: its comparisons and
+    left-to-right sums, exact for one +inf cost too. Other K call the solver
+    bound to ``linear_sum_assignment`` now, loaded on first use.
+    """
+    if w.shape[1] == 2:
+        c00, c01, c10, c11 = (-w[:, i, j] for i in (0, 1) for j in (0, 1))
+        # row 0 takes its cheaper column, column 0 on a tie; row 1 takes the
+        # other one unless a strictly cheaper path reroutes row 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            swap = np.where(
+                c00 <= c01,
+                (c10 < c11) & (c10 + c01 - c00 < c11),
+                ~((c11 < c10) & (c11 + c00 - c01 < c10)),
+            )
+        return np.stack([swap, ~swap], axis=1).astype(np.intp)
+    lsa = globals().get("linear_sum_assignment") or __getattr__("linear_sum_assignment")
+    return np.array([lsa(-m)[1] for m in w], dtype=np.intp).reshape(w.shape[:2])
 
 
 def _total(w: np.ndarray, cols: np.ndarray) -> float:
@@ -103,15 +122,14 @@ def _best_two(w: np.ndarray) -> tuple[MatchingResult, MatchingResult]:
     row, so forbidding each optimal edge in turn and re-solving covers all of
     them exactly.
     """
-    lsa = _lsa()
-    best = lsa(-w)[1]
-    cost = -w.copy()
+    forbid = w[np.newaxis].copy()
+    best = _columns(forbid)[0]
     second_total, second = -np.inf, None
     for row in range(w.shape[0]):
-        saved = cost[row, best[row]]
-        cost[row, best[row]] = np.inf
-        _, cols = lsa(cost)
-        cost[row, best[row]] = saved
+        saved = forbid[0, row, best[row]]
+        forbid[0, row, best[row]] = -np.inf
+        cols = _columns(forbid)[0]
+        forbid[0, row, best[row]] = saved
         total = _total(w, cols)
         if total > second_total:
             second_total, second = total, cols
@@ -140,12 +158,9 @@ def max_weight_assignments(weights: ArrayLike) -> np.ndarray:
     no tie flag.
     """
     w = _as_weight_matrix(weights, ndim=3)
-    cols = np.zeros(w.shape[:2], dtype=np.intp)
-    if w.shape[1] > 1:
-        lsa = _lsa()
-        for g in range(w.shape[0]):
-            cols[g] = lsa(-w[g])[1]
-    return cols
+    if w.shape[1] == 1:
+        return np.zeros(w.shape[:2], dtype=np.intp)
+    return _columns(w)
 
 
 @functools.cache

@@ -736,6 +736,25 @@ _SCIPY_STEPS = [
                         "--out-dir", "risk"], None),
     ("analyze --mle-bound", ["analyze", "--mle-bound", "--k", "2", "--counts", "50,60",
                              "--exponent", "0.3", "--out-dir", "bound"], None),
+    ("analyze --mv-bound", ["analyze", "--mv-bound", "--k", "2", "--counts", "50,60",
+                            "--gap", "0.2", "--out-dir", "mv-bound"], None),
+    ("analyze --min-count", ["analyze", "--min-count", "--n", "100", "--probs", "0.3,0.7",
+                             "--m", "20", "--out-dir", "min-count"], None),
+    ("analyze --required-n", ["analyze", "--required-n", "mle", "--k", "3", "--delta", "0.1",
+                              "--value", "0.2", "--out-dir", "required-n"], None),
+    ("estimate --method greedy", ["estimate", "--mixture", "gen/mixture.json", "--data",
+                                  "gen/data.csv", "--method", "greedy", "--out-dir", "greedy"],
+     None),
+    # at K = 2 the matching MLE is the solver's decision in closed form
+    ("gen --k 2", ["gen", "--family", "gaussian-grid", "--k", "2", "--samples", "30", "--seed",
+                   "1", "--out-dir", "gen2"], None),
+    ("estimate --method mle --k 2", ["estimate", "--mixture", "gen2/mixture.json", "--data",
+                                     "gen2/data.csv", "--method", "mle", "--out-dir", "mle2"],
+     None),
+    ("analyze --gap-mle --k 2", ["analyze", "--truth", "gen2/mixture.json", "--gap-mle", "--mc",
+                                 "500", "--out-dir", "gap-mle2"], None),
+    ("experiment --k 2", ["experiment", "--family", "gaussian-grid", "--k", "2", "--n-grid",
+                          "4,8", "--trials", "2", "--out-dir", "exp2"], None),
     # the 1-d mixture pairs are integrated and root-found without scipy's
     # solvers; their CDF differences load scipy.special
     ("1-d --w1", ["analyze", "--w1", "a.json", "b.json", "--out-dir", "w1"],

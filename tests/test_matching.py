@@ -4,9 +4,17 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from permlearn import Permutation, brute_force_matching, max_weight_matching
-from permlearn.matching import TIE_TOL, _as_weight_matrix, _best_two, max_weight_assignments
+from permlearn import Permutation, brute_force_matching, matching, max_weight_matching
+from permlearn.harness import ExperimentSpec, run_recovery_experiment
+from permlearn.matching import (
+    TIE_TOL,
+    _as_weight_matrix,
+    _best_two,
+    _columns,
+    max_weight_assignments,
+)
 
 
 def runner_up(w):
@@ -148,6 +156,72 @@ def test_assignments_match_single_solves(k):
 def test_assignments_reject_bad_stacks(bad):
     with pytest.raises(ValueError):
         max_weight_assignments(bad)
+
+
+def _two_by_two_costs(rng):
+    """(G, 2, 2) cost stacks, -weights, where scipy's tie-breaks and rounding decide."""
+    yield rng.integers(-3, 4, size=(2000, 2, 2)).astype(float)  # exact ties
+    zero_row = rng.integers(-2, 3, size=(1000, 2, 2)).astype(float)
+    zero_row[::2, 0] = 0.0
+    zero_row[1::2, 1] = 0.0
+    yield zero_row
+    yield rng.choice([0.0, -0.0, 1.0, -1.0], size=(1000, 2, 2))
+    # c10 = c11 = 2**e and row 0 below one ulp of it: the solver's sums round
+    # across the binade, so each of its four comparisons decides some of these
+    edge = np.ones((4000, 2, 2)) * 2.0 ** rng.integers(-20, 21, size=(4000, 1, 1))
+    edge[:, 0] *= rng.uniform(0.0, 2.0**-52, size=(4000, 2))
+    yield edge
+    for scale in (1e-3, 1.0, 1e6):
+        c = rng.normal(size=(1000, 2, 2)) * scale
+        # c11 on the solver's sum c10 + c01 - c00, c10 on c11 + c00 - c01, and
+        # each one ulp to either side
+        on_c11, on_c10 = c.copy(), c.copy()
+        on_c11[:, 1, 1] = c[:, 1, 0] + c[:, 0, 1] - c[:, 0, 0]
+        on_c10[:, 1, 0] = c[:, 1, 1] + c[:, 0, 0] - c[:, 0, 1]
+        for tie, col in ((on_c11, 1), (on_c10, 0)):
+            yield tie
+            for toward in (np.inf, -np.inf):
+                off = tie.copy()
+                off[:, 1, col] = np.nextafter(tie[:, 1, col], toward)
+                yield off
+    for pos in range(4):
+        c = rng.integers(-3, 4, size=(1000, 2, 2)).astype(float)
+        c[:, pos // 2, pos % 2] = np.inf  # a forbidden edge of the runner-up search
+        yield c
+
+
+def test_two_by_two_columns_are_scipys():
+    for cost in _two_by_two_costs(np.random.default_rng(2)):
+        got = _columns(-cost)
+        assert got.dtype == np.intp
+        for c, cols in zip(cost, got):
+            assert tuple(cols) == tuple(linear_sum_assignment(c)[1]), c
+
+
+def test_two_by_two_tie_flag_and_runner_up_are_brute_forces():
+    rng = np.random.default_rng(3)
+    draws = [rng.integers(-2, 3, size=(2, 2)).astype(float) for _ in range(300)]
+    draws += [rng.normal(size=(2, 2)) for _ in range(300)]
+    for w in draws:
+        fast, runner = max_weight_matching(w), runner_up(w)
+        slow = brute_force_matching(w)
+        other = [2 - c for c in slow.permutation.to_region]  # the other permutation
+        assert fast.is_unique == runner.is_unique == slow.is_unique
+        assert fast.total_weight == slow.total_weight
+        assert runner.total_weight == w[[0, 1], other].sum()
+        if slow.is_unique:
+            assert fast.permutation == slow.permutation
+
+
+def test_two_class_recovery_makes_no_scipy_solve(monkeypatch):
+    spec = ExperimentSpec("gaussian_grid", k=2, dim=2, n_grid=(3, 6, 12, 24), trials=5, seed=4)
+    expected = run_recovery_experiment(spec).points
+
+    def refuse(cost):
+        raise AssertionError("a K = 2 solve reached scipy")
+
+    monkeypatch.setattr(matching, "linear_sum_assignment", refuse)
+    assert run_recovery_experiment(spec).points == expected
 
 
 def test_brute_force_limit():
