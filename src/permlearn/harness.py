@@ -10,7 +10,6 @@ so single results can be reproduced without rerunning the whole grid.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -313,7 +312,6 @@ class RecoveryCurve:
 
     spec: ExperimentSpec
     points: tuple[CurvePoint, ...]
-    wall_time_s: float
 
     def recovery_fraction(self, estimator: str) -> np.ndarray:
         """Recovery frequency per n_grid entry for one estimator."""
@@ -432,7 +430,6 @@ def run_recovery_experiment(spec: ExperimentSpec, threads: int = 1) -> RecoveryC
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    start = time.perf_counter()
     truth, true_perm, model = resolve_model(spec)
     k, n_max, sizes = spec.k, spec.n_grid[-1], len(spec.n_grid)
     per_chunk = max(1, _CHUNK_ENTRIES // (n_max * k + sizes * k * k))
@@ -458,4 +455,4 @@ def run_recovery_experiment(spec: ExperimentSpec, threads: int = 1) -> RecoveryC
         CurvePoint(name, n, spec.trials, *tally, mean)
         for (name, n), tally, mean in zip(cells, tallies, means)
     )
-    return RecoveryCurve(spec, points, time.perf_counter() - start)
+    return RecoveryCurve(spec, points)

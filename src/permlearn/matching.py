@@ -10,7 +10,6 @@ solver decision for decision, exact ties included, and loads no scipy.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +32,8 @@ __all__ = [
 # meaning with the sample size; this one is invariant to scaling by 2**j.
 TIE_TOL = 1e-9
 
-# brute_force_matching refuses anything above 10! evaluations.
-BRUTE_FORCE_LIMIT = 10
-
-# Largest K whose permutations brute_force_matching holds as one cached table.
-_TABLE_K = 8
+# brute_force_matching refuses anything above 9! evaluations.
+BRUTE_FORCE_LIMIT = 9
 
 
 @dataclass(frozen=True)
@@ -173,47 +169,21 @@ def _lex_table(k: int) -> np.ndarray:
     return np.concatenate([np.insert(rest + (rest >= h), 0, h, axis=1) for h in range(k)])
 
 
-def _lex_chunks(k: int):
-    """The permutations of range(k) in lexicographic order, as int8 row blocks.
-
-    Each lexicographic head of k - _TABLE_K values (none for k <= _TABLE_K)
-    is followed by the cached table of the rest, relabelled to the values
-    the head leaves.
-    """
-    tail = min(k, _TABLE_K)
-    table = _lex_table(tail)
-    for head in itertools.permutations(range(k), k - tail):
-        rest = np.setdiff1d(np.arange(k, dtype=np.int8), head)
-        yield np.hstack((np.tile(np.array(head, dtype=np.int8), (len(table), 1)), rest[table]))
-
-
 def brute_force_matching(weights: ArrayLike) -> MatchingResult:
     """Exhaustive reference maximizer; refuses K > BRUTE_FORCE_LIMIT.
 
-    Permutations are scored in vectorized chunks in lexicographic order, so
-    even 10! stays cheap; earlier chunks win ties, which gives
-    lexicographically-first semantics.
+    Every permutation of the cached lexicographic table is scored in one
+    gather; the first of tied optima wins, which gives lexicographically-first
+    semantics.
     """
     w = _as_weight_matrix(weights)
     k = w.shape[0]
     if k > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force refused for K > {BRUTE_FORCE_LIMIT}")
-    rows = np.arange(k)
-    best_total, best_perm = -np.inf, None
-    runner_total = -np.inf
-    for chunk in _lex_chunks(k):
-        totals = w[rows, chunk].sum(axis=1)
-        top = int(np.argmax(totals))
-        chunk_best = float(totals[top])
-        chunk_second = (
-            float(np.partition(totals, -2)[-2]) if totals.size > 1 else -np.inf
-        )
-        if chunk_best > best_total:
-            # the displaced optimum and this chunk's runner both compete
-            runner_total = max(runner_total, best_total, chunk_second)
-            best_total, best_perm = chunk_best, chunk[top]
-        else:
-            # a distinct permutation, even on an exact tie with the optimum
-            runner_total = max(runner_total, chunk_best)
-    is_unique = k == 1 or best_total - runner_total > _tie_tol(w, best_perm)
-    return MatchingResult(_permutation(best_perm), best_total, is_unique)
+    table = _lex_table(k)
+    totals = w[np.arange(k), table].sum(axis=1)
+    top = int(np.argmax(totals))
+    # the runner-up is a distinct permutation, even on an exact tie with the optimum
+    best, runner = float(totals[top]), float(np.delete(totals, top).max(initial=-np.inf))
+    is_unique = k == 1 or best - runner > _tie_tol(w, table[top])
+    return MatchingResult(_permutation(table[top]), best, is_unique)

@@ -343,9 +343,6 @@ class ComponentDensity:
     across threads; sampling takes an explicit generator.
     """
 
-    def density(self, x: ArrayLike) -> NDArray[np.float64] | float:
-        return np.exp(self.log_density(x))
-
 
 class Gaussian(ComponentDensity):
     """Multivariate normal with full covariance.
@@ -648,17 +645,20 @@ class MixingMeasure:
 class Permutation:
     """A bijection assigning class labels 1..K to region indices 1..K.
 
-    ``to_region[k-1]`` is the region index of class k.
+    ``to_region[k-1]``, an integral value, is the region index of class k.
     """
 
     to_region: tuple[int, ...]
 
     def __post_init__(self):
         k = len(self.to_region)
-        normalized = tuple(int(v) for v in self.to_region)
-        object.__setattr__(self, "to_region", normalized)
+        try:  # an entry that int() truncates or cannot convert fails the check below
+            normalized = tuple(int(v) for v in self.to_region if int(v) == v)
+        except (TypeError, ValueError, OverflowError):
+            normalized = ()
         if k == 0 or sorted(normalized) != list(range(1, k + 1)):
-            raise ValueError(f"not a permutation of 1..{k}: {self.to_region}")
+            raise ValueError(f"not a permutation of 1..{k}: {tuple(self.to_region)}")
+        object.__setattr__(self, "to_region", normalized)
 
     @staticmethod
     def identity(k: int) -> "Permutation":
@@ -675,20 +675,11 @@ class Permutation:
             inv[b - 1] = k
         return tuple(inv)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.to_region == tuple(range(1, self.size + 1))
-
     def region_of_label(self, label: int) -> int:
         return self.to_region[label - 1]
 
     def label_of_region(self, region: int) -> int:
         return self._from_region[region - 1]
-
-    def map_labels(self, labels: ArrayLike) -> NDArray[np.int64]:
-        """Vectorized label -> region lookup (both 1-based)."""
-        arr = np.asarray(self.to_region, dtype=np.int64)
-        return arr[np.asarray(labels, dtype=np.int64) - 1]
 
     def map_regions(self, regions: ArrayLike) -> NDArray[np.int64]:
         """Vectorized region -> label lookup (both 1-based)."""
@@ -746,9 +737,6 @@ class LabeledData:
         if not 0 <= n <= self.n:
             raise ValueError(f"prefix length {n} out of range 0..{self.n}")
         return LabeledData(self._x[:n], self._y[:n])
-
-    def __len__(self) -> int:
-        return self.n
 
     def csv_text(self) -> str:
         """CSV text with header x_1,...,x_d,y (labels 1-based)."""

@@ -72,7 +72,8 @@ def trapezoid_tv(f, g, points=1_000_001, chunk=200_000):
     total = 0.0
     for start in range(0, points - 1, chunk):
         xs = x[start : start + chunk + 1, np.newaxis]
-        total += np.trapezoid(np.abs(f.density(xs) - g.density(xs)), xs[:, 0])
+        diff = np.exp(f.log_density(xs)) - np.exp(g.log_density(xs))
+        total += np.trapezoid(np.abs(diff), xs[:, 0])
     return 0.5 * total
 
 

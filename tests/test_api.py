@@ -1,8 +1,10 @@
 """Contract of the public names that other code looks up by name."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import permlearn
@@ -54,6 +56,9 @@ def test_exports_resolve_and_estimator_table_is_public():
         "mixture_density": ("permlearn", "permlearn.mixtures"),
         # the 1-d TV envelope is read from the atoms' Gaussian parts in transport
         "ENVELOPE_SIGMAS": ("permlearn.mixtures",),
+        # brute_force_matching scores the whole cached _lex_table in one gather
+        "_lex_chunks": ("permlearn.matching",),
+        "_TABLE_K": ("permlearn.matching",),
     }
     for name, places in gone.items():
         for place in places:
@@ -68,6 +73,8 @@ def test_knobs_that_select_nothing_are_gone():
         mixtures.KernelDensity,
     )
     assert [cls.__name__ for cls in atoms if hasattr(cls, "envelope_1d")] == []
+    # np.exp(log_density) is the density
+    assert [cls.__name__ for cls in atoms if hasattr(cls, "density")] == []
     # a spec file goes through ExperimentSpec(**_spec_fields(d)), as --spec does
     assert not hasattr(harness.ExperimentSpec, "from_dict")
     # TV and W1 take their route from the dimension; the spec carries the seed
@@ -77,6 +84,30 @@ def test_knobs_that_select_nothing_are_gone():
         (harness.generate_true_mixture, "seed"),
     ):
         assert name not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_members_that_restate_another_path_are_gone():
+    # to_region[label - 1], p == Permutation.identity(p.size) and data.n
+    for cls, name in (
+        (mixtures.Permutation, "map_labels"),
+        (mixtures.Permutation, "is_identity"),
+        (mixtures.LabeledData, "__len__"),
+    ):
+        assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+    # the CLI's manifest times a run; a curve is a value that reruns reproduce
+    assert "wall_time_s" not in {f.name for f in dataclasses.fields(harness.RecoveryCurve)}
+
+
+def test_readme_python_examples_run(tmp_path, monkeypatch):
+    # the blocks run in order in one namespace; the quickstart writes curves.csv
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert (tmp_path / "curves.csv").is_file()
 
 
 def scipy_uses(name):

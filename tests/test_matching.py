@@ -226,7 +226,7 @@ def test_two_class_recovery_makes_no_scipy_solve(monkeypatch):
 
 def test_brute_force_limit():
     with pytest.raises(ValueError, match="brute force"):
-        brute_force_matching(np.zeros((11, 11)))
+        brute_force_matching(np.zeros((10, 10)))
 
 
 def _enumerated(w, perms):
@@ -259,6 +259,13 @@ def test_brute_force_equals_itertools_enumeration(k):
     for w in matrices if k < 9 else matrices[::3]:
         got = brute_force_matching(w)
         assert (got.permutation, got.total_weight, got.is_unique) == _enumerated(w, perms)
+
+
+@pytest.mark.parametrize("k", [1, 2, 9])
+def test_brute_force_fields_are_python_scalars(k):
+    for w in (np.random.default_rng([6, k]).normal(size=(k, k)), np.full((k, k), 0.5)):
+        got = brute_force_matching(w)
+        assert type(got.total_weight) is float and type(got.is_unique) is bool
 
 
 @given(
