@@ -16,7 +16,9 @@ That row is the largest stable tilt of the whole grid, whatever the shape of
 the ESS curve, and on typical scores it is the top row itself. The scan and
 the search share one ``mixtures._TiltedLogSumExp`` of the centred scores,
 which reduces one tilt per pass in one reused n-buffer with the bits of a
-fresh ``_logsumexp``.
+fresh ``_logsumexp``. The search itself is ``_fminbound``, a port of scipy's
+bounded Brent minimizer that returns scipy's bits without loading
+scipy.optimize.
 """
 
 from __future__ import annotations
@@ -73,6 +75,81 @@ def _largest_stable_tilt(grid: np.ndarray, lse: _TiltedLogSumExp, floor: float) 
     return None
 
 
+def _fminbound(func, a: float, b: float, xatol: float = 1e-5, maxfun: int = 500):
+    """``(x, func(x))`` at a minimum of func on [a, b], as scipy finds it.
+
+    A line-for-line port of scipy 1.17.1's ``_minimize_scalar_bounded``
+    (``minimize_scalar(method="bounded")``) with its defaults, so the search
+    needs no scipy.optimize: the same points are visited in the same order
+    and the returned pair has the bits of scipy's ``x`` and ``fun``. a < b are
+    finite. Stops after ``maxfun`` evaluations without an error, as scipy
+    does; scipy's status flags are not kept.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            # q > 0 when this holds, and rat stays finite on every path
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * (-1.0 if xm - xf < 0.0 else 1.0)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx
+
+
 def chernoff_exponent_from_scores(
     scores: np.ndarray,
     t: float,
@@ -107,11 +184,9 @@ def chernoff_exponent_from_scores(
     def objective(s: float) -> float:
         return -(s * t - (lse(s) - log_n))
 
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(objective, bounds=(0.0, s_hi), method="bounded")
-    value = max(-float(res.fun), 0.0)
-    return DualEstimate(value, float(res.x), False, n, seed)
+    s_star, fun = _fminbound(objective, 0.0, s_hi)
+    value = max(-float(fun), 0.0)
+    return DualEstimate(value, float(s_star), False, n, seed)
 
 
 def chernoff_exponent(

@@ -179,10 +179,12 @@ def _codes(empty: np.ndarray, tie: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def _mle_weights(weights: np.ndarray) -> np.ndarray:
-    """weights as the MLE and its gap read them. A model score of -inf makes a
-    class's sum -inf, which is refused here in the model's terms."""
+    """weights as the MLE and its gap read them. A class's sum is -inf when the
+    model scores one of its samples -inf or when finite scores overflow in the
+    sum; both are refused here in the model's terms."""
     if not np.all(np.isfinite(weights)):
-        raise ValueError("the model gives some sample a log score of -inf")
+        raise ValueError("the model's log scores of some class sum to -inf: a sample scores "
+                         "-inf, or the sum overflows")
     return weights
 
 

@@ -4,12 +4,19 @@ Entry (k, b) of a weight matrix scores assigning class k to region b; a
 permutation is a perfect matching of classes to regions. The solver runs as
 a min-cost assignment on negated weights, so tie tolerances below refer to
 total weights of whole permutations. At K = 2 a closed form follows scipy's
-solver decision for decision, exact ties included, and loads no scipy.
+solver decision for decision, exact ties included, and loads no scipy. Larger
+K call scipy's compiled solver, the ``scipy.optimize._lsap`` extension, which
+is loaded from its file at the first such solve without the rest of the
+``scipy.optimize`` package.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,15 +71,41 @@ def _as_weight_matrix(weights: ArrayLike, ndim: int = 2) -> np.ndarray:
 
 
 def __getattr__(name: str):
-    # scipy.optimize loads at the first K >= 3 solve, not at import. The
-    # first lookup stores the solver in the module __dict__, so tests and
-    # perfbench's tracer patch and restore it as an imported name.
+    # The solver loads at the first K >= 3 solve, not at import. The first
+    # lookup stores it in the module __dict__, so tests and perfbench's tracer
+    # patch and restore it as an imported name.
     if name == "linear_sum_assignment":
-        from scipy.optimize import linear_sum_assignment
-
-        globals()[name] = linear_sum_assignment
-        return linear_sum_assignment
+        value = globals()[name] = _load_lsap()
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _load_lsap():
+    """scipy's ``linear_sum_assignment``, loaded without ``scipy.optimize``.
+
+    The function lives in the extension module ``scipy.optimize._lsap``,
+    which needs only numpy. It is executed from its file and registered in
+    ``sys.modules`` under its full name, so a later ``import scipy.optimize``
+    reuses it and exports this very function. It is registered only once
+    executed, so no thread sees it half made, and the first registration
+    wins a race. Where no such file exists, the public name is imported
+    with its package.
+    """
+    name = "scipy.optimize._lsap"
+    module = sys.modules.get(name)
+    if module is None:
+        import scipy
+
+        paths = [os.path.join(path, "optimize") for path in scipy.__path__]
+        spec = importlib.machinery.PathFinder.find_spec(name, paths)
+        if spec is None:
+            from scipy.optimize import linear_sum_assignment
+
+            return linear_sum_assignment
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module = sys.modules.setdefault(name, module)
+    return module.linear_sum_assignment
 
 
 def _columns(w: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq, linear_sum_assignment, linprog
+from scipy.optimize import brentq, linear_sum_assignment, linprog, minimize_scalar
 from scipy.special import ndtr
 from scipy.stats import binom, norm
 
@@ -1028,6 +1028,72 @@ class TestBrentq:
             transport._brentq(f, 2.0, 3.0, maxiter=2)
         # a zero at an end is returned without iterating
         assert transport._brentq(lambda x: x - 1.0, 1.0, 4.0) == 1.0
+
+
+def _fminbound_battery(rng, count):
+    """(func, a, b) triples: the Chernoff objective on normal, rounded and Pareto
+    scores at scales 1e-3 to 1e3 over its own tilt range, and quadratic,
+    |x - c|, cosine, constant and stepped quadratic functions on random
+    intervals. The steps make the exact ties between values that decide the
+    search's comparisons."""
+    for i in range(count):
+        kind = i % 8
+        if kind < 3:
+            n = int(rng.integers(2, 400))
+            draw = (rng.normal(size=n), np.round(rng.normal(size=n), 1), rng.pareto(2.5, size=n))
+            v = draw[kind] * 10.0 ** rng.uniform(-3, 3)
+            v = v - v.mean()
+            sd = float(v.std())
+            if sd == 0.0:
+                continue
+            lse, t, log_n = _TiltedLogSumExp(v), float(rng.uniform(0.0, 2.0)) * sd, math.log(n)
+            yield (lambda s, lse=lse, t=t, log_n=log_n: -(s * t - (lse(s) - log_n)), 0.0,
+                   float(10.0 ** rng.uniform(-3, 3) / sd))
+            continue
+        a, b = sorted(float(x) for x in rng.normal(size=2) * 10.0 ** rng.uniform(-6, 3))
+        c = float(rng.normal()) * (b - a) + a
+        yield [lambda x, c=c: (x - c) * (x - c), lambda x, c=c: abs(x - c),
+               lambda x, w=float(rng.uniform(0.1, 20.0)) / (b - a): math.cos(w * x),
+               lambda x: 1.5,
+               lambda x, c=c, h=10.0 ** float(rng.uniform(0, 8)) / (b - a) ** 2:
+                   math.floor(h * (x - c) * (x - c))][kind - 3], a, b
+
+
+class TestFminbound:
+    @staticmethod
+    def _both(f, a, b):
+        """float.hex of (x, fun) from the port and from scipy."""
+        got = bounds._fminbound(f, a, b)
+        with np.errstate(all="ignore"):  # scipy's numpy scalars warn on inf and nan
+            res = minimize_scalar(f, bounds=(a, b), method="bounded")
+        return tuple(float(v).hex() for v in got), (float(res.x).hex(), float(res.fun).hex())
+
+    def test_matches_scipy_bit_for_bit(self):
+        battery = list(_fminbound_battery(np.random.default_rng(29), 1_000))
+        assert len(battery) > 990
+        for f, a, b in battery:
+            got, want = self._both(f, a, b)
+            assert got == want, (a, b)
+
+    @pytest.mark.parametrize("f,a,b", [
+        (lambda x: abs(x + 0.1), -1e250, 3e250),  # stops at scipy's 500 evaluations
+        (lambda x: math.nan, 0.0, 1.0),
+        (lambda x: math.inf if x > 0.5 else x, 0.0, 1.0),
+        (lambda x: -math.inf if x > 0.5 else x, 0.0, 1.0),
+        (lambda x: -x, 0.0, 1.0),
+        (lambda x: (x - 0.3) ** 2, 0.3, 0.3),
+        # a parabolic step of exactly 0, and exact ties with the second and
+        # third best points
+        (lambda x: math.floor(8.0 * (x + 0.5) ** 2), -4.0, 3.0),
+        (lambda x: round(((x + 2.0) ** 2 + 0.1 * (x + 2.0) ** 3) / 0.125) * 0.125, -4.0, 7.0),
+        (lambda x: round((x**2 + 0.1 * x**3) / 0.03125) * 0.03125, -7.0, 4.0),
+        # parabolic steps that land exactly on b and on a
+        (lambda x: (x * x - 1.0) ** 2 * 3 + x, -8.0, 7.0),
+        (lambda x: max(x - 1.5, 4.0 * (1.5 - x), -1.0), -6.0, 8.0),
+    ])
+    def test_edges_match_scipy(self, f, a, b):
+        got, want = self._both(f, a, b)
+        assert got == want
 
 
 class TestTvCoverage:

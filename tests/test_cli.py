@@ -558,7 +558,8 @@ class TestMinusInfModelScores:
     MLE's weights and still run."""
 
     FAR = ["--family", "gaussian-grid", "--eta", "1e300"]
-    MESSAGE = "error: the model gives some sample a log score of -inf\n"
+    MESSAGE = ("error: the model's log scores of some class sum to -inf: a sample scores -inf,"
+               " or the sum overflows\n")
 
     @pytest.fixture()
     def files(self, out):
@@ -567,6 +568,17 @@ class TestMinusInfModelScores:
 
     def test_experiment(self, out, capsys):
         argv = ["experiment", *self.FAR, "--trials", "1", "--n-grid", "3"]
+        assert run([*argv, "--out-dir", out]) == 1
+        assert capsys.readouterr().err == self.MESSAGE
+
+    def test_experiment_whose_finite_scores_overflow_in_a_sum(self, out, capsys):
+        # at eta 1e153 every score is finite (the least is about -1.1e307),
+        # but 50 of them sum past the float range
+        truth, perm, _ = resolve_model(ExperimentSpec("gaussian_grid", k=2, eta=1e153))
+        scores = truth.log_scores(sample_labeled(truth, perm, 50, np.random.default_rng(0)).x)
+        assert np.all(np.isfinite(scores)) and scores.min() < -1e307
+        argv = ["experiment", "--family", "gaussian-grid", "--k", "2", "--eta", "1e153",
+                "--trials", "2", "--n-grid", "5,50"]
         assert run([*argv, "--out-dir", out]) == 1
         assert capsys.readouterr().err == self.MESSAGE
 
@@ -721,6 +733,9 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps([steps, len(roots)]))
 """
 
+_LSAP_ONLY = ({"scipy.optimize._lsap"},
+              {"scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.integrate", "scipy.special"})
+
 # One process runs these in order, from the fewest scipy modules loaded to the
 # most. Each row gives the scipy modules loaded once it has run: None for no
 # scipy module at all, else (modules it has loaded, modules it has not).
@@ -755,13 +770,18 @@ _SCIPY_STEPS = [
                                  "500", "--out-dir", "gap-mle2"], None),
     ("experiment --k 2", ["experiment", "--family", "gaussian-grid", "--k", "2", "--n-grid",
                           "4,8", "--trials", "2", "--out-dir", "exp2"], None),
+    # at K = 3 the matching MLE loads scipy's compiled assignment solver at its
+    # first solve, and none of the scipy.optimize package around it
+    ("estimate --method mle", ["estimate", "--mixture", "gen/mixture.json", "--data",
+                               "gen/data.csv", "--method", "mle", "--out-dir", "mle"], _LSAP_ONLY),
+    ("analyze --gap-mle", ["analyze", "--truth", "gen/mixture.json", "--gap-mle", "--mc", "500",
+                           "--out-dir", "gap-mle"], _LSAP_ONLY),
+    ("experiment --k 3", ["experiment", "--family", "gaussian-grid", "--k", "3", "--n-grid",
+                          "4,8", "--trials", "2", "--out-dir", "exp"], _LSAP_ONLY),
     # the 1-d mixture pairs are integrated and root-found without scipy's
     # solvers; their CDF differences load scipy.special
     ("1-d --w1", ["analyze", "--w1", "a.json", "b.json", "--out-dir", "w1"],
      ({"scipy.special"}, {"scipy.optimize", "scipy.integrate"})),
-    # a K = 3 experiment's matching MLE loads scipy.optimize at its first solve
-    ("experiment --k 3", ["experiment", "--family", "gaussian-grid", "--k", "3", "--n-grid",
-                          "4,8", "--trials", "2", "--out-dir", "exp"], ({"scipy.optimize"}, set())),
 ]
 
 
@@ -800,6 +820,24 @@ def test_each_command_loads_only_the_scipy_modules_it_needs(tmp_path):
             assert present <= set(loaded) and not absent & set(loaded), (name, loaded)
     # the 1-d TV between mixtures found its sign changes with the brentq port
     assert roots > 0
+
+
+def test_chernoff_exponent_loads_no_scipy(tmp_path):
+    # the bounded search is a port of scipy's, so no scipy.optimize (nor the
+    # scipy.linalg it would bring) loads for it
+    script = (
+        "import sys\n"
+        "from permlearn import Gaussian, MixingMeasure, chernoff_exponent\n"
+        "m = MixingMeasure([0.5, 0.5], [Gaussian([0.0], [[1.0]]), Gaussian([2.0], [[1.0]])])\n"
+        "assert not chernoff_exponent(m, 1, 0.05, samples=2000).diverged\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout.split() == ["[]"]
 
 
 # The fuzzer: malformed mixture JSON, spec JSON, data CSV and analyze numbers

@@ -1,5 +1,9 @@
+import importlib.machinery
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -222,6 +226,47 @@ def test_two_class_recovery_makes_no_scipy_solve(monkeypatch):
 
     monkeypatch.setattr(matching, "linear_sum_assignment", refuse)
     assert run_recovery_experiment(spec).points == expected
+
+
+_LOAD_ORDER = """
+import sys
+import numpy as np
+from permlearn import matching
+
+matching.max_weight_assignments(np.eye(3)[np.newaxis])
+loaded = sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
+import scipy.optimize
+
+print(loaded, scipy.optimize.linear_sum_assignment is matching.linear_sum_assignment)
+"""
+
+
+def test_the_solver_loaded_alone_is_scipy_optimizes_own():
+    # a K = 3 solve loads the extension alone; the package imported after it
+    # exports the same function, so each later solve breaks ties the same way
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(matching.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _LOAD_ORDER], env=env, check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout.split() == ["['scipy.optimize._lsap']", "True"]
+
+
+def test_without_the_extension_file_the_public_solver_is_bound(monkeypatch):
+    rng = np.random.default_rng(5)
+    zero_rows = rng.normal(size=(40, 5, 5))
+    zero_rows[:, :3] = 0.0  # three classes that saw no labelled point
+    tied = rng.integers(-1, 2, size=(40, 5, 5)).astype(float)
+    cases = [zero_rows, tied, np.zeros((1, 5, 5))]
+    expected = [max_weight_assignments(w) for w in cases]
+
+    monkeypatch.delitem(vars(matching), "linear_sum_assignment", raising=False)
+    monkeypatch.delitem(sys.modules, "scipy.optimize._lsap")
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        classmethod(lambda cls, name, path=None, target=None: None))
+    assert matching.linear_sum_assignment is linear_sum_assignment
+    for w, cols in zip(cases, expected):
+        np.testing.assert_array_equal(max_weight_assignments(w), cols)
 
 
 def test_brute_force_limit():
