@@ -75,16 +75,17 @@ def _largest_stable_tilt(grid: np.ndarray, lse: _TiltedLogSumExp, floor: float) 
     return None
 
 
-def _fminbound(func, a: float, b: float, xatol: float = 1e-5, maxfun: int = 500):
+def _fminbound(func, a: float, b: float):
     """``(x, func(x))`` at a minimum of func on [a, b], as scipy finds it.
 
     A line-for-line port of scipy 1.17.1's ``_minimize_scalar_bounded``
-    (``minimize_scalar(method="bounded")``) with its defaults, so the search
-    needs no scipy.optimize: the same points are visited in the same order
-    and the returned pair has the bits of scipy's ``x`` and ``fun``. a < b are
-    finite. Stops after ``maxfun`` evaluations without an error, as scipy
-    does; scipy's status flags are not kept.
+    (``minimize_scalar(method="bounded")``) with its defaults, xatol 1e-5 and
+    500 evaluations, so the search needs no scipy.optimize: the same points
+    are visited in the same order and the returned pair has the bits of
+    scipy's ``x`` and ``fun``. a < b are finite. Stops after 500 evaluations
+    without an error, as scipy does; scipy's status flags are not kept.
     """
+    xatol, maxfun = 1e-5, 500
     sqrt_eps = math.sqrt(2.2e-16)
     golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
     fulc = a + golden_mean * (b - a)

@@ -86,10 +86,11 @@ def _load_lsap():
     The function lives in the extension module ``scipy.optimize._lsap``,
     which needs only numpy. It is executed from its file and registered in
     ``sys.modules`` under its full name, so a later ``import scipy.optimize``
-    reuses it and exports this very function. It is registered only once
-    executed, so no thread sees it half made, and the first registration
-    wins a race. Where no such file exists, the public name is imported
-    with its package.
+    reuses it and exports this very function. CPython may register an
+    extension while creating it, before it runs; ``setdefault`` keeps
+    whichever module object is registered, and its function is the same
+    either way. Where no such file exists, the public name is imported with
+    its package.
     """
     name = "scipy.optimize._lsap"
     module = sys.modules.get(name)
