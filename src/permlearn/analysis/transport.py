@@ -20,6 +20,8 @@ integrand is bounded by 2 (label ``"mc"``). In one dimension:
   vectorised step and splits each subinterval not yet within its share of
   the tolerance: at a root of f - g where f - g changes sign among its
   nodes, so |f - g| is smooth on both halves, and otherwise at its midpoint.
+  Roots come from scipy's compiled ``brentq`` solver, loaded without the
+  ``scipy.optimize`` package.
   A part far narrower than the subintervals next to the breakpoint it was
   thinned onto gets a window around that breakpoint, graded at 1, 4 and 8
   of its standard deviations from its own centre and integrated in the
@@ -43,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..matching import _load_extension
 from ..mixtures import ComponentDensity, Gaussian, MixingMeasure, _check_atoms
 
 __all__ = [
@@ -238,80 +241,24 @@ def _gk21(f: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return value, np.maximum(50.0 * np.finfo(float).eps * value, err)
 
 
-def _div(num: float, den: float) -> float:
-    """num / den with C's IEEE result for a zero divisor: signed inf, or nan."""
-    if den != 0.0:
-        return num / den
-    if num == 0.0 or math.isnan(num):
-        return math.nan
-    return math.copysign(math.inf, num) * math.copysign(1.0, den)
+def _brentq(f, a: float, b: float) -> float:
+    """A root of f in [a, b] by scipy's compiled ``brentq``, without scipy.optimize.
 
-
-def _brentq(
-    f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4.0 * math.ulp(1.0),
-    maxiter: int = 100,
-) -> float:
-    """A root of f in [a, b] by Brent's method, bit for bit as scipy's brentq.
-
-    A line-for-line port of scipy's ``brentq.c`` with its defaults, so 1-d TV
-    needs no scipy.optimize. f is called with Python floats; a nan value
-    raises ``ValueError``, as do values of one sign at the ends, and no
-    convergence within ``maxiter`` iterations raises ``RuntimeError``.
+    The solver of ``scipy.optimize._zeros`` is called as ``brentq`` calls it
+    with its defaults (xtol 2e-12, rtol 4 ulp(1), 100 iterations), behind
+    the same NaN check, so each root has ``brentq``'s bits. f is called with
+    Python floats; a nan value raises ``ValueError``, as do values of one
+    sign at the ends, and no convergence raises ``RuntimeError``.
     """
 
-    def call(x: float) -> float:
-        fx = float(f(x))
+    def checked(x: float):
+        fx = f(x)
         if math.isnan(fx):
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
 
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
-            else:
-                # extrapolate
-                dpre = _div(fpre - fcur, xpre - xcur)
-                dblk = _div(fblk - fcur, xblk - xcur)
-                stry = _div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
-            limit = abs(spre) if abs(spre) < 3 * abs(sbis) - delta else 3 * abs(sbis) - delta
-            if 2 * abs(stry) < limit:
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur:f}")
+    solver = _load_extension("scipy.optimize._zeros", "_brentq")
+    return solver(checked, a, b, 2e-12, 4.0 * math.ulp(1.0), 100, (), False, True)
 
 
 def _root(fn, a: float, b: float) -> float:

@@ -6,8 +6,9 @@ a min-cost assignment on negated weights, so tie tolerances below refer to
 total weights of whole permutations. At K = 2 a closed form follows scipy's
 solver decision for decision, exact ties included, and loads no scipy. Larger
 K call scipy's compiled solver, the ``scipy.optimize._lsap`` extension, which
-is loaded from its file at the first such solve without the rest of the
-``scipy.optimize`` package.
+``_load_extension`` loads from its file at the first such solve without the
+rest of the ``scipy.optimize`` package; 1-d TV loads its root finder the same
+way.
 """
 
 from __future__ import annotations
@@ -75,38 +76,37 @@ def __getattr__(name: str):
     # lookup stores it in the module __dict__, so tests and perfbench's tracer
     # patch and restore it as an imported name.
     if name == "linear_sum_assignment":
-        value = globals()[name] = _load_lsap()
+        value = globals()[name] = _load_extension("scipy.optimize._lsap", name)
         return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _load_lsap():
-    """scipy's ``linear_sum_assignment``, loaded without ``scipy.optimize``.
+def _load_extension(name: str, attr: str):
+    """``attr`` of scipy's compiled extension module ``name``, without its package.
 
-    The function lives in the extension module ``scipy.optimize._lsap``,
-    which needs only numpy. It is executed from its file and registered in
+    The assignment solver (``scipy.optimize._lsap``) and the root finder
+    behind ``brentq`` (``scipy.optimize._zeros``) live in such modules, which
+    need only numpy. The module is executed from its file and registered in
     ``sys.modules`` under its full name, so a later ``import scipy.optimize``
-    reuses it and exports this very function. CPython may register an
+    reuses it and uses this very attribute. CPython may register an
     extension while creating it, before it runs; ``setdefault`` keeps
-    whichever module object is registered, and its function is the same
-    either way. Where no such file exists, the public name is imported with
-    its package.
+    whichever module object is registered, and its attribute is the same
+    either way. Where no such file exists, the attribute is bound through
+    the imported package.
     """
-    name = "scipy.optimize._lsap"
     module = sys.modules.get(name)
     if module is None:
         import scipy
 
-        paths = [os.path.join(path, "optimize") for path in scipy.__path__]
+        package, _, leaf = name.rpartition(".")
+        paths = [os.path.join(path, *package.split(".")[1:]) for path in scipy.__path__]
         spec = importlib.machinery.PathFinder.find_spec(name, paths)
         if spec is None:
-            from scipy.optimize import linear_sum_assignment
-
-            return linear_sum_assignment
+            return getattr(getattr(importlib.import_module(package), leaf), attr)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         module = sys.modules.setdefault(name, module)
-    return module.linear_sum_assignment
+    return getattr(module, attr)
 
 
 def _columns(w: np.ndarray) -> np.ndarray:

@@ -59,6 +59,8 @@ def test_exports_resolve_and_estimator_table_is_public():
         # brute_force_matching scores the whole cached _lex_table in one gather
         "_lex_chunks": ("permlearn.matching",),
         "_TABLE_K": ("permlearn.matching",),
+        # the brentq port's IEEE division; 1-d TV calls scipy's compiled solver
+        "_div": ("permlearn.analysis.transport",),
     }
     for name, places in gone.items():
         for place in places:
@@ -84,6 +86,8 @@ def test_knobs_that_select_nothing_are_gone():
         (harness.generate_true_mixture, "seed"),
     ):
         assert name not in inspect.signature(fn).parameters, fn.__name__
+    # 1-d TV roots take brentq's defaults, which nothing overrides
+    assert list(inspect.signature(transport._brentq).parameters) == ["f", "a", "b"]
 
 
 def test_members_that_restate_another_path_are_gone():
@@ -246,7 +250,7 @@ _PRIVATE_IMPORTS = {
         "mixtures": ["_label_from_scores"],
     },
     "analysis.risk": {"analysis.gaps": ["_gaps_and_risk"]},
-    "analysis.transport": {"mixtures": ["_check_atoms"]},
+    "analysis.transport": {"matching": ["_load_extension"], "mixtures": ["_check_atoms"]},
     "cli": {
         "analysis.gaps": ["_gaps_and_risk"],
         "estimators": ["_estimate"],

@@ -8,9 +8,17 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import brentq, linear_sum_assignment
 
-from permlearn import Permutation, brute_force_matching, matching, max_weight_matching
+from permlearn import (
+    Gaussian,
+    GaussianMixture,
+    Permutation,
+    brute_force_matching,
+    matching,
+    max_weight_matching,
+    tv_distance,
+)
 from permlearn.harness import ExperimentSpec, run_recovery_experiment
 from permlearn.matching import (
     TIE_TOL,
@@ -252,21 +260,72 @@ def test_the_solver_loaded_alone_is_scipy_optimizes_own():
     assert proc.stdout.split() == ["['scipy.optimize._lsap']", "True"]
 
 
-def test_without_the_extension_file_the_public_solver_is_bound(monkeypatch):
+_TV_LOAD_ORDER = """
+import sys
+from permlearn import Gaussian, GaussianMixture, tv_distance
+
+
+def mixture(means, sds):
+    return GaussianMixture([0.3, 0.7], [Gaussian([m], [[s * s]]) for m, s in zip(means, sds)])
+
+
+called = set()
+sys.setprofile(lambda frame, event, arg: event == "c_call" and arg.__name__ == "_brentq"
+               and called.add(arg))
+tv_distance(mixture([-1.0, 0.5], [0.4, 1.1]), mixture([-0.8, 1.2], [0.5, 0.9]))
+sys.setprofile(None)
+loaded = sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
+import scipy.optimize
+
+print(loaded, called == {scipy.optimize.brentq.__globals__["_zeros"]._brentq})
+"""
+
+
+def test_the_root_finder_loaded_alone_is_scipy_brentqs_own():
+    # a 1-d mixture TV loads the extension behind brentq alone, and the
+    # package imported after it calls the same compiled function
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(matching.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _TV_LOAD_ORDER], env=env, check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout.split() == ["['scipy.optimize._zeros']", "True"]
+
+
+def _assignments():
     rng = np.random.default_rng(5)
     zero_rows = rng.normal(size=(40, 5, 5))
     zero_rows[:, :3] = 0.0  # three classes that saw no labelled point
     tied = rng.integers(-1, 2, size=(40, 5, 5)).astype(float)
-    cases = [zero_rows, tied, np.zeros((1, 5, 5))]
-    expected = [max_weight_assignments(w) for w in cases]
+    return [max_weight_assignments(w).tolist() for w in (zero_rows, tied, np.zeros((1, 5, 5)))]
 
+
+def _mixture_tvs():
+    rng = np.random.default_rng(5)
+    pairs = []
+    for _ in range(4):
+        f, g = (GaussianMixture(rng.dirichlet(np.ones(3)), [
+            Gaussian([m], [[s * s]]) for m, s in zip(rng.normal(size=3), rng.uniform(0.3, 1.5, 3))
+        ]) for _ in range(2))
+        pairs.append(tv_distance(f, g))
+    return pairs
+
+
+@pytest.mark.parametrize("name, attr, public, solve", [
+    ("scipy.optimize._lsap", "linear_sum_assignment", linear_sum_assignment, _assignments),
+    ("scipy.optimize._zeros", "_brentq", brentq.__globals__["_zeros"]._brentq, _mixture_tvs),
+], ids=["_lsap", "_zeros"])
+def test_without_the_extension_file_the_public_solver_is_bound(monkeypatch, name, attr, public,
+                                                               solve):
+    expected = solve()
+    looked = []
     monkeypatch.delitem(vars(matching), "linear_sum_assignment", raising=False)
-    monkeypatch.delitem(sys.modules, "scipy.optimize._lsap")
+    monkeypatch.delitem(sys.modules, name)
     monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
-                        classmethod(lambda cls, name, path=None, target=None: None))
-    assert matching.linear_sum_assignment is linear_sum_assignment
-    for w, cols in zip(cases, expected):
-        np.testing.assert_array_equal(max_weight_assignments(w), cols)
+                        classmethod(lambda cls, name, path=None, target=None: looked.append(name)))
+    assert solve() == expected
+    assert set(looked) == {name}
+    assert matching._load_extension(name, attr) is public
 
 
 def test_brute_force_limit():
