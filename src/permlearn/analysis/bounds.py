@@ -293,12 +293,25 @@ def required_sample_size(k: int, delta: float, method: str, value: float) -> int
         raise ValueError("k, delta and value give a sample size too large for a float") from None
 
 
+def _binomial_cdf(k: int, n, p: float) -> float:
+    """P(Bin(n, p) <= k) rounded up: its k + 1 terms summed in log space, plus
+    a few ulp of the magnitudes summed in each logarithm."""
+    if k < 0 or k >= n or p in (0.0, 1.0):
+        return float(k >= 0 and (k >= n or p == 0.0))
+    lgn, lp, lq = math.lgamma(n + 1), math.log(p), math.log1p(-p)
+    logs = [lgn - math.lgamma(j + 1) - math.lgamma(n - j + 1) + j * lp + (n - j) * lq
+            for j in range(int(k) + 1)]
+    # lgamma(j + 1) + lgamma(n - j + 1) <= lgamma(n + 1) for whole j
+    slack = 4.0 * sys.float_info.epsilon * (2.0 * lgn - n * (lp + lq) + len(logs))
+    top = max(logs)
+    return math.exp(top + slack) * math.fsum(math.exp(v - top) for v in logs)
+
+
 def min_count_probability(n: int, probs, m: int) -> float:
     """Lower bound on ``P(every class appears >= m times among n draws)``.
 
-    Uses one additive Hoeffding-style term per class:
-    ``1 - sum_k exp(-2 (n p_k - m)^2 / (n p_k))``, where classes with
-    ``n p_k <= m`` contribute a full unit (no guarantee for them).
+    A union bound over the classes: ``1 - sum_k P(Bin(n, p_k) <= m - 1)``,
+    clamped into [0, 1], with each binomial tail summed exactly.
     """
     _check_count("n", n, 1)
     _check_count("m", m, 0)
@@ -307,9 +320,5 @@ def min_count_probability(n: int, probs, m: int) -> float:
         raise ValueError("probs must be a probability vector")
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("probs must sum to 1")
-    expect = n * p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(
-            expect > m, np.exp(-2.0 * (expect - m) ** 2 / expect), 1.0
-        )
-    return _clamp01(1.0 - float(terms.sum()))
+    below = math.ceil(m) - 1
+    return _clamp01(1.0 - math.fsum(_binomial_cdf(below, n, pk) for pk in p.tolist()))

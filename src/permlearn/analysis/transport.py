@@ -11,25 +11,15 @@ integrand is bounded by 2 (label ``"mc"``). In one dimension:
   quadratic, and TV is the difference of their normal-CDF masses between the
   crossings (half-width 0);
 * every other pair (Gaussian mixtures and kernel density estimates, alone or
-  against a Gaussian) is written as one signed Gaussian mixture f - g, whose
-  absolute value an adaptive 21-point Gauss-Kronrod rule (QUADPACK's qk21
-  nodes, weights and error estimate) integrates out to 10 standard
-  deviations beyond the outermost parts, with breakpoints at the part
-  centres, thinned to at least the smallest part standard deviation apart.
-  Each pass of the rule evaluates the nodes of every live subinterval in one
-  vectorised step and splits each subinterval not yet within its share of
-  the tolerance: at a root of f - g where f - g changes sign among its
-  nodes, so |f - g| is smooth on both halves, and otherwise at its midpoint.
-  Roots come from scipy's compiled ``brentq`` solver, loaded without the
-  ``scipy.optimize`` package.
-  A part far narrower than the subintervals next to the breakpoint it was
-  thinned onto gets a window around that breakpoint, graded at 1, 4 and 8
-  of its standard deviations from its own centre and integrated in the
-  offset from the breakpoint. The CDF differences between the sign changes
-  of f - g at the rule's nodes, and between the two roots of any dip of
-  f - g through 0 between two nodes, give a second, partition-based value;
-  the larger of the two is reported, and their disagreement widens the
-  half-width.
+  against a Gaussian) is written as one signed Gaussian mixture f - g, and
+  TV is half the sum of |F - G| differences between the roots of f - g.
+  Each part lays a ladder of nodes at 0, 1, 2, 3, 6 and 10 of its standard
+  deviations either side of its centre. A gap between two nodes whose values
+  have one sign is proved root-free by a bound on the slope of f - g there,
+  or on its curvature, or split until it is; each sign change is refined by
+  scipy's compiled ``brentq`` solver, loaded without the ``scipy.optimize``
+  package. The half-width bounds the TV that a dip of f - g through 0 could
+  hide in the gaps left unproved, plus the roundoff of the CDF sums.
 
 The transport distance couples two measures' weight vectors under the
 pairwise TV cost; the coupling is the optimum of the transportation linear
@@ -40,7 +30,6 @@ spanning-tree basis) from a least-cost start.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,15 +50,14 @@ MAX_ATOMS = 64
 
 def __getattr__(name: str):
     # quad is not called here; perfbench/layers.py and its tests patch this
-    # name. scipy.integrate loads only when one of these names is looked up,
-    # and the first lookup stores it in the module __dict__, where the
-    # tracer's patch reads the original. quad can go once perfbench/layers.py
-    # drops _counting_quad.
-    if name in ("quad", "IntegrationWarning"):
-        import scipy.integrate
+    # name. scipy.integrate loads only when it is looked up, and the first
+    # lookup stores it in the module __dict__, where the tracer's patch reads
+    # the original. quad can go once perfbench/layers.py drops _counting_quad.
+    if name == "quad":
+        from scipy.integrate import quad
 
-        value = globals()[name] = getattr(scipy.integrate, name)
-        return value
+        globals()[name] = quad
+        return quad
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -79,10 +67,9 @@ class TvEstimate:
 
     ``method`` is ``"quadrature"`` for every deterministic 1-d route: the
     half-width is 0 for identical atoms and for the closed form between two
-    Gaussians, and otherwise half the larger of the Gauss-Kronrod rule's
-    summed error estimate and the gap between the rule's value and the
-    partition-based value. Monte Carlo (``"mc"``) reports three standard
-    errors.
+    Gaussians, and otherwise bounds the TV that a dip of f - g through 0
+    could hide in the gaps between nodes left unproved, plus the roundoff of
+    the CDF sums. Monte Carlo (``"mc"``) reports three standard errors.
     """
 
     value: float
@@ -137,108 +124,74 @@ def _gaussian_parts(d: ComponentDensity) -> tuple[np.ndarray, np.ndarray, np.nda
     return d._table.weights, d._table.means[:, 0], d._table.chol[:, 0, 0]
 
 
-def _breakpoints(centres: np.ndarray, spacing: float) -> list[float]:
-    """Sorted centres, dropping any closer than ``spacing`` to the last kept."""
-    kept: list[float] = []
-    for x in np.sort(centres):
-        if not kept or x - kept[-1] >= spacing:
-            kept.append(float(x))
-    return kept
-
-
-# A part narrower than _NARROW_RATIO times the longer subinterval next to the
-# breakpoint it was thinned onto is a spike that the rule's first nodes there
-# step over. It is integrated on a window of its own with breakpoints at these
-# offsets from its centre, in its standard deviations.
-_NARROW_RATIO = 1e-3
-_NARROW_OFFSETS = np.array([-8.0, -4.0, -1.0, 0.0, 1.0, 4.0, 8.0])
-
-
-def _narrow_windows(
-    kept: list[float], lo: float, hi: float, mu: np.ndarray, sds: np.ndarray
-) -> dict[float, list[float]]:
-    """Kept breakpoint -> sorted offsets from it of its narrow parts' window.
-
-    ``_breakpoints`` thins each part onto the kept breakpoint at or below its
-    centre, less than the smallest standard deviation away. Each narrow part
-    thinned onto a breakpoint adds its own offset plus ``_NARROW_OFFSETS`` of
-    its standard deviations, and the breakpoint itself stays at offset 0. The
-    first and last offsets are the window's ends. A window reaches at most
-    half way to the neighbouring breakpoints or envelope ends, so the windows
-    are disjoint and hold no other breakpoint.
-    """
-    edges = np.array([lo, *kept, hi])
-    gaps = np.diff(edges)
-    # lo < kept[0] = min(mu) and mu < hi, so 1 <= k <= len(kept)
-    k = np.searchsorted(edges, mu, side="right") - 1
-    narrow = sds < _NARROW_RATIO * np.maximum(gaps[k - 1], gaps[k])
-    windows = {}
-    for kk in np.unique(k[narrow]):
-        at = narrow & (k == kk)
-        c = edges[kk]
-        spread = (mu[at] - c)[:, np.newaxis] + sds[at, np.newaxis] * _NARROW_OFFSETS
-        offsets = np.unique(np.append(spread, 0.0))
-        a, b = max(-0.5 * gaps[kk - 1], offsets[0]), min(0.5 * gaps[kk], offsets[-1])
-        windows[float(c)] = [a, *offsets[(offsets > a) & (offsets < b)].tolist(), b]
-    return windows
-
-
-# QUADPACK's qk21: the 21 Gauss-Kronrod nodes on [-1, 1] in ascending order,
-# their Kronrod weights, and the 10-point Gauss weights on the same nodes (0 on
-# the Kronrod-only ones).
-_XGK = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0,
-])
-_WGK = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077208814748328, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-])
-_WG = np.array([
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-])
-_GK_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
-_GK_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
-_G_WEIGHTS = np.zeros(21)
-_G_WEIGHTS[1:10:2] = _WG
-_G_WEIGHTS[19:10:-2] = _WG
-# Nodes x parts entries of one evaluation block. Its 64 KB buffer stays in
-# cache, and a matrix-vector product this small runs on the calling thread
-# (OpenBLAS threads it from 9216 entries). Blocks of 32768 entries with a
-# fresh temporary per step took 2-3 times as long on 2100-8400 nodes x 25
-# parts.
+# Each part lays nodes at these offsets from its centre, in its standard
+# deviations, floored onto a grid of half of one, so that parts of one width
+# (a KDE's kernels) share nodes.
+_LADDER = np.array([-10.0, -6.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 6.0, 10.0])
+# A part's slope is 2 |coef| scale |t| exp(-t^2) in size, largest at 1 standard
+# deviation from its centre; its curvature 4 |coef| scale^2 |t^2 - 1/2|
+# exp(-t^2), largest at its centre and, away from it, sqrt(3) out.
+_MARKS = np.array([-1.0, 1.0, -math.sqrt(3.0), math.sqrt(3.0), 0.0])
+_STEEPEST, _BENDIEST = math.sqrt(0.5) * math.exp(-0.5), math.exp(-1.5)
+# Nodes x parts entries of one evaluation block: its 64 KB buffers stay in
+# cache, and OpenBLAS runs a matrix-vector product this small on the calling
+# thread (it threads from 9216 entries).
 _BLOCK = 8192
-# The adaptive rule stops at this many subintervals plus the breakpoints, as
-# quad's ``limit`` did.
-_LIMIT = 200
+# An unproved gap is split into at most _PIECES pieces at a time, until it
+# could hide at most _NEGLIGIBLE of TV, at float resolution, or until the
+# nodes beyond the ladder would pass _NODE_BUDGET.
+_PIECES, _NEGLIGIBLE, _NODE_BUDGET = 16, 1e-17, 65536
 
 
-def _gk21(f: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QUADPACK's qk21 on each row of a nonnegative integrand at ``_GK_NODES``.
+class _SignedMixture:
+    """f - g as sum_i coef_i exp(-t_i^2) with t_i = (x - mu_i) scale_i."""
 
-    Returns each interval's Kronrod value and QUADPACK's error estimate: the
-    Kronrod-Gauss difference, scaled by ``resasc`` (the integral of the
-    integrand's deviation from its mean), and never below 50 machine epsilons
-    of the value.
-    """
-    resk = f @ _GK_WEIGHTS
-    resasc = (np.abs(f - 0.5 * resk[:, np.newaxis]) @ _GK_WEIGHTS) * half
-    err = np.abs((f @ (_GK_WEIGHTS - _G_WEIGHTS)) * half)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-    value = resk * half
-    return value, np.maximum(50.0 * np.finfo(float).eps * value, err)
+    def __init__(self, weights: np.ndarray, mu: np.ndarray, sds: np.ndarray):
+        self.mu = mu
+        self.coef = weights / (sds * math.sqrt(2.0 * math.pi))
+        self.scale = 1.0 / (sds * math.sqrt(2.0))
+        self.slope = 2.0 * np.abs(self.coef) * self.scale
+        self.curve = 2.0 * self.slope * self.scale
+        self.marks = (mu + sds * _MARKS[:, np.newaxis]).ravel()
+        self.part = np.tile(np.arange(mu.size), _MARKS.size)
+
+    def __call__(self, u: float) -> float:
+        t = (u - self.mu) * self.scale
+        return float(np.exp(-(t * t)) @ self.coef)
+
+    def scan(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """f - g at the sorted nodes x, and bounds on its slope and curvature
+        between neighbours, from each part's largest |t| exp(-t^2) and
+        |t^2 - 1/2| exp(-t^2) there: at the ends, or at _MARKS between them."""
+        mu, p = self.mu, self.mu.size
+        h, bound, bend = np.empty(x.size), np.empty(x.size - 1), np.empty(x.size - 1)
+        gap = np.searchsorted(x, self.marks) - 1
+        rows = max(2, _BLOCK // p)
+        for i in range(0, max(x.size - 1, 1), rows - 1):
+            j = min(i + rows, x.size)
+            t = np.subtract.outer(x[i:j], mu)
+            t *= self.scale
+            sq = np.square(t)
+            e = np.negative(sq)
+            np.exp(e, out=e)
+            h[i:j] = e @ self.coef
+            here = np.flatnonzero((gap >= i) & (gap < j - 1))
+            at, part = gap[here] - i, self.part[here]
+            steep, bent = np.searchsorted(here, (2 * p, 4 * p))
+            np.abs(t, out=t)
+            t *= e
+            top = np.maximum(t[:-1], t[1:])
+            top[at[:steep], part[:steep]] = _STEEPEST
+            bound[i : j - 1] = top @ self.slope
+            sq -= 0.5
+            np.abs(sq, out=sq)
+            sq *= e
+            np.maximum(sq[:-1], sq[1:], out=top)
+            side = at[steep:bent], part[steep:bent]
+            top[side] = np.maximum(top[side], _BENDIEST)
+            top[at[bent:], part[bent:]] = 0.5
+            bend[i : j - 1] = top @ self.curve
+        return h, bound, bend
 
 
 def _brentq(f, a: float, b: float) -> float:
@@ -265,89 +218,13 @@ def _root(fn, a: float, b: float) -> float:
     """A root of fn between two nodes whose values have opposite signs.
 
     Node values and fn round differently near a root: when fn's values at the
-    ends no longer straddle 0, the end where |fn| is smaller is the root.
+    ends no longer have opposite signs (compared, not multiplied, which
+    underflows), the end where |fn| is smaller is the root.
     """
     fa, fb = fn(a), fn(b)
-    if fa * fb < 0.0:
+    if fa < 0.0 < fb or fb < 0.0 < fa:
         return _brentq(fn, a, b)
     return a if abs(fa) <= abs(fb) else b
-
-
-def _dip_roots(fn, x: np.ndarray, h: np.ndarray) -> list[float]:
-    """Pairs of roots of fn that fall between sorted nodes x of one sign.
-
-    Where |h| = |fn(x)| has a local minimum at a node without a sign change,
-    fn is also taken at the vertex of the parabola through that node and its
-    two neighbours. Where fn has the other sign there, it dips through 0 and
-    back, and both roots are returned.
-    """
-    x0, x1, x2, h0, h1, h2 = x[:-2], x[1:-1], x[2:], h[:-2], h[1:-1], h[2:]
-    low = (h0 * h1 > 0.0) & (h1 * h2 > 0.0) & (np.abs(h1) <= np.minimum(np.abs(h0), np.abs(h2)))
-    x0, x1, x2, h0, h1, h2 = (v[low] for v in (x0, x1, x2, h0, h1, h2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = (h1 - h0) / (x1 - x0)
-        curve = ((h2 - h1) / (x2 - x1) - slope) / (x2 - x0)
-        v = 0.5 * (x0 + x1) - 0.5 * slope / curve
-    inside = np.flatnonzero(np.isfinite(v) & (v > x0) & (v < x2) & (v != x1))
-    dips = inside[fn(v[inside]) * h1[inside] <= 0.0]
-    roots = []
-    for k in dips.tolist():
-        left, right = (x1[k], x2[k]) if v[k] > x1[k] else (x0[k], x1[k])
-        roots += [_root(fn, left, v[k]), _root(fn, v[k], right)]
-    return roots
-
-
-def _integrate_abs(fn, a: float, b: float, points: list[float]):
-    """Integral of |fn| over [a, b] by an adaptive 21-point Gauss-Kronrod rule.
-
-    ``fn`` maps a float to a float and an array to one value per entry. Each
-    pass evaluates the nodes of every live subinterval at once, starting from
-    the partition at ``points``. A subinterval is done when its error
-    estimate is within its length's share of the tolerance
-    max(1e-10, 1e-10 |total|), and all are once the estimates sum to within
-    it, as quad stops (next to a part 1e-8 wide, the roundoff floor per unit
-    length exceeds the share). Every other one is split: at a root of fn where fn changes sign
-    among its nodes, so that |fn| is smooth on both halves, and otherwise at
-    its midpoint. Past ``_LIMIT`` plus the breakpoints subintervals, the
-    largest errors are split, the rest are kept with their error, and an
-    ``IntegrationWarning`` is emitted. Returns the integral, the summed error
-    estimate, and every node with fn's value there.
-    """
-    lo, hi = np.array([a, *points]), np.array([*points, b])
-    cap, count, capped = _LIMIT + len(points), lo.size, False
-    value, err, nodes, values = 0.0, 0.0, [], []
-    while lo.size:
-        half = 0.5 * (hi - lo)
-        u = (lo + half)[:, np.newaxis] + half[:, np.newaxis] * _GK_NODES
-        h = fn(u.ravel()).reshape(u.shape)
-        nodes.append(u.ravel())
-        values.append(h.ravel())
-        part, part_err = _gk21(np.abs(h), half)
-        tol = max(1e-10, 1e-10 * abs(value + part.sum()))
-        split = (part_err > tol * (2.0 * half) / (b - a)) & (err + part_err.sum() > tol)
-        if np.count_nonzero(split) > cap - count:
-            capped = True
-            worst = np.flatnonzero(split)[np.argsort(-part_err[split], kind="stable")]
-            split[worst[cap - count :]] = False
-        value += part[~split].sum()
-        err += part_err[~split].sum()
-        count += np.count_nonzero(split)
-        u, h, cut = u[split], h[split], (lo + half)[split]
-        change = h[:, :-1] * h[:, 1:] < 0.0
-        for i in np.flatnonzero(change.any(axis=1)):
-            k = int(change[i].argmax())
-            cut[i] = _root(fn, u[i, k], u[i, k + 1])
-        lo, hi = np.concatenate([lo[split], cut]), np.concatenate([cut, hi[split]])
-    if capped:
-        from scipy.integrate import IntegrationWarning
-
-        warnings.warn(
-            f"TV quadrature reached its limit of {cap} subintervals; "
-            "the half-width carries the remaining error estimate",
-            IntegrationWarning,
-            stacklevel=5,
-        )
-    return float(value), float(err), np.concatenate(nodes), np.concatenate(values)
 
 
 def _tv_quadrature(f: ComponentDensity, g: ComponentDensity) -> TvEstimate:
@@ -356,81 +233,80 @@ def _tv_quadrature(f: ComponentDensity, g: ComponentDensity) -> TvEstimate:
     if isinstance(f, Gaussian) and isinstance(g, Gaussian):
         return TvEstimate(_tv_gaussians(f, g), 0.0, "quadrature")
 
-    # f - g as one signed Gaussian mixture; breakpoints at the part centres
-    # keep the rule from stepping over peaks narrower than its first nodes.
+    # f - g as one signed Gaussian mixture
     w_f, mu_f, sd_f = _gaussian_parts(f)
     w_g, mu_g, sd_g = _gaussian_parts(g)
     weights = np.concatenate([w_f, -w_g])
     mu = np.concatenate([mu_f, mu_g])
     sds = np.concatenate([sd_f, sd_g])
-    coef = weights / (sds * math.sqrt(2.0 * math.pi))
-    scale = 1.0 / (sds * math.sqrt(2.0))
-    step = max(1, _BLOCK // mu.size)
-    # the rule's nodes as x = centre + u and h = (f - g)(x)
-    node_x: list[np.ndarray] = []
-    node_h: list[np.ndarray] = []
-
-    def signed(u, shift: np.ndarray = -mu):
-        # f - g at x = u + centre, given shift = centre - mu: a float for a
-        # float u, and one value per entry for an array, in blocks of `step`
-        # entries, each worked on in place in one entries x parts buffer
-        if np.ndim(u) == 0:
-            t = (u + shift) * scale
-            return float(np.exp(-(t * t)) @ coef)
-        out = np.empty(len(u))
-        for i in range(0, len(u), step):
-            t = np.add.outer(u[i : i + step], shift)
-            t *= scale
-            t *= t
-            np.negative(t, out=t)
-            np.exp(t, out=t)
-            out[i : i + step] = t @ coef
-        return out
-
-    def integral_over(a: float, b: float, points: list[float], centre: float = 0.0):
-        # |f - g| at centre + u, integrated over u in [a, b]. Offsets from a
-        # narrow window's breakpoint stay exact where x = centre + u would
-        # round by a sizeable share of a part's standard deviation.
-        shift = centre - mu
-        value, err, u, h = _integrate_abs(lambda t: signed(t, shift), a, b, points)
-        node_x.append(centre + u)
-        node_h.append(h)
-        return value, err
-
-    # the mass beyond 10 standard deviations of every part is ~1e-23
     lo, hi = float((mu - 10.0 * sds).min()), float((mu + 10.0 * sds).max())
-    # the rule resolves parts down to 1e-12 of the envelope and 1e-15 of its ends
+    # parts narrower than 1e-12 of the span 10 standard deviations beyond
+    # every part, or than 1e-15 of its ends, fall between representable nodes
     if float(sds.min()) < 1e-12 * max(hi - lo, 1e-3 * max(-lo, hi)):
         raise ValueError("1-d TV cannot resolve a part this narrow against the others")
-    kept = _breakpoints(mu, float(sds.min()))
-    pieces, start = [], lo
-    for c, offsets in _narrow_windows(kept, lo, hi, mu, sds).items():
-        # window ends rounded onto the x axis, so windows and pieces meet exactly
-        a, b = c + offsets[0], c + offsets[-1]
-        pieces.append(integral_over(start, a, [p for p in kept if start < p < a]))
-        pieces.append(integral_over(a - c, b - c, offsets[1:-1], centre=c))
-        start = b
-    pieces.append(integral_over(start, hi, [p for p in kept if start < p < hi]))
-    integral, err = map(sum, zip(*pieces))
-
-    # The rule's error estimate misses a kink of |f - g| just inside a
-    # subinterval end, and there it reads low. Summing |F - G| differences
-    # over any partition also reads low, and over the sign changes of f - g
-    # it is exact, so take the larger of the two with the sign changes seen at
-    # the rule's nodes, and report their disagreement in the half-width.
-    x, h = np.concatenate(node_x), np.concatenate(node_h)
-    order = np.lexsort((h, x))  # by x, then h, as sorting the (x, h) pairs does
-    x, h = x[order], h[order]
-    cross = np.flatnonzero(h[:-1] * h[1:] < 0.0)
-    roots = np.sort(np.concatenate([
-        x[h == 0.0], [_root(signed, x[k], x[k + 1]) for k in cross], _dip_roots(signed, x, h)
-    ]))
+    # parts that f and g share would leave only roundoff: merge equal parts
+    if not set(zip(mu_f.tolist(), sd_f.tolist())).isdisjoint(zip(mu_g.tolist(), sd_g.tolist())):
+        parts, index = np.unique(mu + 1j * sds, return_inverse=True)
+        net = np.bincount(index, weights)
+        mu, sds, weights = parts.real[net != 0.0], parts.imag[net != 0.0], net[net != 0.0]
+        if not weights.size:
+            return TvEstimate(0.0, 0.0, "quadrature")
+    signed = _SignedMixture(weights, mu, sds)
+    half = 0.5 * sds[:, np.newaxis]
+    x = np.unique(np.floor((mu[:, np.newaxis] + sds[:, np.newaxis] * _LADDER) / half) * half)
+    h, bound, bend = signed.scan(x)
+    # A root between nodes shows as a sign change, or hides in a gap whose ends
+    # have one sign. Such a gap is root-free if its slope bound cannot take
+    # f - g from both ends to 0 (span <= ends) or its curvature bound cannot
+    # sag it from their chord to 0 (sag < 8 low), else it is split into as
+    # many pieces as the nearer test asks for. An unproved gap hides at most
+    # the area of the parabola of curvature bend sagging below 0. A gap is a
+    # row (a, b, f - g at a and b, bound, bend); zeros at nodes are roots.
+    gaps = np.column_stack([x[:-1], x[1:], h[:-1], h[1:], bound, bend])
+    roots, brackets, hidden, budget = [x[h == 0.0]], [], 0.0, _NODE_BUDGET
+    while gaps.size:
+        a, b, ha, hb, bound, bend = gaps.T
+        cross = (ha < 0.0) & (hb > 0.0) | (ha > 0.0) & (hb < 0.0)
+        brackets += gaps[cross, :2].tolist()
+        width = b - a
+        span, ends = bound * width, np.abs(ha) + np.abs(hb)
+        low, sag = np.minimum(np.abs(ha), np.abs(hb)), bend * width * width
+        live = np.flatnonzero(~(cross | (span <= ends) | (sag < 8.0 * low)))
+        if not live.size:
+            break
+        gaps, width, span, ends, low, sag = (v[live] for v in (gaps, width, span, ends, low, sag))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dip = (sag / 4.0 - 2.0 * low) ** 1.5 / (1.5 * np.sqrt(gaps[:, 5]))
+            pieces = np.ceil(np.fmin(span / ends, np.sqrt(sag / (8.0 * low)))).clip(2, _PIECES)
+        ulp = np.spacing(np.maximum(-gaps[:, 0], gaps[:, 1]))
+        split = ~(dip <= _NEGLIGIBLE) & (width > pieces * ulp)
+        hidden += float(dip[~split].sum())
+        gaps, width, pieces = gaps[split], width[split], pieces[split].astype(int)
+        last = np.cumsum(pieces + 1) - 1
+        if not gaps.size or last[-1] >= budget:
+            hidden += float(dip[split].sum())
+            break
+        budget -= last[-1] + 1
+        # each gap's ends and its pieces' inner nodes
+        k = np.arange(last[-1] + 1) - np.repeat(last - pieces, pieces + 1)
+        x = np.repeat(gaps[:, 0], pieces + 1) + np.repeat(width / pieces, pieces + 1) * k
+        x[last] = gaps[:, 1]
+        h, bound, bend = signed.scan(x)
+        h[last - pieces], h[last] = gaps[:, 2], gaps[:, 3]
+        roots.append(x[h == 0.0])
+        inner = np.ones(bound.size, bool)
+        inner[last[:-1]] = False
+        gaps = np.column_stack([x[:-1], x[1:], h[:-1], h[1:], bound, bend])[inner]
+    roots = np.sort(np.concatenate([*roots, [_root(signed, *ab) for ab in brackets]]))
     from scipy.special import ndtr
 
-    cdf = ndtr((roots[:, np.newaxis] - mu) / sds) @ weights
-    exact = float(np.abs(np.diff(cdf, prepend=0.0, append=weights.sum())).sum())
-    value = min(1.0, max(0.0, 0.5 * max(integral, exact)))
-    return TvEstimate(value, 0.5 * max(err, abs(integral - exact)), "quadrature")
+    # TV is half the sum of |F - G| differences between the roots. Each CDF
+    # sum of ndtr values within a few ulp is off by at most (parts + 4) ulp(1)
+    # sum|w|, and each enters two differences.
+    cdf = [0.0, *(ndtr((roots[:, np.newaxis] - mu) / sds) @ weights).tolist(), float(weights.sum())]
+    value = 0.5 * sum(abs(hi - lo) for lo, hi in zip(cdf[:-1], cdf[1:]))
+    roundoff = (roots.size + 1) * (mu.size + 4) * math.ulp(1.0) * float(np.abs(weights).sum())
+    return TvEstimate(min(1.0, max(0.0, value)), hidden + roundoff, "quadrature")
 
 
 def tv_distance(

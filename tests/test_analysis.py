@@ -41,7 +41,7 @@ from permlearn import (
 from permlearn import matching
 from permlearn.analysis import bounds, gaps, transport
 from permlearn.analysis.bounds import ESS_FLOOR, _largest_stable_tilt
-from permlearn.analysis.transport import MAX_ATOMS, _optimal_coupling
+from permlearn.analysis.transport import MAX_ATOMS, TvEstimate, _optimal_coupling
 from permlearn.mixtures import _EXP_DEAD, _TiltedLogSumExp, _json_text, _logsumexp
 
 
@@ -644,17 +644,59 @@ def test_a_model_score_whose_square_overflows_leaves_a_nan_half_width():
     assert report.mle_gap > 1e299 and math.isnan(report.mle_half_width)
 
 
+def exact_min_count(probs, m, n_max):
+    """P(every class appears >= m times among n draws) for n = 0..n_max: the
+    multinomial probabilities of the count vectors with every count >= m,
+    summed as n! times the x^n coefficient of prod_k sum_{c >= m} (p_k x)^c / c!."""
+    c = np.arange(n_max + 1)
+    poly = np.ones(1)
+    for p in probs:
+        terms = np.array([p**j / math.factorial(j) if j >= m else 0.0 for j in c.tolist()])
+        poly = np.convolve(poly, terms)[: n_max + 1]
+    return poly * np.array([float(math.factorial(j)) for j in c.tolist()])
+
+
 class TestMinCountProbability:
+    # Each tail is rounded up by a few ulp of its logarithms, which sum terms
+    # of size ~n log n: the bound sits up to ~1e-12 below the formula here.
     def test_formula_value(self):
         n, p, m = 200, np.array([0.3, 0.3, 0.4]), 40
-        expect = n * p
-        terms = np.exp(-2.0 * (expect - m) ** 2 / expect)
-        assert min_count_probability(n, p, m) == pytest.approx(1.0 - terms.sum())
+        expect = 1.0 - binom.cdf(m - 1, n, p).sum()
+        assert min_count_probability(n, p, m) == pytest.approx(expect, rel=1e-10)
 
     def test_unreachable_count_contributes_full_unit(self):
-        # class with n p_k <= m gives no guarantee at all
-        assert min_count_probability(10, [0.5, 0.5], 5) == 0.0
-        assert min_count_probability(100, [0.01, 0.99], 2) == 0.0
+        # a class with n p_k <= m subtracts its own tail, no longer a full unit
+        assert min_count_probability(10, [0.5, 0.5], 5) == pytest.approx(0.24609375, rel=1e-10)
+        assert min_count_probability(100, [0.01, 0.99], 2) == pytest.approx(
+            1.0 - binom.cdf(1, 100, 0.01), rel=1e-10
+        )
+        # m beyond n draws cannot be reached
+        assert min_count_probability(3, [0.5, 0.5], 4) == 0.0
+
+    # Every probability vector below at n <= 40 and m <= 5; the former
+    # per-class term exp(-2 (n p_k - m)^2 / (n p_k)) exceeds the probability
+    # on many of these cases.
+    @pytest.mark.parametrize("probs", [
+        [1.0], [0.5, 0.5], [0.1, 0.9], [1 / 3, 1 / 3, 1 / 3], [0.2, 0.3, 0.5],
+        [0.05, 0.15, 0.8], [0.25] * 4, [0.1, 0.2, 0.3, 0.4], [0.05, 0.05, 0.45, 0.45],
+    ])
+    def test_never_exceeds_the_exact_probability(self, probs):
+        for m in range(6):
+            exact = exact_min_count(probs, m, 40)
+            for n in range(1, 41):
+                assert min_count_probability(n, probs, m) <= exact[n] + 1e-12, (n, m)
+
+    # Cases where the former term read 0.99874, 0.99326 and 1 (to print
+    # precision); the probabilities are 0.99214, 0.98133 and 1 - 0.99^1000.
+    @pytest.mark.parametrize("n, probs, m, exact", [
+        (30, [0.25] * 4, 2, exact_min_count([0.25] * 4, 2, 30)[30]),
+        (50, [0.2, 0.3, 0.5], 5, exact_min_count([0.2, 0.3, 0.5], 5, 50)[50]),
+        (1000, [0.01, 0.99], 1, 1.0 - 0.99**1000 - 0.01**1000),
+    ])
+    def test_former_counterexamples(self, n, probs, m, exact):
+        bound = min_count_probability(n, probs, m)
+        assert bound <= exact
+        assert bound == pytest.approx(exact, abs=0.01)
 
     def test_monte_carlo_never_below_bound(self):
         rng = np.random.default_rng(0)
@@ -798,6 +840,11 @@ class TestTvDistance:
             assert tv_distance(atom, atom).value == 0.0
             measure = MixingMeasure([0.4, 0.6], [atom, Gaussian([0.0], [[1.0]])])
             assert wasserstein1(measure, measure)[0] == 0.0
+        # the same parts under another atom type, or listed in another order
+        g = Gaussian([0.4], [[0.8]])
+        swapped = GaussianMixture([0.7, 0.3], [Gaussian([2.0], [[1.5]]), Gaussian([-1.0], [[0.5]])])
+        for f, h in [(g, GaussianMixture([1.0], [g])), (mix, swapped)]:
+            assert tv_distance(f, h) == TvEstimate(0.0, 0.0, "quadrature")
 
     def test_unequal_variance_gaussians_match_trapezoid(self):
         f = Gaussian([1.5472250586387055], [[1.9836064922952248]])
@@ -847,27 +894,10 @@ class TestTvDistance:
         unit = tv_distance(g, Gaussian([0.0], [[4.0]])).value
         assert est.value == pytest.approx(0.5 * unit, abs=max(est.half_width, 1e-9))
 
-    def test_pairs_without_a_narrow_part_keep_one_centre_partition(self, monkeypatch):
-        calls, original = [], transport._integrate_abs
-
-        def counted(fn, a, b, points):
-            calls.append((a, b, points))
-            return original(fn, a, b, points)
-
-        monkeypatch.setattr(transport, "_integrate_abs", counted)
-        mix = GaussianMixture([0.3, 0.7], [Gaussian([-1.0], [[0.5]]), Gaussian([2.0], [[1.5]])])
-        for f, g in [jittered_kde_pair(16), (mix, Gaussian([0.4], [[0.8]]))]:
-            calls.clear()
-            tv_distance(f, g)
-            w_f, mu_f, sd_f = transport._gaussian_parts(f)
-            w_g, mu_g, sd_g = transport._gaussian_parts(g)
-            sds = np.concatenate([sd_f, sd_g])
-            points = transport._breakpoints(np.concatenate([mu_f, mu_g]), float(sds.min()))
-            assert calls == [(*envelope(f, g), points)]
-
     # A 20-point KDE with h in [0.04, 0.08] against a 5-part mixture: quad
     # spent its whole subinterval limit on 15 of these 30 pairs and warned,
-    # since |f - g| has a kink at each of its many roots.
+    # since |f - g| has a kink at each of its many roots. Any warning fails
+    # the suite.
     def test_narrow_bandwidth_kde_pairs_converge_without_warning(self):
         rng = np.random.default_rng(2024)
         for _ in range(30):
@@ -875,9 +905,7 @@ class TestTvDistance:
             means, sds = rng.uniform(-2.0, 2.0, 5), rng.uniform(0.2, 1.0, 5)
             parts = [Gaussian([m], [[s * s]]) for m, s in zip(means, sds)]
             mix = GaussianMixture(rng.dirichlet(np.ones(5)), parts)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", IntegrationWarning)
-                est = tv_distance(kde, mix)
+            est = tv_distance(kde, mix)
             value, half_width = quad_tv(kde, mix)
             assert abs(est.value - value) <= est.half_width + half_width
 
@@ -905,16 +933,6 @@ class TestTvDistance:
         assert 0.0 <= est.value <= 1.0
         assert abs(est.value - swapped.value) <= 1e-9
 
-    def test_the_subinterval_cap_warns_and_the_half_width_covers_the_error(self, monkeypatch):
-        monkeypatch.setattr(transport, "_LIMIT", 2)
-        for seed in (16, 173):
-            f, g = jittered_kde_pair(seed)
-            with pytest.warns(IntegrationWarning, match="limit of"):
-                est = tv_distance(f, g)
-            value, half_width = quad_tv(f, g)
-            assert est.half_width > 1e-9
-            assert abs(est.value - value) <= est.half_width + half_width
-
     # Integrating |f - g| from the atoms' log densities without breakpoints
     # errs by 5e-7 on seed 173. On seed 16, the breakpointed quad without the
     # sign-change partition errs by 1e-8: a kink of |f - g| sits next to a
@@ -927,6 +945,35 @@ class TestTvDistance:
     def test_far_apart_saturates(self):
         est = tv_distance(Gaussian([0.0], [[1.0]]), Gaussian([100.0], [[1.0]]))
         assert est.value == pytest.approx(1.0, abs=1e-9)
+
+    # f - g is ~delta times the derivative of either atom, but each part's
+    # slope is of order 1, so a slope bound alone proves gaps no wider than
+    # ~delta root-free; the curvature bound proves gaps ~sqrt(delta) wide.
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
+    def test_near_identical_atoms_keep_a_small_half_width(self, delta):
+        def shifted(d):
+            return GaussianMixture([0.4, 0.6], [Gaussian([d], [[1.0]]), Gaussian([1.5 + d], [[0.5]])])
+
+        points = np.random.default_rng(3).normal(0.0, 1.0, (30, 1))
+        for f, g in [(shifted(0.0), shifted(delta)),
+                     (KernelDensity(points, 0.3), KernelDensity(points + delta, 0.3))]:
+            est = tv_distance(f, g)
+            value, half_width = quad_tv(f, g)
+            assert est.half_width <= 1e-6 * delta
+            assert abs(est.value - value) <= est.half_width + half_width + 1e-15
+
+    # Beyond a separation of ~40 standard deviations f - g underflows between
+    # the two parts; a sign test that multiplied the two values there saw no
+    # root, and the half-width read 1.
+    @pytest.mark.parametrize("ratio", [10.0, 30.0, 60.0, 100.0, 1e3, 1e4])
+    @pytest.mark.parametrize("sd", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+    def test_separated_parts_keep_their_exact_value(self, ratio, sd):
+        one = GaussianMixture([1.0], [Gaussian([0.0], [[sd * sd]])])
+        far = Gaussian([ratio * sd], [[sd * sd]])
+        exact = 1.0 - 2.0 * norm.cdf(-ratio / 2.0)
+        for est in (tv_distance(one, far), tv_distance(far, one)):
+            assert est.value == pytest.approx(exact, abs=1e-12)
+            assert est.half_width <= 1e-9
 
 
 def _brentq_battery(rng: np.random.Generator, per_family: int):
@@ -1693,7 +1740,6 @@ def test_scipy_solvers_are_patchable_module_names(monkeypatch):
     for module, name, original in (
         (matching, "linear_sum_assignment", linear_sum_assignment),
         (transport, "quad", quad),
-        (transport, "IntegrationWarning", IntegrationWarning),
     ):
         assert getattr(module, name) is original
         assert vars(module)[name] is original

@@ -61,6 +61,13 @@ def test_exports_resolve_and_estimator_table_is_public():
         "_TABLE_K": ("permlearn.matching",),
         # the brentq port's IEEE division; 1-d TV calls scipy's compiled solver
         "_div": ("permlearn.analysis.transport",),
+        # 1-d TV sums CDF differences between certified roots: no quadrature
+        # rule, no subinterval cap and no warning for reaching it
+        **dict.fromkeys(
+            ("_gk21", "_integrate_abs", "_LIMIT", "_breakpoints", "_narrow_windows",
+             "_dip_roots", "IntegrationWarning"),
+            ("permlearn.analysis.transport",),
+        ),
     }
     for name, places in gone.items():
         for place in places:

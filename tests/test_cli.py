@@ -783,6 +783,10 @@ _SCIPY_STEPS = [
     # differences load scipy.special
     ("1-d --w1", ["analyze", "--w1", "a.json", "b.json", "--out-dir", "w1"],
      ({"scipy.optimize._zeros", "scipy.special"}, {"scipy.optimize", "scipy.integrate"})),
+    # a narrow-bandwidth KDE against a mixture: f - g changes sign many times,
+    # and no subinterval cap or warning brings in scipy.integrate
+    ("1-d --tv kde", ["analyze", "--tv", "kde.json", "mix.json", "--out-dir", "tv"],
+     ({"scipy.optimize._zeros", "scipy.special"}, {"scipy.optimize", "scipy.integrate"})),
 ]
 
 
@@ -798,6 +802,10 @@ def test_each_command_loads_only_the_scipy_modules_it_needs(tmp_path):
         "b.json": [(0.4, mixture([0.6, 0.4], [-0.8, 1.2], [0.5, 0.9])),
                    (0.6, mixture([0.2, 0.8], [2.4, 3.0], [0.2, 0.7]))],
     }
+    rng = np.random.default_rng(2024)
+    points = [[x] for x in rng.normal(0.0, 1.0, 20).tolist()]
+    measures["kde.json"] = [(1.0, {"type": "kde", "points": points, "bandwidth": 0.05})]
+    measures["mix.json"] = [(1.0, mixture([0.2] * 5, [-1.6, -0.7, 0.1, 0.9, 1.7], [0.3] * 5))]
     for name, atoms in measures.items():
         (tmp_path / name).write_text(json.dumps(
             {"dim": 1, "atoms": [{"weight": w, "density": d} for w, d in atoms]}

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.stats import binom, norm
 from hypothesis import given, settings, strategies as st
 
 from permlearn import (
@@ -365,6 +366,59 @@ _ENGINE_IDS = [
     "k1", "k2", "k2-noise-misspecified", "k4-noise", "k4-perturbed",
     "k4-nested-perturbed-noise", "k16", "k16-noise",
 ]
+
+
+class TestExactK2Curves:
+    """Recovery curves of the paper's MLE-versus-MV comparison at K = 2 against
+    their closed forms.
+
+    The truth is (1/2, 1/2) over N(-mu, 1) and N(mu, 1); the model is the same
+    pair shifted by delta. With n1 ~ Bin(n, 1/2) samples of class 1, the MLE
+    log-likelihood ratio is 2 mu (sum of class-2 x - sum of class-1 x -
+    (n - 2 n1) delta), so P(MLE recovers) = sum_n1 Bin(n1; n, 1/2)
+    Phi((n mu + (2 n1 - n) delta) / sqrt(n)). The model's regions split at
+    delta, and MV recovers iff each region holds strictly more votes for its
+    own label: a sum over the four-cell multinomial of (class, region)
+    counts. Each cell's recovered count must lie in the two-sided binomial
+    interval of probability 1 - 1e-4 around the closed form, fixed before
+    the first run; the seeds are never redrawn.
+    """
+
+    GRID = (3, 15, 30, 60, 99)
+    TRIALS = 2000
+
+    @staticmethod
+    def exact(n, mu, delta):
+        """(P(MLE recovers), P(MV recovers)) at sample size n."""
+        n1 = np.arange(n + 1)
+        labels = binom.pmf(n1, n, 0.5)
+        mle = float(labels @ norm.cdf((n * mu + (2 * n1 - n) * delta) / np.sqrt(n)))
+        # class c falls in region 1 (x < delta) with probability q_c; a and b
+        # count region-1 samples of classes 1 and 2, so region 1 holds a votes
+        # for label 1 against b, and region 2 holds n2 - b against n1 - a
+        q1, q2 = norm.cdf(delta + mu), norm.cdf(delta - mu)
+        mv = 0.0
+        for m1, weight in zip(n1.tolist(), labels.tolist()):
+            m2 = n - m1
+            a, b = np.arange(m1 + 1)[:, np.newaxis], np.arange(m2 + 1)
+            wins = (a > b) & (m2 - b > m1 - a)
+            cells = np.outer(binom.pmf(a[:, 0], m1, q1), binom.pmf(b, m2, q2))
+            mv += weight * float(cells[wins].sum())
+        return mle, mv
+
+    @pytest.mark.parametrize("mu, delta", [(0.25, 0.0), (0.25, 0.4), (0.5, 0.2)])
+    def test_mle_and_mv_curves_match_their_closed_forms(self, mu, delta):
+        def pair(shift):
+            atoms = [Gaussian([shift - mu], [[1.0]]), Gaussian([shift + mu], [[1.0]])]
+            return MixingMeasure([0.5, 0.5], atoms)
+
+        spec = ExperimentSpec("custom", n_grid=self.GRID, trials=self.TRIALS, seed=14,
+                              true_mixture=pair(0.0), model_mixture=pair(delta))
+        got = {(p.estimator, p.n): p.recovered for p in run_recovery_experiment(spec).points}
+        for n in self.GRID:
+            for name, p in zip(("mle", "mv"), self.exact(n, mu, delta)):
+                lo, hi = binom.interval(1.0 - 1e-4, self.TRIALS, p)
+                assert lo <= got[name, n] <= hi, (name, n, got[name, n], p * self.TRIALS)
 
 
 class TestBatchedEngineMatchesLibrary:
