@@ -294,13 +294,20 @@ def required_sample_size(k: int, delta: float, method: str, value: float) -> int
 
 
 def _binomial_cdf(k: int, n, p: float) -> float:
-    """P(Bin(n, p) <= k) rounded up: its k + 1 terms summed in log space, plus
-    a few ulp of the magnitudes summed in each logarithm."""
+    """P(Bin(n, p) <= k) rounded up: the terms rise to the mode and fall after
+    it, so those within 16 standard deviations (plus 40) of the largest at or
+    below k are summed in log space, each term beyond counts as the end term
+    next to it, and a few ulp of each logarithm's summands are added on."""
     if k < 0 or k >= n or p in (0.0, 1.0):
         return float(k >= 0 and (k >= n or p == 0.0))
     lgn, lp, lq = math.lgamma(n + 1), math.log(p), math.log1p(-p)
+    peak = min(k, math.floor((n + 1) * p))
+    reach = 16 * math.ceil(math.sqrt(n * p * (1.0 - p))) + 40
+    lo, hi = max(0, peak - reach), min(k, peak + reach)
     logs = [lgn - math.lgamma(j + 1) - math.lgamma(n - j + 1) + j * lp + (n - j) * lq
-            for j in range(int(k) + 1)]
+            for j in range(lo, hi + 1)]
+    logs += [math.log(lo) + logs[0]] if lo else []
+    logs += [math.log(k - hi) + logs[hi - lo]] if hi < k else []
     # lgamma(j + 1) + lgamma(n - j + 1) <= lgamma(n + 1) for whole j
     slack = 4.0 * sys.float_info.epsilon * (2.0 * lgn - n * (lp + lq) + len(logs))
     top = max(logs)

@@ -12,14 +12,12 @@ integrand is bounded by 2 (label ``"mc"``). In one dimension:
   crossings (half-width 0);
 * every other pair (Gaussian mixtures and kernel density estimates, alone or
   against a Gaussian) is written as one signed Gaussian mixture f - g, and
-  TV is half the sum of |F - G| differences between the roots of f - g.
-  Each part lays a ladder of nodes at 0, 1, 2, 3, 6 and 10 of its standard
-  deviations either side of its centre. A gap between two nodes whose values
-  have one sign is proved root-free by a bound on the slope of f - g there,
-  or on its curvature, or split until it is; each sign change is refined by
-  scipy's compiled ``brentq`` solver, loaded without the ``scipy.optimize``
-  package. The half-width bounds the TV that a dip of f - g through 0 could
-  hide in the gaps left unproved, plus the roundoff of the CDF sums.
+  TV is half the sum of |F - G| steps between its roots. Each part lays
+  nodes at 0, 1, 2, 3, 6 and 10 standard deviations either side of its
+  centre; a gap between nodes of one sign is proved root-free by a bound on
+  the slope or the curvature of f - g, or split until it is, and each sign
+  change is refined by scipy's compiled ``brentq``, loaded without the
+  ``scipy.optimize`` package.
 
 The transport distance couples two measures' weight vectors under the
 pairwise TV cost; the coupling is the optimum of the transportation linear
@@ -66,10 +64,10 @@ class TvEstimate:
     """Total-variation distance with an uncertainty half-width.
 
     ``method`` is ``"quadrature"`` for every deterministic 1-d route: the
-    half-width is 0 for identical atoms and for the closed form between two
-    Gaussians, and otherwise bounds the TV that a dip of f - g through 0
-    could hide in the gaps between nodes left unproved, plus the roundoff of
-    the CDF sums. Monte Carlo (``"mc"``) reports three standard errors.
+    half-width is 0 for identical atoms and two Gaussians, and otherwise
+    bounds the TV that a dip of f - g through 0 could hide in gaps left
+    unproved, plus the CDF sums' roundoff. ``"mc"`` reports three standard
+    errors.
     """
 
     value: float
@@ -133,10 +131,10 @@ _LADDER = np.array([-10.0, -6.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 6.0, 10.0
 # exp(-t^2), largest at its centre and, away from it, sqrt(3) out.
 _MARKS = np.array([-1.0, 1.0, -math.sqrt(3.0), math.sqrt(3.0), 0.0])
 _STEEPEST, _BENDIEST = math.sqrt(0.5) * math.exp(-0.5), math.exp(-1.5)
-# Nodes x parts entries of one evaluation block: its 64 KB buffers stay in
-# cache, and OpenBLAS runs a matrix-vector product this small on the calling
-# thread (it threads from 9216 entries).
-_BLOCK = 8192
+# Nodes x parts entries of one evaluation block: its three buffers hold a TV
+# between two 50-point KDEs to a ~0.3 MB allocation peak, and OpenBLAS
+# threads no matrix-vector product under 9216 entries.
+_BLOCK = 6144
 # An unproved gap is split into at most _PIECES pieces at a time, until it
 # could hide at most _NEGLIGIBLE of TV, at float resolution, or until the
 # nodes beyond the ladder would pass _NODE_BUDGET.
@@ -166,27 +164,29 @@ class _SignedMixture:
         mu, p = self.mu, self.mu.size
         h, bound, bend = np.empty(x.size), np.empty(x.size - 1), np.empty(x.size - 1)
         gap = np.searchsorted(x, self.marks) - 1
-        rows = max(2, _BLOCK // p)
+        rows = min(max(2, _BLOCK // p), x.size)
+        buffers = np.empty((3, rows, p))
         for i in range(0, max(x.size - 1, 1), rows - 1):
             j = min(i + rows, x.size)
-            t = np.subtract.outer(x[i:j], mu)
+            t, sq, e = buffers[:, : j - i]
+            np.subtract.outer(x[i:j], mu, out=t)
             t *= self.scale
-            sq = np.square(t)
-            e = np.negative(sq)
-            np.exp(e, out=e)
+            np.square(t, out=sq)
+            np.exp(np.negative(sq, out=e), out=e)
             h[i:j] = e @ self.coef
             here = np.flatnonzero((gap >= i) & (gap < j - 1))
             at, part = gap[here] - i, self.part[here]
             steep, bent = np.searchsorted(here, (2 * p, 4 * p))
-            np.abs(t, out=t)
-            t *= e
-            top = np.maximum(t[:-1], t[1:])
-            top[at[:steep], part[:steep]] = _STEEPEST
-            bound[i : j - 1] = top @ self.slope
             sq -= 0.5
             np.abs(sq, out=sq)
             sq *= e
-            np.maximum(sq[:-1], sq[1:], out=top)
+            np.abs(t, out=t)
+            t *= e
+            # each block's maxima go into a buffer that is free by then
+            top = np.maximum(t[:-1], t[1:], out=e[:-1])
+            top[at[:steep], part[:steep]] = _STEEPEST
+            bound[i : j - 1] = top @ self.slope
+            top = np.maximum(sq[:-1], sq[1:], out=t[:-1])
             side = at[steep:bent], part[steep:bent]
             top[side] = np.maximum(top[side], _BENDIEST)
             top[at[bent:], part[bent:]] = 0.5
@@ -215,12 +215,10 @@ def _brentq(f, a: float, b: float) -> float:
 
 
 def _root(fn, a: float, b: float) -> float:
-    """A root of fn between two nodes whose values have opposite signs.
-
-    Node values and fn round differently near a root: when fn's values at the
-    ends no longer have opposite signs (compared, not multiplied, which
-    underflows), the end where |fn| is smaller is the root.
-    """
+    """A root of fn between two nodes whose values have opposite signs. Node
+    values and fn round differently near a root: when fn's values at the ends
+    no longer have opposite signs (compared, not multiplied, which can
+    underflow), the end where |fn| is smaller is the root."""
     fa, fb = fn(a), fn(b)
     if fa < 0.0 < fb or fb < 0.0 < fa:
         return _brentq(fn, a, b)
@@ -255,13 +253,12 @@ def _tv_quadrature(f: ComponentDensity, g: ComponentDensity) -> TvEstimate:
     half = 0.5 * sds[:, np.newaxis]
     x = np.unique(np.floor((mu[:, np.newaxis] + sds[:, np.newaxis] * _LADDER) / half) * half)
     h, bound, bend = signed.scan(x)
-    # A root between nodes shows as a sign change, or hides in a gap whose ends
-    # have one sign. Such a gap is root-free if its slope bound cannot take
-    # f - g from both ends to 0 (span <= ends) or its curvature bound cannot
-    # sag it from their chord to 0 (sag < 8 low), else it is split into as
-    # many pieces as the nearer test asks for. An unproved gap hides at most
-    # the area of the parabola of curvature bend sagging below 0. A gap is a
-    # row (a, b, f - g at a and b, bound, bend); zeros at nodes are roots.
+    # A root between nodes shows as a sign change, or hides in a gap with ends
+    # of one sign. That gap is root-free if the slope bound cannot take f - g
+    # from both ends to 0 (span <= ends), or the curvature bound cannot sag it
+    # from their chord to 0 (sag < 8 low); else it is split as the nearer test
+    # asks. Unproved, it hides at most the parabola of curvature bend below 0.
+    # A gap is a row (a, b, f - g at a and b, bound, bend); node zeros are roots.
     gaps = np.column_stack([x[:-1], x[1:], h[:-1], h[1:], bound, bend])
     roots, brackets, hidden, budget = [x[h == 0.0]], [], 0.0, _NODE_BUDGET
     while gaps.size:
@@ -278,8 +275,7 @@ def _tv_quadrature(f: ComponentDensity, g: ComponentDensity) -> TvEstimate:
         with np.errstate(divide="ignore", invalid="ignore"):
             dip = (sag / 4.0 - 2.0 * low) ** 1.5 / (1.5 * np.sqrt(gaps[:, 5]))
             pieces = np.ceil(np.fmin(span / ends, np.sqrt(sag / (8.0 * low)))).clip(2, _PIECES)
-        ulp = np.spacing(np.maximum(-gaps[:, 0], gaps[:, 1]))
-        split = ~(dip <= _NEGLIGIBLE) & (width > pieces * ulp)
+        split = ~(dip <= _NEGLIGIBLE) & (width > pieces * np.spacing(np.abs(gaps[:, :2]).max(1)))
         hidden += float(dip[~split].sum())
         gaps, width, pieces = gaps[split], width[split], pieces[split].astype(int)
         last = np.cumsum(pieces + 1) - 1
@@ -294,15 +290,13 @@ def _tv_quadrature(f: ComponentDensity, g: ComponentDensity) -> TvEstimate:
         h, bound, bend = signed.scan(x)
         h[last - pieces], h[last] = gaps[:, 2], gaps[:, 3]
         roots.append(x[h == 0.0])
-        inner = np.ones(bound.size, bool)
-        inner[last[:-1]] = False
-        gaps = np.column_stack([x[:-1], x[1:], h[:-1], h[1:], bound, bend])[inner]
+        # the pairs that straddle two gaps are not gaps
+        gaps = np.delete(np.column_stack([x[:-1], x[1:], h[:-1], h[1:], bound, bend]), last[:-1], 0)
     roots = np.sort(np.concatenate([*roots, [_root(signed, *ab) for ab in brackets]]))
     from scipy.special import ndtr
 
-    # TV is half the sum of |F - G| differences between the roots. Each CDF
-    # sum of ndtr values within a few ulp is off by at most (parts + 4) ulp(1)
-    # sum|w|, and each enters two differences.
+    # TV is half the sum of |F - G| steps between the roots. A CDF sum of ndtr
+    # values within a few ulp is off by (parts + 4) ulp(1) sum|w| at most.
     cdf = [0.0, *(ndtr((roots[:, np.newaxis] - mu) / sds) @ weights).tolist(), float(weights.sum())]
     value = 0.5 * sum(abs(hi - lo) for lo, hi in zip(cdf[:-1], cdf[1:]))
     roundoff = (roots.size + 1) * (mu.size + 4) * math.ulp(1.0) * float(np.abs(weights).sum())
