@@ -165,10 +165,10 @@ class _SignedMixture:
         h, bound, bend = np.empty(x.size), np.empty(x.size - 1), np.empty(x.size - 1)
         gap = np.searchsorted(x, self.marks) - 1
         rows = min(max(2, _BLOCK // p), x.size)
-        buffers = np.empty((3, rows, p))
+        buffers = [np.empty((rows, p)) for _ in range(3)]
         for i in range(0, max(x.size - 1, 1), rows - 1):
             j = min(i + rows, x.size)
-            t, sq, e = buffers[:, : j - i]
+            t, sq, e = (buffer[: j - i] for buffer in buffers)
             np.subtract.outer(x[i:j], mu, out=t)
             t *= self.scale
             np.square(t, out=sq)
