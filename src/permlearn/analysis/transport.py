@@ -131,10 +131,10 @@ _LADDER = np.array([-10.0, -6.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 6.0, 10.0
 # exp(-t^2), largest at its centre and, away from it, sqrt(3) out.
 _MARKS = np.array([-1.0, 1.0, -math.sqrt(3.0), math.sqrt(3.0), 0.0])
 _STEEPEST, _BENDIEST = math.sqrt(0.5) * math.exp(-0.5), math.exp(-1.5)
-# Nodes x parts entries of one evaluation block: its three buffers hold a TV
-# between two 50-point KDEs to a ~0.3 MB allocation peak, and OpenBLAS
-# threads no matrix-vector product under 9216 entries.
-_BLOCK = 6144
+# Nodes x parts entries of one evaluation block: each of its three 64 KB
+# buffers stays in cache and under malloc's 128 KB mmap threshold, and
+# OpenBLAS threads no matrix-vector product under 9216 entries.
+_BLOCK = 8192
 # An unproved gap is split into at most _PIECES pieces at a time, until it
 # could hide at most _NEGLIGIBLE of TV, at float resolution, or until the
 # nodes beyond the ladder would pass _NODE_BUDGET.
