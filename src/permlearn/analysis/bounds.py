@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
 
 ESS_FLOOR = 50.0
 _GRID_POINTS = 61
+_EPS, _LOG_2PI = sys.float_info.epsilon, math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -293,25 +295,71 @@ def required_sample_size(k: int, delta: float, method: str, value: float) -> int
         raise ValueError("k, delta and value give a sample size too large for a float") from None
 
 
+def _stirling_error(x) -> tuple[float, float]:
+    """lgamma(x + 1) less the log of Stirling's formula at x >= 1, and the
+    size of the numbers it is computed from."""
+    if x > 100:  # the series' next term, 1 / (1680 x^7), is below 1e-17
+        r = 1.0 / x
+        return (1 / 12 - (1 / 360 - r * r / 1260) * r * r) * r, 1.0
+    a, b = math.lgamma(x + 1.0), (x + 0.5) * math.log(x)
+    return a - b + x - 0.5 * _LOG_2PI, a + b + x + 1.0
+
+
+def _log_binomial_term(j: int, n, p: float, d: float) -> float:
+    """log P(Bin(n, p) = j), d = j - np, in Loader's saddle-point form and
+    raised by 16 ulp of its summands' sizes, which near the mean grow as |d|
+    and not as n log n."""
+    if j == 0:
+        return n * math.log1p(-p) * (1.0 - 16.0 * _EPS)
+    spread = _LOG_2PI + math.log(j) + math.log(n - j) - math.log(n)
+    value, size = _stirling_error(n)
+    value, size = value - 0.5 * spread, size + spread + 4.0
+    for x, dx, mean in ((j, d, n * p), (n - j, -d, n * (1.0 - p))):
+        # Stirling's error at x and the relative entropy x log(x / mean) - dx
+        error, error_size = _stirling_error(x)
+        log_ratio = math.log1p(dx / mean) if dx > -0.5 * mean else math.log(x / mean)
+        value -= error + x * log_ratio - dx
+        size += error_size + x * abs(log_ratio) + abs(dx)
+    # a size of inf (x / mean past the floats) comes with a term of 0
+    return value + 16.0 * _EPS * min(size, 1e300)
+
+
 def _binomial_cdf(k: int, n, p: float) -> float:
-    """P(Bin(n, p) <= k) rounded up: the terms rise to the mode and fall after
-    it, so those within 16 standard deviations (plus 40) of the largest at or
-    below k are summed in log space, each term beyond counts as the end term
-    next to it, and a few ulp of each logarithm's summands are added on."""
+    """P(Bin(n, p) <= k) rounded up, at a cost that does not grow with n.
+
+    The terms rise to the mode and fall after it, and the ratio r of each to
+    its neighbour farther from the mode only shrinks farther out. So the
+    terms up to min(k, mode), and those past the mode up to k, are taken in
+    blocks of 1/64 standard deviation (one term each while that is below 2),
+    each at most its term nearest the mode times 1 + r + r^2 + ... there;
+    past 16 standard deviations (plus 40 terms) one block runs to 0, or to
+    k. The mode, j - np and 1 - r come from exact fractions. The blocks
+    overstate the tail by up to ~4e-5 of itself, and the rounding allowance
+    by ~1.5e-14 |k - np| more, which passes 1e-4 only at |k - np| > 7e9.
+    """
     if k < 0 or k >= n or p in (0.0, 1.0):
         return float(k >= 0 and (k >= n or p == 0.0))
-    lgn, lp, lq = math.lgamma(n + 1), math.log(p), math.log1p(-p)
-    peak = min(k, math.floor((n + 1) * p))
-    reach = 16 * math.ceil(math.sqrt(n * p * (1.0 - p))) + 40
-    lo, hi = max(0, peak - reach), min(k, peak + reach)
-    logs = [lgn - math.lgamma(j + 1) - math.lgamma(n - j + 1) + j * lp + (n - j) * lq
-            for j in range(lo, hi + 1)]
-    logs += [math.log(lo) + logs[0]] if lo else []
-    logs += [math.log(k - hi) + logs[hi - lo]] if hi < k else []
-    # lgamma(j + 1) + lgamma(n - j + 1) <= lgamma(n + 1) for whole j
-    slack = 4.0 * sys.float_info.epsilon * (2.0 * lgn - n * (lp + lq) + len(logs))
-    top = max(logs)
-    return math.exp(top + slack) * math.fsum(math.exp(v - top) for v in logs)
+    q, exact_p = 1.0 - p, Fraction(p)
+    mean = Fraction(n) * exact_p
+    mode, sd = math.floor(mean + exact_p), math.sqrt(n * p * q)
+    step = max(1, math.ceil(sd / 64.0))
+    blocks = math.ceil((16.0 * sd + 40.0) / step)
+    logs = []
+    for j, down in ((min(k, mode), True), (mode + 1, False)):
+        for block in range(blocks + 1):
+            room = j + 1 if down else k - j + 1
+            if room <= 0:
+                break
+            length, d = room if block == blocks else min(step, room), j - mean
+            logs.append(_log_binomial_term(j, n, p, float(d)) + 32.0 * _EPS)
+            gap = (float(exact_p - d) / ((n - j + 1) * p) if down
+                   else float(d + 1 - exact_p) / ((j + 1) * q))  # 1 - r
+            if length > 1 and gap < 1.0:  # else 1 + r + ... is 1
+                series = -math.expm1(length * math.log1p(-gap)) / gap if gap > 0.0 else length
+                logs[-1] += math.log(series)
+            j += -length if down else length
+    top = max(logs)  # a largest term of 1 or more makes the sum 1
+    return min(1.0, math.exp(min(top, 0.0)) * math.fsum(math.exp(v - top) for v in logs))
 
 
 def min_count_probability(n: int, probs, m: int) -> float:

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -130,6 +131,22 @@ def jittered_kde_pair(seed):
         KernelDensity(shift + quantiles + rng.normal(0.0, 0.05, 50), 0.3)
         for shift in rng.uniform(-3.0, 3.0, 2)
     ]
+
+
+def shifted_pair(delta):
+    """A two-part Gaussian mixture shifted by delta."""
+    return GaussianMixture(
+        [0.4, 0.6], [Gaussian([delta], [[1.0]]), Gaussian([1.5 + delta], [[0.5]])]
+    )
+
+
+def narrow_bandwidth_pair(rng):
+    """A 20-point KDE with h in [0.04, 0.08] and a 5-part Gaussian mixture,
+    drawn as in test_narrow_bandwidth_kde_pairs_converge_without_warning."""
+    kde = KernelDensity(rng.normal(0.0, 1.0, (20, 1)), rng.uniform(0.04, 0.08))
+    means, sds = rng.uniform(-2.0, 2.0, 5), rng.uniform(0.2, 1.0, 5)
+    parts = [Gaussian([m], [[s * s]]) for m, s in zip(means, sds)]
+    return kde, GaussianMixture(rng.dirichlet(np.ones(5)), parts)
 
 
 @st.composite
@@ -657,8 +674,9 @@ def exact_min_count(probs, m, n_max):
 
 
 class TestMinCountProbability:
-    # Each tail is rounded up by a few ulp of its logarithms, which sum terms
-    # of size ~n log n: the bound sits up to ~1e-12 below the formula here.
+    # Each tail is rounded up by a few ulp of its log-terms' summands, which
+    # near the mean grow as |j - np|: the bound sits up to ~1e-11 below the
+    # formula here.
     def test_formula_value(self):
         n, p, m = 200, np.array([0.3, 0.3, 0.4]), 40
         expect = 1.0 - binom.cdf(m - 1, n, p).sum()
@@ -697,6 +715,23 @@ class TestMinCountProbability:
         bound = min_count_probability(n, probs, m)
         assert bound <= exact
         assert bound == pytest.approx(exact, abs=0.01)
+
+    # At K = 2 and p = 1/2 the union bound is the probability itself,
+    # P(m <= X <= n - m); at n = 10^16 the normal CDF with continuity
+    # correction gives it to ~1e-16. Summing each term within 16 standard
+    # deviations took 14 s at n = 10^12, and log-terms of size n log n lost
+    # every digit at 10^16.
+    @pytest.mark.parametrize("m, exact", [
+        (5, 1.0),
+        (5 * 10**15 - 15 * 10**7, 1.0 - 2.0 * norm.cdf(-(15 * 10**7 + 0.5) / (5 * 10**7))),
+        (5 * 10**15, math.sqrt(2.0 / (math.pi * 10**16))),  # P(X = n / 2)
+    ])
+    def test_a_huge_n_costs_no_more_and_stays_tight(self, m, exact):
+        start = time.perf_counter()
+        bound = min_count_probability(10**16, [0.5, 0.5], m)
+        assert time.perf_counter() - start < 1.0
+        assert 0.0 <= bound <= exact + 1e-12
+        assert bound == pytest.approx(exact, abs=1e-6)
 
     def test_monte_carlo_never_below_bound(self):
         rng = np.random.default_rng(0)
@@ -948,19 +983,65 @@ class TestTvDistance:
 
     # f - g is ~delta times the derivative of either atom, but each part's
     # slope is of order 1, so a slope bound alone proves gaps no wider than
-    # ~delta root-free; the curvature bound proves gaps ~sqrt(delta) wide.
-    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6])
+    # ~delta root-free, and a curvature bound ~sqrt(delta): below delta ~ 1e-7
+    # that spent the node budget, and at 1e-8 the half-width read 57 delta.
+    # The cubic through f - g and its slope at a gap's ends sees the
+    # cancellation. The half-width's floor is the CDF sums' roundoff.
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
     def test_near_identical_atoms_keep_a_small_half_width(self, delta):
-        def shifted(d):
-            return GaussianMixture([0.4, 0.6], [Gaussian([d], [[1.0]]), Gaussian([1.5 + d], [[0.5]])])
-
         points = np.random.default_rng(3).normal(0.0, 1.0, (30, 1))
-        for f, g in [(shifted(0.0), shifted(delta)),
+        for f, g in [(shifted_pair(0.0), shifted_pair(delta)),
                      (KernelDensity(points, 0.3), KernelDensity(points + delta, 0.3))]:
             est = tv_distance(f, g)
             value, half_width = quad_tv(f, g)
-            assert est.half_width <= 1e-6 * delta
+            assert est.half_width <= max(1e-6 * delta, 1e-12)
             assert abs(est.value - value) <= est.half_width + half_width + 1e-15
+
+    # The certificates rest on the scan's bounds: between two nodes the slope
+    # of f - g stays within bound and its fourth derivative within quart.
+    # Parts 1e-3 to 10 wide; nodes from their floored ladders and at random,
+    # or at random alone, so that gaps also hold parts' centres far from
+    # their ends; 200 points across each gap, its ends among them.
+    @pytest.mark.parametrize("ladders", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_the_scan_bounds_hold_inside_each_gap(self, seed, ladders):
+        rng = np.random.default_rng(seed)
+        parts = 8
+        mu, sds = rng.normal(0.0, 2.0, parts), 10.0 ** rng.uniform(-3.0, 1.0, parts)
+        weights = rng.dirichlet(np.ones(parts)) * rng.choice([-1.0, 1.0], parts)
+        signed = transport._SignedMixture(weights, mu, sds)
+        half = 0.5 * sds[:, None]
+        ladder = np.floor((mu[:, None] + sds[:, None] * transport._LADDER) / half) * half
+        x = np.unique(np.concatenate([ladder.ravel() if ladders else [], rng.uniform(-8, 8, 50)]))
+        h, dh, bound, quart = signed.scan(x)
+        u = x[:-1, None] + (x[1:] - x[:-1])[:, None] * np.linspace(0.0, 1.0, 200)
+        t = (u[..., None] - mu) * signed.scale
+        e = np.exp(-t * t)
+        slope = (-2.0 * t * e) @ (signed.coef * signed.scale)
+        fourth = (4.0 * (4.0 * t**4 - 12.0 * t**2 + 3.0) * e) @ (signed.coef * signed.scale**4)
+        assert np.allclose(h, [signed(v) for v in x], rtol=1e-12, atol=1e-300)
+        assert np.allclose(dh, slope[:, 0].tolist() + [slope[-1, -1]], rtol=1e-9, atol=1e-300)
+        assert np.all(np.abs(slope).max(1) <= bound * (1.0 + 1e-12))
+        assert np.all(np.abs(fourth).max(1) <= quart * (1.0 + 1e-12))
+
+    # Once the node budget is spent, the gaps still unproved stop splitting
+    # and the TV they could hide joins the half-width, which must still cover
+    # the error. At a budget of 16 the narrow-bandwidth pair misses a dip of
+    # f - g (its value reads 2.2e-5 low).
+    @pytest.mark.parametrize("pair", [
+        lambda: jittered_kde_pair(16),
+        lambda: jittered_kde_pair(173),
+        lambda: (shifted_pair(0.0), shifted_pair(1e-8)),
+        lambda: narrow_bandwidth_pair(np.random.default_rng(2024)),
+    ])
+    def test_a_spent_node_budget_still_covers_the_error(self, monkeypatch, pair):
+        f, g = pair()
+        converged = tv_distance(f, g)
+        monkeypatch.setattr(transport, "_NODE_BUDGET", 16)
+        est = tv_distance(f, g)
+        value, half_width = quad_tv(f, g)
+        assert est.half_width > 1e3 * converged.half_width
+        assert abs(est.value - value) <= est.half_width + half_width
 
     # Beyond a separation of ~40 standard deviations f - g underflows between
     # the two parts; a sign test that multiplied the two values there saw no

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +331,14 @@ class TestAnalyze:
         assert 0.0 <= result["mle_bound"]["value"] <= 1.0
         assert 0.0 <= result["mv_bound"]["value"] <= 1.0
         assert 0.0 <= result["min_count"]["value"] <= 1.0
+
+    # the tails cost the same at any n: P(X = n / 2) is 8e-9 here
+    def test_min_count_at_a_huge_n_answers_at_once(self, out):
+        start = time.perf_counter()
+        assert run(["analyze", "--min-count", "--n", "10000000000000000", "--probs", "0.5,0.5",
+                    "--m", "5000000000000000", "--out-dir", out]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert 0.0 <= read_json(out / "analysis.json")["min_count"]["value"] <= 8e-9
 
     def test_w1_between_generated_mixtures(self, out):
         run(["gen", "--family", "gaussian-grid", "--k", "2", "--seed", "1",
