@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..mixtures import MixingMeasure, Permutation, _TiltedLogSumExp, sample_labeled
+from ..mixtures import MixingMeasure, _sample_groups, _TiltedLogSumExp
 
 __all__ = [
     "DualEstimate",
@@ -211,8 +211,9 @@ def chernoff_exponent(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    data = sample_labeled(measure, Permutation.identity(measure.n_atoms), samples, rng)
-    u = measure.components[atom - 1].log_density(data.x) + measure.log_weights[atom - 1]
+    # the generator calls of sample_labeled under the identity, without its labels
+    x = _sample_groups(rng, measure.weights, measure.components, samples, measure.dim)[1]
+    u = measure.components[atom - 1].log_density(x) + measure.log_weights[atom - 1]
     return chernoff_exponent_from_scores(
         u, t, seed=seed if isinstance(seed, int) else None
     )

@@ -7,24 +7,25 @@ class minus the strongest rival class, with the overall gap the worst region's
 margin. Both are estimated from one labeled draw out of the true model and
 reported with half-widths at three standard errors. The plug-in risk of
 ``risk.misclassification_rate`` reads the same draw, which this module owns.
+
+The draw is scored one atom at a time, and each score column is folded into
+the per-class sums, their squares and the samples' regions before the next
+is scored, so no (n, K) array is built: a draw of n samples needs O(n)
+memory however many atoms the measures have.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..estimators import _mle_weights, prefix_summaries
+from ..estimators import _mle_weights, _RunningArgmax, prefix_summaries
 from ..matching import _as_weight_matrix, _best_two
-from ..mixtures import (
-    LabeledData,
-    MixingMeasure,
-    Permutation,
-    _label_from_scores,
-    sample_labeled,
-)
+from ..mixtures import LabeledData, MixingMeasure, Permutation, sample_labeled
 
 __all__ = ["GapReport", "estimate_gaps"]
 
@@ -82,17 +83,20 @@ def _check_draw(model, truth, true_perm, samples, which, perm) -> None:
         raise ValueError("which must be a nonempty subset of {'mle','mv'}")
 
 
-def _mle_part(weights: np.ndarray, scores, labels, true_perm):
-    n, k = scores.shape
+def _atom_columns(measure: MixingMeasure, x: np.ndarray):
+    """Column r of ``measure.log_scores(x)``, bit for bit, for r = 0..K-1.
+
+    Each atom is scored alone when its column is asked for: an atom scores a
+    point with the same bits alone as in the measure's one pass.
+    """
+    return (atom.log_density(x) + w for atom, w in zip(measure.components, measure.log_weights))
+
+
+def _mle_part(weights: np.ndarray, cell_sq: np.ndarray, n: int, true_perm):
+    """The likelihood gap from the per-class sums of the scores and of their squares."""
+    k = true_perm.size
     cell_mean = _mle_weights(weights) / n
-    # per-class sums of squared scores, the second moment behind the
-    # half-width: one bincount per region column, added in sample order
-    rows = labels - 1
-    cell_sq = np.empty((k, k))
-    for r in range(k):
-        cell_sq[:, r] = np.bincount(rows, weights=np.square(scores[:, r]), minlength=k)
-    cell_sq /= n
-    cell_se = np.sqrt(np.maximum(cell_sq - cell_mean**2, 0.0) / n)
+    cell_se = np.sqrt(np.maximum(cell_sq / n - cell_mean**2, 0.0) / n)
 
     def value(perm: Permutation) -> float:
         cols = np.asarray(perm.to_region) - 1
@@ -140,23 +144,34 @@ def _mv_part(votes: np.ndarray, mass: np.ndarray, true_perm):
 
 
 def _gaps_from_scores(
-    scores: np.ndarray,
+    columns,
     labels: np.ndarray,
     true_perm: Permutation,
     which: frozenset[str] | set[str],
     seed: int | np.random.Generator,
 ) -> GapReport:
-    """The requested margins of a draw's (n, K) model scores and true labels."""
-    n, k = scores.shape
-    summary = prefix_summaries(scores, labels, k, [n])
+    """The requested margins of a draw's K model score columns (n,) and true labels."""
+    n, k = labels.size, true_perm.size
+    # per-class sums of squared scores, the second moment behind the
+    # half-width: one bincount per region column, added in sample order
+    cell_sq = np.empty((k, k))
+
+    def squared(r: int, col: np.ndarray) -> np.ndarray:
+        # a score whose square overflows leaves the half-width inf or NaN
+        with np.errstate(over="ignore"):
+            cell_sq[:, r] = np.bincount(labels, np.square(col), minlength=k + 1)[1:]
+        return col
+
+    if "mle" in which:
+        columns = map(squared, itertools.count(), columns)
+    summary = prefix_summaries(columns, labels, k, [n])
     mle_gap = mle_hw = None
     mv_gap = mv_hw = None
     margins = margin_hws = None
     empty: tuple[int, ...] = ()
     if "mle" in which:
-        # a score whose square overflows leaves the half-width inf or NaN
         with np.errstate(over="ignore", invalid="ignore"):
-            mle_gap, mle_hw = _mle_part(summary.weights[0], scores, labels, true_perm)
+            mle_gap, mle_hw = _mle_part(summary.weights[0], cell_sq, n, true_perm)
     if "mv" in which:
         mv_gap, mv_hw, margins, margin_hws, empty = _mv_part(
             summary.votes[0], summary.region_counts[0], true_perm
@@ -174,14 +189,19 @@ def _gaps_from_scores(
     )
 
 
+def _wrong(region: np.ndarray, perm: Permutation, labels: np.ndarray) -> np.ndarray:
+    """Whether the label of each sample's region (0-based) under ``perm`` is not its own."""
+    return (np.asarray(perm.to_region) - 1)[labels - 1] != region
+
+
 def _rate_hw(errors: np.ndarray) -> tuple[float, float]:
     n = errors.size
     p = float(errors.mean())
     return p, 3.0 * math.sqrt(p * (1.0 - p) / n)
 
 
-def _risk_from_scores(
-    scores: np.ndarray,
+def _risk_from_regions(
+    region: np.ndarray,
     data: LabeledData,
     model: MixingMeasure,
     perm: Permutation,
@@ -189,16 +209,21 @@ def _risk_from_scores(
     true_perm: Permutation,
     seed: int | np.random.Generator,
 ) -> RiskEstimate:
-    """``misclassification_rate`` on the draw ``data``, given the model's scores of it."""
-    errs = (_label_from_scores(scores, perm) != data.y).astype(float)
+    """``misclassification_rate`` on the draw ``data``, given the model's
+    region (0-based) of each sample."""
+    errs = _wrong(region, perm, data.y)
     if model == truth and perm == true_perm:
         bayes_errs = errs
     else:
-        truth_scores = scores if truth == model else truth.log_scores(data.x)
-        bayes_errs = (_label_from_scores(truth_scores, true_perm) != data.y).astype(float)
+        if truth != model:
+            regions = _RunningArgmax(data.n, truth.n_atoms)
+            deque(map(regions.fold, itertools.count(), _atom_columns(truth, data.x)), maxlen=0)
+            region = regions.index
+        bayes_errs = _wrong(region, true_perm, data.y)
     rate, hw = _rate_hw(errs)
     bayes_rate, bayes_hw = _rate_hw(bayes_errs)
-    diff = errs - bayes_errs
+    # in -1..1: its mean and spread have the bits of the float differences
+    diff = np.subtract(errs, bayes_errs, dtype=np.int8)
     return RiskEstimate(
         rate=rate,
         half_width=hw,
@@ -226,16 +251,24 @@ def _gaps_and_risk(
     The draw is ``sample_labeled(truth, true_perm, samples, seed)``, and this
     is its one owner: ``estimate_gaps``, ``misclassification_rate`` and
     ``analyze`` each make one call here, so ``analyze`` draws and scores once
-    for both and reports the values the two functions return.
+    for both and reports the values the two functions return. The model
+    scores the draw one atom at a time; each column is folded into the
+    summary, the squares behind the MLE half-width and the regions the risk
+    reads, then dropped. The truth's columns, scored only for a risk whose
+    model is not the truth, stream the same way.
     """
     _check_draw(model, truth, true_perm, samples, which, perm)
     data = sample_labeled(truth, true_perm, samples, seed)
-    scores = model.log_scores(data.x)
+    columns = _atom_columns(model, data.x)
+    if perm is not None:
+        regions = _RunningArgmax(samples, model.n_atoms)
+        columns = map(regions.fold, itertools.count(), columns)
     gaps = risk = None
     if which is not None:
-        gaps = _gaps_from_scores(scores, data.y, true_perm, which, seed)
+        gaps = _gaps_from_scores(columns, data.y, true_perm, which, seed)
     if perm is not None:
-        risk = _risk_from_scores(scores, data, model, perm, truth, true_perm, seed)
+        deque(columns, maxlen=0)  # scores the draw unless the gaps already did
+        risk = _risk_from_regions(regions.index, data, model, perm, truth, true_perm, seed)
     return gaps, risk
 
 

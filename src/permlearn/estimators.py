@@ -112,22 +112,45 @@ def summarize(measure: MixingMeasure, data: LabeledData) -> PrefixSummaries:
         raise ValueError("data must be non-empty")
     if data.dim != measure.dim:
         raise ValueError(f"data dim {data.dim} does not match measure dim {measure.dim}")
-    return prefix_summaries(measure.log_scores(data.x), data.y, measure.n_atoms, [data.n])
+    return prefix_summaries(measure.log_scores(data.x).T, data.y, measure.n_atoms, [data.n])
 
 
-def prefix_summaries(
-    scores: np.ndarray, labels: np.ndarray, k: int, ns
-) -> PrefixSummaries:
-    """Summaries of the prefixes scores[..., :n, :], labels[..., :n] for every n in ns.
+class _RunningArgmax:
+    """``np.argmax`` over K score columns that arrive one at a time, in order.
 
-    A leading trial axis, scores (T, n, K) and labels (T, n), gives T len(ns)
-    prefixes, trial-major, each with the bits its trial gives alone. One
-    pass: each sample is counted once, in its trial's segment between the
-    grid sizes that enclose it, and a cumulative sum over each trial's
-    segments gives the prefixes. Beyond the scores, memory is
-    O(n + T len(ns) K^2).
+    After columns 0..r are folded in, ``index`` holds, per sample, the first
+    of them with the largest score. Log scores are never NaN (an overflow
+    scores -inf), so a strict ``>`` keeps the first maximum, as ``np.argmax``
+    does. ``index`` is held in the smallest unsigned type that fits K - 1.
     """
-    scores = np.asarray(scores, dtype=float)
+
+    def __init__(self, shape, k: int):
+        self.best = np.full(shape, -np.inf)
+        self.index = np.zeros(shape, dtype=np.min_scalar_type(k - 1))
+
+    def fold(self, r: int, col: np.ndarray) -> np.ndarray:
+        """Fold in column r and return it."""
+        ahead = np.greater(col, self.best)
+        # r exceeds every index so far: a max sets it where column r leads,
+        # without a masked store
+        np.maximum(self.index, np.multiply(ahead, r, dtype=self.index.dtype), out=self.index)
+        np.maximum(self.best, col, out=self.best)
+        return col
+
+
+def prefix_summaries(columns, labels: np.ndarray, k: int, ns) -> PrefixSummaries:
+    """Summaries of the prefixes labels[..., :n] for every n in ns.
+
+    ``columns`` yields the K score columns in atom order, each shaped like
+    ``labels``: column r holds log(weight_r f_r(x_i)) for every sample. A
+    leading trial axis, labels (T, n), gives T len(ns) prefixes, trial-major,
+    each with the bits its trial gives alone. One pass: each sample is
+    counted once, in its trial's segment between the grid sizes that enclose
+    it, and a cumulative sum over each trial's segments gives the prefixes.
+    Each column is binned and folded into the samples' regions before the
+    next is read, so a caller may score the columns on demand; beyond one
+    column, memory is O(n + T len(ns) K^2).
+    """
     labels = np.asarray(labels)
     ns = np.asarray(ns, dtype=np.int64)
     if ns.ndim != 1 or ns.size == 0 or ns[0] < 1 or np.any(np.diff(ns) <= 0):
@@ -135,26 +158,42 @@ def prefix_summaries(
     n = int(ns[-1])
     if labels.ndim not in (1, 2) or labels.shape[-1] < n:
         raise ValueError(f"need at least {n} labels")
-    if scores.shape != (*labels.shape, k):
-        raise ValueError(f"scores must have shape {(*labels.shape, k)}")
-    scores, labels = scores[..., :n, :], labels[..., :n]
+    shape = labels.shape
+    labels = labels[..., :n]
     if int(labels.max()) > k or int(labels.min()) < 1:
         raise ValueError(f"labels must lie in 1..{k}")
     t = labels.size // n
     g = ns.size
     # Bin (trial, segment, row, column) of a flat (t, g, k, k) array is
-    # ((trial * g + segment) * k + row) * k + column; seg_k holds
-    # (trial * g + segment) * k per sample.
-    seg_k = np.repeat(np.arange(t * g) * k, np.tile(np.diff(ns, prepend=0), t))
+    # ((trial * g + segment) * k + row) * k + column; rows holds
+    # (trial * g + segment) * k + class - 1 per sample.
+    rows = np.repeat(np.arange(t * g) * k, np.tile(np.diff(ns, prepend=0), t))
     labels = labels.ravel()
-    by_class = seg_k + labels - 1
+    rows += labels - 1
     size = t * g * k * k
     weights = np.empty(size)
-    for r in range(k):
+    regions = _RunningArgmax(labels.size, k)
+    r = -1
+    # no enumerate: its cached tuple would keep each column alive while the
+    # next is scored
+    for col in columns:
+        r += 1
+        col = np.asarray(col, dtype=float)
+        if r >= k or col.shape != shape:
+            raise ValueError(f"scores must be {k} columns of shape {shape}")
+        col = col[..., :n].ravel()
         # column r fills bins r::k, each adding its samples in sample order
-        weights[r::k] = np.bincount(by_class, scores[..., r].ravel(), minlength=size // k)
-    regions0 = np.argmax(scores, axis=-1).ravel()
-    votes = np.bincount((seg_k + regions0) * k + labels - 1, minlength=size)
+        weights[r::k] = np.bincount(rows, col, minlength=size // k)
+        regions.fold(r, col)
+        del col
+    if r != k - 1:
+        raise ValueError(f"scores must be {k} columns of shape {shape}")
+    # in place, each sample's vote bin, in the row of its region and the
+    # column of its class: (row + region) * k - (class - 1) * (k - 1)
+    rows += regions.index
+    rows *= k
+    rows -= np.multiply(labels - 1, k - 1, dtype=np.int64)
+    votes = np.bincount(rows, minlength=size)
     for field in (weights, votes):
         field.reshape(t, g, -1).cumsum(axis=1, out=field.reshape(t, g, -1))
     votes = votes.reshape(-1, k, k)

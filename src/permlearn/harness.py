@@ -381,7 +381,7 @@ def _chunk_summaries(
         xs.append(data.x)
         ys.append(y)
     scores = model.log_scores(np.concatenate(xs)).reshape(len(trials), n_max, k)
-    return prefix_summaries(scores, ys, k, spec.n_grid)
+    return prefix_summaries(np.moveaxis(scores, -1, 0), ys, k, spec.n_grid)
 
 
 def resolve_model(spec: ExperimentSpec) -> tuple[MixingMeasure, Permutation, MixingMeasure]:

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -36,13 +37,15 @@ from permlearn import (
     required_sample_size,
     run_recovery_experiment,
     sample_labeled,
+    summarize,
     tv_distance,
     wasserstein1,
 )
-from permlearn import matching
+from permlearn import harness, matching, mixtures
 from permlearn.analysis import bounds, gaps, transport
 from permlearn.analysis.bounds import ESS_FLOOR, _largest_stable_tilt
 from permlearn.analysis.transport import MAX_ATOMS, TvEstimate, _optimal_coupling
+from permlearn.estimators import PrefixSummaries, prefix_summaries
 from permlearn.mixtures import _EXP_DEAD, _TiltedLogSumExp, _json_text, _logsumexp
 
 
@@ -823,7 +826,7 @@ class TestGapEstimates:
         cell_mean = np.bincount(cells.ravel(), weights=scores.ravel(), minlength=k * k) / n
         se = np.sqrt(np.maximum(cell_sq / n - cell_mean**2, 0.0) / n).reshape(k, k)
         want = 3.0 * (float(se[0, 0] + se[0, 1]) + float(se[1, 1] + se[1, 0]))
-        rep = gaps._gaps_from_scores(scores, labels, Permutation.identity(k), {"mle"}, 0)
+        rep = gaps._gaps_from_scores(scores.T, labels, Permutation.identity(k), {"mle"}, 0)
         assert rep.mle_half_width == want
 
     @pytest.mark.parametrize("which", [{"mle", "mv"}, {"mle"}, {"mv"}], ids=["mle-mv", "mle", "mv"])
@@ -831,6 +834,224 @@ class TestGapEstimates:
         one = MixingMeasure([1.0], [Gaussian([0.0], [[1.0]])])
         with pytest.raises(ValueError, match="gaps need K >= 2 atoms"):
             estimate_gaps(one, one, Permutation.identity(1), samples=100, seed=0, which=which)
+
+
+def matrix_prefix_summaries(scores, labels, k, ns):
+    """prefix_summaries as it read one (..., n, K) score matrix, its regions
+    from np.argmax: the oracle of the column-wise pass."""
+    scores, labels, ns = np.asarray(scores, dtype=float), np.asarray(labels), np.asarray(ns)
+    n = int(ns[-1])
+    scores, labels = scores[..., :n, :], labels[..., :n]
+    t, g = labels.size // n, ns.size
+    seg_k = np.repeat(np.arange(t * g) * k, np.tile(np.diff(ns, prepend=0), t))
+    labels = labels.ravel()
+    by_class = seg_k + labels - 1
+    size = t * g * k * k
+    weights = np.empty(size)
+    for r in range(k):
+        weights[r::k] = np.bincount(by_class, scores[..., r].ravel(), minlength=size // k)
+    regions0 = np.argmax(scores, axis=-1).ravel()
+    votes = np.bincount((seg_k + regions0) * k + labels - 1, minlength=size)
+    for field in (weights, votes):
+        field.reshape(t, g, -1).cumsum(axis=1, out=field.reshape(t, g, -1))
+    votes = votes.reshape(-1, k, k)
+    return PrefixSummaries(np.tile(ns, t), k, weights.reshape(-1, k, k), votes,
+                           votes.sum(axis=1), votes.sum(axis=2))
+
+
+def matrix_gaps(scores, labels, true_perm, which, seed):
+    """GapReport of a draw's (n, K) model scores, by the matrix arithmetic."""
+    n, k = scores.shape
+    summary = matrix_prefix_summaries(scores, labels, k, [n])
+    mle = mv = (None, None)
+    margins = margin_hws = None
+    empty = ()
+    if "mle" in which:
+        with np.errstate(over="ignore", invalid="ignore"):
+            cell_mean = gaps._mle_weights(summary.weights[0]) / n
+            cell_sq = np.empty((k, k))
+            for r in range(k):
+                cell_sq[:, r] = np.bincount(labels - 1, np.square(scores[:, r]), minlength=k)
+            cell_sq /= n
+            cell_se = np.sqrt(np.maximum(cell_sq - cell_mean**2, 0.0) / n)
+        best, second = matching._best_two(cell_mean)
+        rival = (second if best.permutation == true_perm else best).permutation
+        t_cols, r_cols = np.array(true_perm.to_region) - 1, np.array(rival.to_region) - 1
+        gap = float(cell_mean[np.arange(k), t_cols].sum()) - float(
+            cell_mean[np.arange(k), r_cols].sum())
+        hw = 0.0
+        for row in range(k):
+            if t_cols[row] != r_cols[row]:
+                hw += float(cell_se[row, t_cols[row]] + cell_se[row, r_cols[row]])
+        mle = (gap, 3.0 * hw)
+    if "mv" in which:
+        # _mv_part reads only the summary, which the oracle builds itself
+        *mv, margins, margin_hws, empty = gaps._mv_part(
+            summary.votes[0], summary.region_counts[0], true_perm)
+    return gaps.GapReport(*mle, *mv, margins, margin_hws, empty, n,
+                          seed if isinstance(seed, int) else None)
+
+
+def matrix_risk(scores, data, model, perm, truth, true_perm, seed):
+    """RiskEstimate of a draw's (n, K) model scores, by the float error arithmetic."""
+    def errors(s, p):
+        return (p.map_regions(np.argmax(s, axis=1) + 1) != data.y).astype(float)
+
+    def rate_hw(e):
+        p = float(e.mean())
+        return p, 3.0 * math.sqrt(p * (1.0 - p) / e.size)
+
+    errs = errors(scores, perm)
+    if model == truth and perm == true_perm:
+        bayes_errs = errs
+    else:
+        bayes_errs = errors(scores if truth == model else truth.log_scores(data.x), true_perm)
+    diff = errs - bayes_errs
+    return gaps.RiskEstimate(
+        *rate_hw(errs), *rate_hw(bayes_errs), float(diff.mean()),
+        3.0 * float(diff.std(ddof=0)) / math.sqrt(errs.size), errs.size,
+        seed if isinstance(seed, int) else None)
+
+
+def bits(report):
+    """Every field of a report, numbers as their float64 bytes."""
+    return tuple(None if v is None else np.asarray(v, dtype=float).tobytes()
+                 for v in dataclasses.astuple(report))
+
+
+def random_measure(rng, k, d):
+    """K atoms on a grid of spacing 2 in R^d: a Gaussian, a 3-part mixture and a
+    4-point KDE in turn."""
+    atoms = []
+    for b in range(k):
+        centre = np.zeros(d)
+        centre[0], centre[-1] = 2.0 * (b % 4), 2.0 * (b // 4)
+        spread = rng.normal(0.0, 0.5, (4, d))
+        if b % 3 == 0:
+            atoms.append(Gaussian(centre + spread[0], np.diag(rng.uniform(0.3, 1.0, d))))
+        elif b % 3 == 1:
+            atoms.append(GaussianMixture([0.2, 0.3, 0.5], [
+                Gaussian(centre + s, np.diag(rng.uniform(0.2, 0.6, d))) for s in spread[:3]]))
+        else:
+            atoms.append(KernelDensity(centre + spread, 0.4))
+    weights = rng.uniform(0.5, 1.5, k)
+    return MixingMeasure(weights / weights.sum(), atoms)
+
+
+def _oracle_cases():
+    """(name, model, truth, true_perm, perm, samples, seed, which) inputs of the draw."""
+    cases = []
+    for d, k in itertools.product((1, 2, 3), (2, 3, 9, 16)):
+        seed = 10 * d + k
+        rng = np.random.default_rng(seed)
+        truth, model = random_measure(rng, k, d), random_measure(rng, k, d)
+        true_perm, perm = (Permutation(tuple(rng.permutation(k) + 1)) for _ in range(2))
+        for (name, m), (pname, p) in itertools.product(
+            (("truth", truth), ("model", model)), (("true_perm", true_perm), ("perm", perm))
+        ):
+            cases.append((f"d{d}-k{k}-{name}-{pname}", m, truth, true_perm, p, 600, seed,
+                          {"mle", "mv"}))
+    kdes = MixingMeasure([0.5, 0.5], jittered_kde_pair(2))
+    cases.append(("kde", kdes, kdes, Permutation((2, 1)), Permutation.identity(2), 800, 1,
+                  {"mle", "mv"}))
+    # equal atoms at equal weights: every score of atom 2 ties atom 1's, and
+    # the tie goes to the lower index
+    a, b = Gaussian([0.0, 0.0], np.eye(2)), Gaussian([2.0, 1.0], np.eye(2))
+    twins = MixingMeasure([0.3, 0.3, 0.4], [a, a, b])
+    cases.append(("twins", twins, nested_measure(), Permutation((3, 1, 2)),
+                  Permutation.identity(3), 800, 2, {"mle", "mv"}))
+    # analyze's ana/empty_region: region 2 of the model gets no sample
+    cases.append(("empty_region", mixture_from_dict({"dim": 1, "atoms": [
+        {"weight": 0.5, "density": {"type": "gaussian", "mean": [0.0], "cov": [[1.0]]}},
+        {"weight": 0.5, "density": {"type": "gaussian", "mean": [80.0], "cov": [[1.0]]}}]}),
+        two_atom(2.0, (0.9, 0.1)), Permutation.identity(2), Permutation.identity(2), 3000, 8,
+        {"mle", "mv"}))
+    # samples of the wide atom lie so far out that the unit atoms score them
+    # -inf; the MLE refuses the -inf class sums, the votes and risk do not
+    wide = MixingMeasure([0.4, 0.4, 0.2], [Gaussian([0.0], [[1.0]]), Gaussian([3.0], [[1.0]]),
+                                            Gaussian([0.0], [[1e308]])])
+    cases.append(("minus_inf", wide, wide, Permutation((2, 3, 1)), Permutation.identity(3),
+                  600, 3, {"mv"}))
+    truth2 = MixingMeasure([0.5, 0.5], [Gaussian([0.0, 0.0], np.eye(2)),
+                                        Gaussian([3.0, 0.0], np.eye(2))])
+    narrow = MixingMeasure([0.5, 0.5], [Gaussian([0.0, 0.0], np.diag([1e-300, 1.0])),
+                                        Gaussian([3.0, 0.0], np.eye(2))])
+    cases.append(("square_overflows", narrow, truth2, Permutation.identity(2),
+                  Permutation((2, 1)), 600, 4, {"mle"}))
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+class TestColumnwiseDrawMatchesTheMatrixPath:
+    """The draw scored one atom at a time gives the bits of the (n, K) matrix path."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+    def test_gaps_risk_and_summaries_equal_the_oracle(self, case):
+        _, model, truth, true_perm, perm, samples, seed, which = case
+        data = sample_labeled(truth, true_perm, samples, seed)
+        scores = model.log_scores(data.x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = estimate_gaps(model, truth, true_perm, samples, seed, which)
+            risk = misclassification_rate(model, perm, truth, true_perm, samples, seed)
+            got = summarize(model, data)
+        assert bits(rep) == bits(matrix_gaps(scores, data.y, true_perm, which, seed))
+        want = matrix_risk(scores, data, model, perm, truth, true_perm, seed)
+        assert bits(risk) == bits(want)
+        want = matrix_prefix_summaries(scores, data.y, model.n_atoms, [samples])
+        for field in ("weights", "votes", "class_counts", "region_counts"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+    def test_minus_inf_columns_reach_the_mle_refusal(self):
+        _, model, truth, true_perm, _, samples, seed, _ = next(
+            c for c in ORACLE_CASES if c[0] == "minus_inf")
+        scores = model.log_scores(sample_labeled(truth, true_perm, samples, seed).x)
+        assert np.any(np.isneginf(scores)) and np.all(np.isfinite(scores.max(axis=1)))
+        with pytest.raises(ValueError, match="sum to -inf"):
+            estimate_gaps(model, truth, true_perm, samples, seed, {"mle"})
+
+    def test_peak_memory_is_linear_in_n_with_no_k_term(self):
+        # Per sample the path keeps x (8 d bytes), the labels, the summary's
+        # bin keys and running maximum (8 bytes each) and argmax (1 byte), and
+        # one score column with its square and bincount's copy of the
+        # read-only labels (8 bytes each). Scoring one block adds its z rows
+        # and a few log-sum-exp buffers: at most (d + 5) * 8 bytes per block
+        # entry. The (n, K) scores alone would take 8 K bytes per sample.
+        k, d = 32, 2
+        per_sample = 8 * d + 3 * 8 + 1 + 3 * 8
+        per_block = (d + 5) * 8 * mixtures._BLOCK_ENTRIES
+        truth = random_measure(np.random.default_rng(7), k, d)
+        ident = Permutation.identity(k)
+        estimate_gaps(truth, truth, ident, 100, seed=0)  # loads what a first call loads
+        for n in (10_000, 40_000):
+            tracemalloc.start()
+            try:
+                estimate_gaps(truth, truth, ident, n, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= n * per_sample + per_block + 2**18, n
+
+    @pytest.mark.parametrize("k", [2, 9])
+    def test_the_harness_summaries_equal_the_oracle(self, k, monkeypatch):
+        spec = ExperimentSpec(family="mixture_of_mixtures_perturbed", k=k, dim=2, eta=1.0,
+                              n_grid=(3, 17, 40), trials=4, label_noise=0.1, seed=k)
+        checked = []
+
+        def compared(columns, labels, k, ns):
+            columns = list(columns)
+            got = prefix_summaries(columns, labels, k, ns)
+            want = matrix_prefix_summaries(np.stack(columns, axis=-1), labels, k, ns)
+            for field in ("ns", "weights", "votes", "class_counts", "region_counts"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+            checked.append(len(labels))
+            return got
+
+        monkeypatch.setattr(harness, "prefix_summaries", compared)
+        run_recovery_experiment(spec)
+        assert sum(checked) == spec.trials
 
 
 class TestTvDistance:
@@ -1716,13 +1937,15 @@ class TestRisk:
         assert est.rate > est.bayes_rate
 
     def _count_scorings(self, monkeypatch):
-        calls, original = [], MixingMeasure.log_scores
+        # the draw is scored one atom at a time: count the measures whose
+        # columns are asked for
+        calls, original = [], gaps._atom_columns
 
         def counted(measure, x):
             calls.append(measure)
             return original(measure, x)
 
-        monkeypatch.setattr(MixingMeasure, "log_scores", counted)
+        monkeypatch.setattr(gaps, "_atom_columns", counted)
         return calls
 
     def test_true_pair_classifies_once_with_the_same_estimate(self, monkeypatch):

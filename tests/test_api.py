@@ -250,11 +250,10 @@ def test_no_function_binds_a_local_it_never_reads():
 # every permlearn module (package prefix dropped). A new reach-in into another
 # module's private names shows up as an edit here.
 _PRIVATE_IMPORTS = {
-    "analysis.bounds": {"mixtures": ["_TiltedLogSumExp"]},
+    "analysis.bounds": {"mixtures": ["_sample_groups", "_TiltedLogSumExp"]},
     "analysis.gaps": {
-        "estimators": ["_mle_weights"],
+        "estimators": ["_mle_weights", "_RunningArgmax"],
         "matching": ["_as_weight_matrix", "_best_two"],
-        "mixtures": ["_label_from_scores"],
     },
     "analysis.risk": {"analysis.gaps": ["_gaps_and_risk"]},
     "analysis.transport": {"matching": ["_load_extension"], "mixtures": ["_check_atoms"]},

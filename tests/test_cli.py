@@ -481,7 +481,7 @@ class TestAnalyzeOneDraw:
 
     def test_model_equal_to_truth_draws_and_scores_once(self, out, files, monkeypatch):
         draws, scorings = [], []
-        original_draw, original_scores = sample_labeled, MixingMeasure.log_scores
+        original_draw, original_scores = sample_labeled, gaps_module._atom_columns
 
         def counted_draw(*args, **kw):
             draws.append(args)
@@ -493,7 +493,8 @@ class TestAnalyzeOneDraw:
 
         for module in (cli, gaps_module):
             monkeypatch.setattr(module, "sample_labeled", counted_draw)
-        monkeypatch.setattr(MixingMeasure, "log_scores", counted_scores)
+        # the draw is scored one atom at a time, from one column generator per measure
+        monkeypatch.setattr(gaps_module, "_atom_columns", counted_scores)
         self._analyze(out, files[0], [])
         assert len(draws) == 1 and scorings == [self.MC]
         draws.clear(), scorings.clear()

@@ -76,7 +76,7 @@ class TestSummarize:
         m = separated(3)
         data = sample_labeled(m, Permutation.identity(3), 200, seed=0)
         a = summarize(m, data)
-        b = prefix_summaries(m.log_scores(data.x), data.y, 3, [50, 120, 200])
+        b = prefix_summaries(m.log_scores(data.x).T, data.y, 3, [50, 120, 200])
         np.testing.assert_array_equal(a.votes[0], b.votes[-1])
         np.testing.assert_allclose(a.weights[0], b.weights[-1])
 
@@ -91,8 +91,8 @@ class TestSummarize:
         rng = np.random.default_rng([t, n, k])
         scores = rng.normal(size=(t, n + 1, k))
         labels = rng.integers(1, k + 1, size=(t, n + 1))
-        batch = prefix_summaries(scores, labels, k, ns)
-        alone = [prefix_summaries(scores[i], labels[i], k, ns) for i in range(t)]
+        batch = prefix_summaries(np.moveaxis(scores, -1, 0), labels, k, ns)
+        alone = [prefix_summaries(scores[i].T, labels[i], k, ns) for i in range(t)]
         assert batch.k == k
         for field in ("ns", "weights", "votes", "class_counts", "region_counts"):
             stacked = np.concatenate([getattr(a, field) for a in alone])
@@ -114,7 +114,7 @@ class TestSummarize:
         if negative_zero:
             scores[rng.random(scores.shape) < 0.5] = -0.0
             scores[..., 0] = -0.0
-        got = prefix_summaries(scores, labels, k, ns).weights
+        got = prefix_summaries(np.moveaxis(scores, -1, 0), labels, k, ns).weights
         want = flat_bincount_weights(scores, labels, k, ns)
         assert got.tobytes() == want.tobytes()
 
@@ -126,9 +126,9 @@ class TestSummarize:
         scores = rng.normal(size=(n, k))
         labels = rng.integers(1, k + 1, n)
         for call in (
-            lambda: prefix_summaries(scores, labels, k, [n]),
+            lambda: prefix_summaries(scores.T, labels, k, [n]),
             lambda: _gaps_from_scores(
-                scores, labels, Permutation.identity(k), {"mle", "mv"}, 0
+                scores.T, labels, Permutation.identity(k), {"mle", "mv"}, 0
             ),
         ):
             tracemalloc.start()
@@ -141,9 +141,12 @@ class TestSummarize:
 
     def test_rejects_scores_that_do_not_match_the_trial_axis(self):
         with pytest.raises(ValueError, match="shape"):
-            prefix_summaries(np.zeros((2, 3, 2)), np.ones((3, 3), dtype=int), 2, [3])
+            prefix_summaries(np.zeros((2, 2, 3)), np.ones((3, 3), dtype=int), 2, [3])
         with pytest.raises(ValueError, match="labels"):
-            prefix_summaries(np.zeros((1, 2, 3, 2)), np.ones((1, 2, 3), dtype=int), 2, [3])
+            prefix_summaries(np.zeros((2, 1, 2, 3)), np.ones((1, 2, 3), dtype=int), 2, [3])
+        for count in (1, 3):  # one column too few or too many
+            with pytest.raises(ValueError, match="2 columns"):
+                prefix_summaries(np.zeros((count, 3)), np.ones(3, dtype=int), 2, [3])
 
     def test_rejects_label_above_k(self):
         m = separated(2)
@@ -251,7 +254,7 @@ class TestGreedy:
     def test_collision_is_non_bijective(self):
         # both rows prefer column 1: greedy collides where matching succeeds
         s = prefix_summaries(
-            np.log(np.array([[4.0, 1.0], [5.0, 3.0]]) / 10.0),
+            np.log(np.array([[4.0, 1.0], [5.0, 3.0]]) / 10.0).T,
             np.array([1, 2]),
             2,
             [2],

@@ -507,7 +507,7 @@ def _trial_at_a_time(spec):
     per_trial = []
     for t in range(spec.trials):
         data = _trial_data(spec, truth, perm, t)
-        prefixes = prefix_summaries(model.log_scores(data.x), data.y, spec.k, spec.n_grid)
+        prefixes = prefix_summaries(model.log_scores(data.x).T, data.y, spec.k, spec.n_grid)
         codes = np.empty((len(_ESTIMATORS), len(spec.n_grid)), dtype=np.int8)
         logliks = np.full(codes.shape, np.nan)
         for e, (_, rule) in enumerate(_ESTIMATORS):
@@ -584,9 +584,9 @@ class TestChunkedEngineMatchesTrialAtATime:
         monkeypatch.setattr(harness, "_CHUNK_ENTRIES", n_chunk * per_trial)
         calls = []
 
-        def counted(scores, *args):
-            calls.append(len(scores))
-            return prefix_summaries(scores, *args)
+        def counted(columns, labels, *args):
+            calls.append(len(labels))
+            return prefix_summaries(columns, labels, *args)
 
         monkeypatch.setattr(harness, "prefix_summaries", counted)
         text = run_recovery_experiment(spec).csv_text()
@@ -613,9 +613,9 @@ class TestChunkedEngineMatchesTrialAtATime:
             scored.append(len(x))
             return log_scores(self, x)
 
-        def count_summaries(scores, *args):
-            summarised.append(len(scores))
-            return prefix_summaries(scores, *args)
+        def count_summaries(columns, labels, *args):
+            summarised.append(len(labels))
+            return prefix_summaries(columns, labels, *args)
 
         monkeypatch.setattr(MixingMeasure, "log_scores", count_scores)
         monkeypatch.setattr(harness, "prefix_summaries", count_summaries)

@@ -465,6 +465,36 @@ class TestAloneEqualsBatch:
                     assert np.array_equal(whole, np.concatenate([score(x[:half]), score(x[half:])]))
 
 
+class TestBlockSizeChangesNoBit:
+    """``_BLOCK_ENTRIES`` sets how many points a block scores, never a bit."""
+
+    SIZES = (2**17, mixtures._BLOCK_ENTRIES, 2**5)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_scores_equal_at_every_block_size(self, d, monkeypatch):
+        # a KDE atom of many parts keeps the largest blocks, scored 32 entries
+        # at a time, few
+        rng = np.random.default_rng(40 + d)
+        kde = KernelDensity(rng.normal(size=(120, d)), 0.6)
+        nested = nested_measure(rng, 4, d, with_zero_parts=True)
+        m = MixingMeasure([*(0.8 * nested.weights), 0.2], [*nested.components, kde])
+        for score, comps in ((m.log_scores, m.components), (kde.log_density, [kde])):
+            n_parts = sum(len(c._table.weights) for c in comps)
+            ns = {1, 2}
+            for size in self.SIZES:
+                monkeypatch.setattr(mixtures, "_BLOCK_ENTRIES", size)
+                block = mixtures._block(n_parts)
+                ns |= {block - 1, block + 1}
+            for n in sorted(ns):
+                x = rng.normal(0.0, 3.0, (n, d))
+                x[-1] = 1e155  # scores -inf under every atom
+                got = []
+                for size in self.SIZES:
+                    monkeypatch.setattr(mixtures, "_BLOCK_ENTRIES", size)
+                    got.append(score(x))
+                assert all(np.array_equal(got[0], g) for g in got[1:]), n
+
+
 NON_FINITE = [np.nan, np.inf, -np.inf]
 ATOMS_2D = {
     "gaussian": Gaussian([0.0, 0.0], np.eye(2)),
