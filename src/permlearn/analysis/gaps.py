@@ -7,11 +7,8 @@ class minus the strongest rival class, with the overall gap the worst region's
 margin. Both are estimated from one labeled draw out of the true model and
 reported with half-widths at three standard errors. The plug-in risk of
 ``risk.misclassification_rate`` reads the same draw, which this module owns.
-
-The draw is scored one atom at a time, and each score column is folded into
-the per-class sums, their squares and the samples' regions before the next
-is scored, so no (n, K) array is built: a draw of n samples needs O(n)
-memory however many atoms the measures have.
+It scores the draw one atom at a time and builds no (n, K) array, so a draw
+of n samples needs O(n) memory however many atoms the measures have.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ import numpy as np
 
 from ..estimators import _mle_weights, _RunningArgmax, prefix_summaries
 from ..matching import _as_weight_matrix, _best_two
-from ..mixtures import LabeledData, MixingMeasure, Permutation, sample_labeled
+from ..mixtures import MixingMeasure, Permutation, sample_labeled
 
 __all__ = ["GapReport", "estimate_gaps"]
 
@@ -84,11 +81,7 @@ def _check_draw(model, truth, true_perm, samples, which, perm) -> None:
 
 
 def _atom_columns(measure: MixingMeasure, x: np.ndarray):
-    """Column r of ``measure.log_scores(x)``, bit for bit, for r = 0..K-1.
-
-    Each atom is scored alone when its column is asked for: an atom scores a
-    point with the same bits alone as in the measure's one pass.
-    """
+    """The columns of ``measure.log_scores(x)``, bit for bit, each atom scored alone."""
     return (atom.log_density(x) + w for atom, w in zip(measure.components, measure.log_weights))
 
 
@@ -189,11 +182,6 @@ def _gaps_from_scores(
     )
 
 
-def _wrong(region: np.ndarray, perm: Permutation, labels: np.ndarray) -> np.ndarray:
-    """Whether the label of each sample's region (0-based) under ``perm`` is not its own."""
-    return (np.asarray(perm.to_region) - 1)[labels - 1] != region
-
-
 def _rate_hw(errors: np.ndarray) -> tuple[float, float]:
     n = errors.size
     p = float(errors.mean())
@@ -202,24 +190,29 @@ def _rate_hw(errors: np.ndarray) -> tuple[float, float]:
 
 def _risk_from_regions(
     region: np.ndarray,
-    data: LabeledData,
+    x: np.ndarray,
+    y: np.ndarray,
     model: MixingMeasure,
     perm: Permutation,
     truth: MixingMeasure,
     true_perm: Permutation,
     seed: int | np.random.Generator,
 ) -> RiskEstimate:
-    """``misclassification_rate`` on the draw ``data``, given the model's
-    region (0-based) of each sample."""
-    errs = _wrong(region, perm, data.y)
+    """``misclassification_rate`` on the draw (x, y), given each sample's
+    0-based region under the model."""
+
+    def wrong(at: np.ndarray, p: Permutation) -> np.ndarray:
+        return (np.asarray(p.to_region) - 1)[y - 1] != at
+
+    errs = wrong(region, perm)
     if model == truth and perm == true_perm:
         bayes_errs = errs
     else:
         if truth != model:
-            regions = _RunningArgmax(data.n, truth.n_atoms)
-            deque(map(regions.fold, itertools.count(), _atom_columns(truth, data.x)), maxlen=0)
+            regions = _RunningArgmax(y.size, truth.n_atoms)
+            deque(map(regions.fold, itertools.count(), _atom_columns(truth, x)), maxlen=0)
             region = regions.index
-        bayes_errs = _wrong(region, true_perm, data.y)
+        bayes_errs = wrong(region, true_perm)
     rate, hw = _rate_hw(errs)
     bayes_rate, bayes_hw = _rate_hw(bayes_errs)
     # in -1..1: its mean and spread have the bits of the float differences
@@ -251,24 +244,27 @@ def _gaps_and_risk(
     The draw is ``sample_labeled(truth, true_perm, samples, seed)``, and this
     is its one owner: ``estimate_gaps``, ``misclassification_rate`` and
     ``analyze`` each make one call here, so ``analyze`` draws and scores once
-    for both and reports the values the two functions return. The model
-    scores the draw one atom at a time; each column is folded into the
-    summary, the squares behind the MLE half-width and the regions the risk
-    reads, then dropped. The truth's columns, scored only for a risk whose
-    model is not the truth, stream the same way.
+    for both and reports the values the two functions return. Each column
+    of the model's scores is folded into the summary, the squares behind the
+    MLE half-width and the regions the risk reads before the next is scored;
+    the truth's columns, scored for a risk when the model differs, likewise.
     """
     _check_draw(model, truth, true_perm, samples, which, perm)
     data = sample_labeled(truth, true_perm, samples, seed)
-    columns = _atom_columns(model, data.x)
+    # np.bincount copies a read-only array at each call: one writable copy of
+    # the labels serves every column, and the draw's frozen one is let go
+    x, y = data.x, np.array(data.y)
+    del data
+    columns = _atom_columns(model, x)
     if perm is not None:
         regions = _RunningArgmax(samples, model.n_atoms)
         columns = map(regions.fold, itertools.count(), columns)
     gaps = risk = None
     if which is not None:
-        gaps = _gaps_from_scores(columns, data.y, true_perm, which, seed)
+        gaps = _gaps_from_scores(columns, y, true_perm, which, seed)
     if perm is not None:
         deque(columns, maxlen=0)  # scores the draw unless the gaps already did
-        risk = _risk_from_regions(regions.index, data, model, perm, truth, true_perm, seed)
+        risk = _risk_from_regions(regions.index, x, y, model, perm, truth, true_perm, seed)
     return gaps, risk
 
 

@@ -116,20 +116,15 @@ def summarize(measure: MixingMeasure, data: LabeledData) -> PrefixSummaries:
 
 
 class _RunningArgmax:
-    """``np.argmax`` over K score columns that arrive one at a time, in order.
-
-    After columns 0..r are folded in, ``index`` holds, per sample, the first
-    of them with the largest score. Log scores are never NaN (an overflow
-    scores -inf), so a strict ``>`` keeps the first maximum, as ``np.argmax``
-    does. ``index`` is held in the smallest unsigned type that fits K - 1.
-    """
+    """``np.argmax`` over K score columns folded in one at a time, in order, in
+    the smallest unsigned type that fits K - 1. Log scores are never NaN, so a
+    strict ``>`` keeps the first maximum, as ``np.argmax`` does."""
 
     def __init__(self, shape, k: int):
         self.best = np.full(shape, -np.inf)
         self.index = np.zeros(shape, dtype=np.min_scalar_type(k - 1))
 
     def fold(self, r: int, col: np.ndarray) -> np.ndarray:
-        """Fold in column r and return it."""
         ahead = np.greater(col, self.best)
         # r exceeds every index so far: a max sets it where column r leads,
         # without a masked store
@@ -147,9 +142,8 @@ def prefix_summaries(columns, labels: np.ndarray, k: int, ns) -> PrefixSummaries
     each with the bits its trial gives alone. One pass: each sample is
     counted once, in its trial's segment between the grid sizes that enclose
     it, and a cumulative sum over each trial's segments gives the prefixes.
-    Each column is binned and folded into the samples' regions before the
-    next is read, so a caller may score the columns on demand; beyond one
-    column, memory is O(n + T len(ns) K^2).
+    Each column is binned before the next is read, so a caller may score
+    them on demand; beyond one column, memory is O(n + T len(ns) K^2).
     """
     labels = np.asarray(labels)
     ns = np.asarray(ns, dtype=np.int64)
@@ -174,9 +168,7 @@ def prefix_summaries(columns, labels: np.ndarray, k: int, ns) -> PrefixSummaries
     weights = np.empty(size)
     regions = _RunningArgmax(labels.size, k)
     r = -1
-    # no enumerate: its cached tuple would keep each column alive while the
-    # next is scored
-    for col in columns:
+    for col in columns:  # no enumerate: its last tuple keeps a column alive
         r += 1
         col = np.asarray(col, dtype=float)
         if r >= k or col.shape != shape:
@@ -188,8 +180,7 @@ def prefix_summaries(columns, labels: np.ndarray, k: int, ns) -> PrefixSummaries
         del col
     if r != k - 1:
         raise ValueError(f"scores must be {k} columns of shape {shape}")
-    # in place, each sample's vote bin, in the row of its region and the
-    # column of its class: (row + region) * k - (class - 1) * (k - 1)
+    # in place, the vote bin: (row + region) * k - (class - 1) * (k - 1)
     rows += regions.index
     rows *= k
     rows -= np.multiply(labels - 1, k - 1, dtype=np.int64)

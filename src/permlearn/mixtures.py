@@ -212,12 +212,10 @@ def _join(tables: Sequence[_Parts]) -> _Parts:
     return _Parts(*arrays, tuple(bounds))
 
 
-# Part x point entries per block. Its z rows take (d + 1) x 256 KB and an
-# atom's log-sum-exp buffers a few 256 KB more, so a block's arrays stay in a
-# core's 2 MB L2 cache, and a KDE of many points scores in bounded memory. The
-# size changes no bit: a point scores alike in any block. Of 2**13..2**17 on
-# 100k-point draws scored one atom at a time, 2**15 measured best: smaller
-# blocks were slower, larger ones took more memory.
+# Part x point entries per block: its (d + 1) z rows of 256 KB and a few such
+# log-sum-exp buffers stay in a 2 MB L2 cache, and a KDE of many points scores
+# in bounded memory. Of 2**13..2**17, 2**15 measured best on 100k-point draws
+# scored per atom: smaller was slower, larger took more memory. No bit moves.
 _BLOCK_ENTRIES = 2**15
 
 

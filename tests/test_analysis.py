@@ -1015,12 +1015,11 @@ class TestColumnwiseDrawMatchesTheMatrixPath:
     def test_peak_memory_is_linear_in_n_with_no_k_term(self):
         # Per sample the path keeps x (8 d bytes), the labels, the summary's
         # bin keys and running maximum (8 bytes each) and argmax (1 byte), and
-        # one score column with its square and bincount's copy of the
-        # read-only labels (8 bytes each). Scoring one block adds its z rows
-        # and a few log-sum-exp buffers: at most (d + 5) * 8 bytes per block
-        # entry. The (n, K) scores alone would take 8 K bytes per sample.
+        # one score column and its square (8 bytes each). Scoring one block
+        # adds its z rows and a few log-sum-exp buffers: at most (d + 5) * 8
+        # bytes per block entry. The (n, K) scores alone take 8 K per sample.
         k, d = 32, 2
-        per_sample = 8 * d + 3 * 8 + 1 + 3 * 8
+        per_sample = 8 * d + 3 * 8 + 1 + 2 * 8
         per_block = (d + 5) * 8 * mixtures._BLOCK_ENTRIES
         truth = random_measure(np.random.default_rng(7), k, d)
         ident = Permutation.identity(k)
