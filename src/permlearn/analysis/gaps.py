@@ -7,7 +7,8 @@ class minus the strongest rival class, with the overall gap the worst region's
 margin. Both are estimated from one labeled draw out of the true model and
 reported with half-widths at three standard errors. The plug-in risk of
 ``risk.misclassification_rate`` reads the same draw, which this module owns.
-It scores the draw one atom at a time and builds no (n, K) array, so a draw
+It scores the draw one atom at a time into one running argmax, which bins
+the votes and gives the risk its regions, and builds no (n, K) array: a draw
 of n samples needs O(n) memory however many atoms the measures have.
 """
 
@@ -15,12 +16,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..estimators import _mle_weights, _RunningArgmax, prefix_summaries
+from ..estimators import _mle_weights, _prefix_summaries, _RunningArgmax
 from ..matching import _as_weight_matrix, _best_two
 from ..mixtures import MixingMeasure, Permutation, sample_labeled
 
@@ -81,8 +83,10 @@ def _check_draw(model, truth, true_perm, samples, which, perm) -> None:
 
 
 def _atom_columns(measure: MixingMeasure, x: np.ndarray):
-    """The columns of ``measure.log_scores(x)``, bit for bit, each atom scored alone."""
-    return (atom.log_density(x) + w for atom, w in zip(measure.components, measure.log_weights))
+    """The columns of ``measure.log_scores(x)``, bit for bit, each atom scored
+    alone into one array that takes its log weight in place and is not held."""
+    return (operator.iadd(atom.log_density(x), w)
+            for atom, w in zip(measure.components, measure.log_weights))
 
 
 def _mle_part(weights: np.ndarray, cell_sq: np.ndarray, n: int, true_perm):
@@ -142,6 +146,7 @@ def _gaps_from_scores(
     true_perm: Permutation,
     which: frozenset[str] | set[str],
     seed: int | np.random.Generator,
+    regions: _RunningArgmax | None = None,
 ) -> GapReport:
     """The requested margins of a draw's K model score columns (n,) and true labels."""
     n, k = labels.size, true_perm.size
@@ -157,10 +162,8 @@ def _gaps_from_scores(
 
     if "mle" in which:
         columns = map(squared, itertools.count(), columns)
-    summary = prefix_summaries(columns, labels, k, [n])
-    mle_gap = mle_hw = None
-    mv_gap = mv_hw = None
-    margins = margin_hws = None
+    summary = _prefix_summaries(columns, labels, k, [n], regions)
+    mle_gap = mle_hw = mv_gap = mv_hw = margins = margin_hws = None
     empty: tuple[int, ...] = ()
     if "mle" in which:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -205,14 +208,11 @@ def _risk_from_regions(
         return (np.asarray(p.to_region) - 1)[y - 1] != at
 
     errs = wrong(region, perm)
-    if model == truth and perm == true_perm:
-        bayes_errs = errs
-    else:
-        if truth != model:
-            regions = _RunningArgmax(y.size, truth.n_atoms)
-            deque(map(regions.fold, itertools.count(), _atom_columns(truth, x)), maxlen=0)
-            region = regions.index
-        bayes_errs = wrong(region, true_perm)
+    if truth != model:
+        regions = _RunningArgmax(y.size, truth.n_atoms)
+        deque(map(regions.fold, itertools.count(), _atom_columns(truth, x)), maxlen=0)
+        region = regions.index
+    bayes_errs = wrong(region, true_perm)
     rate, hw = _rate_hw(errs)
     bayes_rate, bayes_hw = _rate_hw(bayes_errs)
     # in -1..1: its mean and spread have the bits of the float differences
@@ -246,8 +246,8 @@ def _gaps_and_risk(
     ``analyze`` each make one call here, so ``analyze`` draws and scores once
     for both and reports the values the two functions return. Each column
     of the model's scores is folded into the summary, the squares behind the
-    MLE half-width and the regions the risk reads before the next is scored;
-    the truth's columns, scored for a risk when the model differs, likewise.
+    MLE half-width and one running argmax, shared by the votes and the risk,
+    before the next is scored; a risk under another model folds the truth's too.
     """
     _check_draw(model, truth, true_perm, samples, which, perm)
     data = sample_labeled(truth, true_perm, samples, seed)
@@ -256,14 +256,13 @@ def _gaps_and_risk(
     x, y = data.x, np.array(data.y)
     del data
     columns = _atom_columns(model, x)
-    if perm is not None:
-        regions = _RunningArgmax(samples, model.n_atoms)
-        columns = map(regions.fold, itertools.count(), columns)
+    regions = _RunningArgmax(samples, model.n_atoms)
     gaps = risk = None
     if which is not None:
-        gaps = _gaps_from_scores(columns, y, true_perm, which, seed)
+        gaps = _gaps_from_scores(columns, y, true_perm, which, seed, regions)
+    else:
+        deque(map(regions.fold, itertools.count(), columns), maxlen=0)
     if perm is not None:
-        deque(columns, maxlen=0)  # scores the draw unless the gaps already did
         risk = _risk_from_regions(regions.index, x, y, model, perm, truth, true_perm, seed)
     return gaps, risk
 

@@ -145,6 +145,12 @@ def prefix_summaries(columns, labels: np.ndarray, k: int, ns) -> PrefixSummaries
     Each column is binned before the next is read, so a caller may score
     them on demand; beyond one column, memory is O(n + T len(ns) K^2).
     """
+    return _prefix_summaries(columns, labels, k, ns, None)
+
+
+def _prefix_summaries(columns, labels, k: int, ns, regions) -> PrefixSummaries:
+    """``prefix_summaries`` folding the columns into ``regions``, a caller's
+    ``_RunningArgmax`` over all labels.size samples, or into a private one."""
     labels = np.asarray(labels)
     ns = np.asarray(ns, dtype=np.int64)
     if ns.ndim != 1 or ns.size == 0 or ns[0] < 1 or np.any(np.diff(ns) <= 0):
@@ -166,7 +172,7 @@ def prefix_summaries(columns, labels: np.ndarray, k: int, ns) -> PrefixSummaries
     rows += labels - 1
     size = t * g * k * k
     weights = np.empty(size)
-    regions = _RunningArgmax(labels.size, k)
+    regions = regions or _RunningArgmax(labels.size, k)
     r = -1
     for col in columns:  # no enumerate: its last tuple keeps a column alive
         r += 1

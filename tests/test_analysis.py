@@ -1018,20 +1018,26 @@ class TestColumnwiseDrawMatchesTheMatrixPath:
         # one score column and its square (8 bytes each). Scoring one block
         # adds its z rows and a few log-sum-exp buffers: at most (d + 5) * 8
         # bytes per block entry. The (n, K) scores alone take 8 K per sample.
+        # analyze's gaps with the risk fit the same budget: the risk reads the
+        # regions of the summary's running maximum and keeps no second one.
         k, d = 32, 2
         per_sample = 8 * d + 3 * 8 + 1 + 2 * 8
         per_block = (d + 5) * 8 * mixtures._BLOCK_ENTRIES
         truth = random_measure(np.random.default_rng(7), k, d)
         ident = Permutation.identity(k)
-        estimate_gaps(truth, truth, ident, 100, seed=0)  # loads what a first call loads
-        for n in (10_000, 40_000):
+        gaps._gaps_and_risk(truth, truth, ident, 100, 0, {"mle", "mv"}, ident)  # first-call loads
+        peaks = {}
+        for n, perm in itertools.product((10_000, 40_000), (None, ident)):
             tracemalloc.start()
             try:
-                estimate_gaps(truth, truth, ident, n, seed=1)
-                peak = tracemalloc.get_traced_memory()[1]
+                gaps._gaps_and_risk(truth, truth, ident, n, 1, {"mle", "mv"}, perm)
+                peaks[n, perm] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= n * per_sample + per_block + 2**18, n
+            assert peaks[n, perm] <= n * per_sample + per_block + 2**18, (n, perm)
+        # the growth alone, free of the block term, fits the per-sample budget
+        for perm in (None, ident):
+            assert peaks[40_000, perm] - peaks[10_000, perm] <= 30_000 * per_sample, perm
 
     @pytest.mark.parametrize("k", [2, 9])
     def test_the_harness_summaries_equal_the_oracle(self, k, monkeypatch):

@@ -252,7 +252,7 @@ def test_no_function_binds_a_local_it_never_reads():
 _PRIVATE_IMPORTS = {
     "analysis.bounds": {"mixtures": ["_sample_groups", "_TiltedLogSumExp"]},
     "analysis.gaps": {
-        "estimators": ["_mle_weights", "_RunningArgmax"],
+        "estimators": ["_mle_weights", "_prefix_summaries", "_RunningArgmax"],
         "matching": ["_as_weight_matrix", "_best_two"],
     },
     "analysis.risk": {"analysis.gaps": ["_gaps_and_risk"]},

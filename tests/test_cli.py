@@ -29,6 +29,7 @@ from permlearn import (
 from permlearn import cli
 from permlearn.analysis import gaps as gaps_module
 from permlearn.cli import main
+from permlearn.estimators import _RunningArgmax
 from permlearn.harness import FAMILIES, resolve_model
 from permlearn.mixtures import _json_text
 
@@ -500,6 +501,22 @@ class TestAnalyzeOneDraw:
         draws.clear(), scorings.clear()
         self._analyze(out, files[0], ["--model", files[1]])
         assert len(draws) == 1 and scorings == [self.MC, self.MC]
+
+    def test_votes_and_risk_share_one_fold_of_the_model(self, out, files, monkeypatch):
+        # K = 3 folds of the model's columns serve the votes and the risk; a
+        # distinct model adds K folds of the truth's for the Bayes regions
+        folds, original = [], _RunningArgmax.fold
+
+        def counted(self, r, col):
+            folds.append(r)
+            return original(self, r, col)
+
+        monkeypatch.setattr(_RunningArgmax, "fold", counted)
+        self._analyze(out, files[0], [])
+        assert folds == [0, 1, 2]
+        folds.clear()
+        self._analyze(out, files[0], ["--model", files[1]])
+        assert folds == [0, 1, 2, 0, 1, 2]
 
 
 def _measure(*means):
